@@ -95,7 +95,10 @@ def sign(private: PrivateKey, message: bytes) -> Signature:
 def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
     """Return True iff ``signature`` is valid for ``message`` under ``public``."""
     r, s = signature.r, signature.s
-    if not (1 <= r < ec.N and 1 <= s < ec.N):
+    # s is held to the low half, as sign() emits it and Fabric's verifier
+    # requires: (r, N - s) satisfies the same equation, and accepting it
+    # would let a relay re-encode an attestation into different bytes.
+    if not (1 <= r < ec.N and 1 <= s <= ec.N // 2):
         return False
     digest = hashlib.sha256(message).digest()
     z = _bits_to_int(digest)
