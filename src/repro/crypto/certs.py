@@ -13,6 +13,7 @@ signed by its issuer. Chains validate up to a trusted, self-signed root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from repro.crypto.ecdsa import Signature, sign, verify
@@ -81,8 +82,14 @@ class Certificate:
         data["signature"] = self.signature.to_bytes().hex()
         return data
 
-    def to_bytes(self) -> bytes:
+    @cached_property
+    def _encoded(self) -> bytes:
         return canonical_json(self.to_dict())
+
+    def to_bytes(self) -> bytes:
+        # One bytes object per certificate: every endorsement a peer makes
+        # embeds its certificate, and the ledgers keep those for good.
+        return self._encoded
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Certificate":

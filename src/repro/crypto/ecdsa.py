@@ -105,7 +105,7 @@ def verify(public: PublicKey, message: bytes, signature: Signature) -> bool:
     s_inv = ec.inverse_mod(s, ec.N)
     u1 = (z * s_inv) % ec.N
     u2 = (r * s_inv) % ec.N
-    point = ec.point_add(ec.scalar_mult(u1), ec.scalar_mult(u2, public.point))
+    point = ec.double_scalar_mult(u1, u2, public.point)
     if point is None:
         return False
     return point[0] % ec.N == r

@@ -113,6 +113,9 @@ from repro.utils.ids import random_id
 #: :class:`~repro.store.StateStore` namespaces the relay owns.
 NS_IDEMPOTENCY = "relay/idempotency"
 NS_SUBSCRIPTIONS = "relay/subscriptions"
+#: An idempotency record is this many bytes of big-endian sequence number,
+#: then the reply.
+_SEQUENCE_BYTES = 8
 
 #: Structured relay-layer logging (see :mod:`repro.ops.logging`); the
 #: active :class:`~repro.ops.trace.TraceContext` is stamped on every
@@ -353,7 +356,10 @@ class RelayService:
         #: Exactly-once execution for side-effecting envelopes: a duplicate
         #: delivery of the same ``request_id`` (relay retry, adversarial
         #: replay, network-level duplication) is answered with the original
-        #: reply instead of re-executing the command. Bounded FIFO.
+        #: reply instead of re-executing the command. Bounded FIFO. Values
+        #: are the stored records themselves (8-byte sequence + reply): the
+        #: same ``bytes`` object the store holds, so each reply is resident
+        #: once, not twice.
         self._idempotency: OrderedDict[str, bytes] = OrderedDict()
         #: Guards the idempotency record; ``_in_flight`` additionally
         #: maps request_ids being executed *right now* to an event their
@@ -389,9 +395,9 @@ class RelayService:
         """
         entries: list[tuple[int, str, bytes]] = []
         for key, value in self._store.scan(NS_IDEMPOTENCY):
-            if len(value) < 8:
+            if len(value) < _SEQUENCE_BYTES:
                 continue  # unreadable row: treat as evicted
-            entries.append((int.from_bytes(value[:8], "big"), key, value[8:]))
+            entries.append((int.from_bytes(value[:_SEQUENCE_BYTES], "big"), key, value))
         entries.sort()
         overflow = (
             entries[: -self.idempotency_capacity]
@@ -399,8 +405,8 @@ class RelayService:
             else []
         )
         with self._idempotency_lock:
-            for _, key, reply in entries[len(overflow):]:
-                self._idempotency[key] = reply
+            for _, key, record in entries[len(overflow):]:
+                self._idempotency[key] = record
             if entries:
                 self._idempotency_seq = entries[-1][0] + 1
         if overflow:
@@ -657,7 +663,7 @@ class RelayService:
                 replay = self._idempotency.get(request_id)
                 if replay is not None:
                     self.stats.bump("duplicates_suppressed")
-                    return replay
+                    return replay[_SEQUENCE_BYTES:]
                 marker = self._in_flight.get(request_id)
                 if marker is None:
                     marker = threading.Event()
@@ -677,11 +683,8 @@ class RelayService:
             # fsyncs): the reply must be on disk BEFORE any caller can
             # observe it, or a crash between answering and recording
             # would let the replay re-execute after restart.
-            self._store.put(
-                NS_IDEMPOTENCY,
-                request_id,
-                sequence.to_bytes(8, "big") + reply,
-            )
+            record = sequence.to_bytes(_SEQUENCE_BYTES, "big") + reply
+            self._store.put(NS_IDEMPOTENCY, request_id, record)
         except BaseException:
             with self._idempotency_lock:
                 self._in_flight.pop(request_id, None)
@@ -689,7 +692,7 @@ class RelayService:
             raise
         evicted: list[str] = []
         with self._idempotency_lock:
-            self._idempotency[request_id] = reply
+            self._idempotency[request_id] = record
             while len(self._idempotency) > self.idempotency_capacity:
                 evicted.append(self._idempotency.popitem(last=False)[0])
             self._in_flight.pop(request_id, None)

@@ -45,8 +45,6 @@ import bisect
 import hashlib
 import random
 import threading
-import urllib.error
-import urllib.request
 from typing import Callable, Mapping
 
 from repro.interop.discovery import DiscoveryService, RelayEndpoint
@@ -466,6 +464,11 @@ class ReadinessMonitor:
         self._probe_urls[key] = url
 
     def _probe_ready(self, url: str) -> bool:
+        # Imported here: urllib.request pulls in http.client and email
+        # (~0.5 MB resident that nothing else in the package needs), and
+        # only a fleet that polls /readyz over HTTP ever reaches this line.
+        import urllib.request
+
         try:
             with urllib.request.urlopen(
                 url.rstrip("/") + "/readyz", timeout=self._timeout

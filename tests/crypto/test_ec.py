@@ -8,7 +8,58 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import ec
 from repro.errors import InvalidKeyError
 
-scalars = st.integers(min_value=1, max_value=ec.N - 1)
+# st.integers alone draws ~80% of its values below 2^32; half the draws here
+# are full-width so every table window and NAF digit position gets exercised.
+scalars = st.one_of(
+    st.integers(min_value=1, max_value=ec.N - 1),
+    st.binary(min_size=32, max_size=32).map(
+        lambda raw: int.from_bytes(raw, "big") % (ec.N - 1) + 1
+    ),
+)
+
+
+def reference_add(p1, p2):
+    """Textbook affine chord-and-tangent addition, one inversion per call:
+    shares no formula with the Jacobian code in ``ec``."""
+    if p1 is None:
+        return p2
+    if p2 is None:
+        return p1
+    (x1, y1), (x2, y2) = p1, p2
+    if x1 == x2:
+        if (y1 + y2) % ec.P == 0:
+            return None
+        slope = (3 * x1 * x1 + ec.A) * pow(2 * y1, -1, ec.P)
+    else:
+        slope = (y2 - y1) * pow(x2 - x1, -1, ec.P)
+    x3 = (slope * slope - x1 - x2) % ec.P
+    return (x3, (slope * (x1 - x3) - y1) % ec.P)
+
+
+def reference_mult(scalar, point=ec.GENERATOR):
+    """The bit-at-a-time double-and-add ladder ``ec.scalar_mult`` used to
+    be, kept here as the reference the windowed code is compared with."""
+    k = scalar % ec.N
+    result = None
+    addend = point
+    while k:
+        if k & 1:
+            result = reference_add(result, addend)
+        addend = reference_add(addend, addend)
+        k >>= 1
+    return result
+
+
+# A point with no special relation to G, and the scalars the windowed code
+# branches on: both window widths' boundaries, every all-ones window of the
+# fixed-base table (4 bits) and of the NAF (5 bits), and the ends of the range.
+OTHER_POINT = reference_mult(0xC0FFEE)
+EDGE_SCALARS = sorted(
+    {0, 1, 2, 15, 16, 17, 31, 32, 33, ec.N - 2, ec.N - 1, ec.N, ec.N + 1, 2**256 - 1}
+    | {15 << shift for shift in range(0, 256, 4)}
+    | {31 << shift for shift in range(0, 255, 5)}
+    | {(1 << bits) - 1 for bits in (64, 128, 252, 255, 256)}
+)
 
 
 class TestCurveBasics:
@@ -59,14 +110,14 @@ class TestGroupLaws:
         right = ec.point_add(ec.GENERATOR, ec.point_add(p2, p3))
         assert left == right
 
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(a=scalars, b=scalars)
     def test_scalar_mult_distributes_over_addition(self, a, b):
         combined = ec.scalar_mult((a + b) % ec.N)
         separate = ec.point_add(ec.scalar_mult(a), ec.scalar_mult(b))
         assert combined == separate
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(k=scalars)
     def test_scalar_mult_results_stay_on_curve(self, k):
         assert ec.is_on_curve(ec.scalar_mult(k))
@@ -77,6 +128,74 @@ class TestGroupLaws:
     def test_scalar_mult_rejects_off_curve_point(self):
         with pytest.raises(InvalidKeyError):
             ec.scalar_mult(2, (1, 1))
+
+
+class TestAgainstReferenceLadder:
+    def test_reference_agrees_with_known_multiple(self):
+        assert reference_mult(2) == ec.point_double(ec.GENERATOR)
+        assert reference_mult(ec.N - 1) == ec.point_neg(ec.GENERATOR)
+        assert reference_mult(ec.N) is None
+
+    @pytest.mark.parametrize("k", EDGE_SCALARS, ids=hex)
+    def test_edge_scalars(self, k):
+        assert ec.scalar_mult(k) == reference_mult(k)
+        assert ec.scalar_mult(k, OTHER_POINT) == reference_mult(k, OTHER_POINT)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 15, 16, 31, 32, ec.N - 1, 2**256 - 1])
+    def test_generator_passed_explicitly_or_negated(self, k):
+        minus_g = ec.point_neg(ec.GENERATOR)
+        assert ec.scalar_mult(k, ec.GENERATOR) == reference_mult(k)
+        assert ec.scalar_mult(k, minus_g) == reference_mult(k, minus_g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=scalars, q=scalars)
+    def test_random_scalars_and_points(self, k, q):
+        point = ec.scalar_mult(q)
+        assert point == reference_mult(q)
+        assert ec.scalar_mult(k, point) == reference_mult(k, point)
+
+    @settings(max_examples=100, deadline=None)
+    @given(u1=scalars, u2=scalars, q=scalars)
+    def test_double_scalar_mult_random(self, u1, u2, q):
+        point = ec.scalar_mult(q)
+        expected = reference_add(reference_mult(u1), reference_mult(u2, point))
+        assert ec.double_scalar_mult(u1, u2, point) == expected
+
+    @pytest.mark.parametrize("u1", [0, 1, 15, 16, ec.N - 1, ec.N, ec.N + 1, 2**256 - 1])
+    @pytest.mark.parametrize("u2", [0, 1, 31, 32, ec.N - 1, ec.N, ec.N + 1, 2**256 - 1])
+    @pytest.mark.parametrize(
+        "point",
+        [ec.GENERATOR, ec.point_neg(ec.GENERATOR), OTHER_POINT, None],
+        ids=["G", "-G", "other", "infinity"],
+    )
+    def test_double_scalar_mult_edges(self, u1, u2, point):
+        expected = reference_add(reference_mult(u1), reference_mult(u2, point))
+        assert ec.double_scalar_mult(u1, u2, point) == expected
+
+    @pytest.mark.parametrize("u", [1, 2, 15, 16, 0x30, 0xABCDEF, ec.N - 1])
+    def test_double_scalar_mult_doubling_branch(self, u):
+        # Q = G and u1 = u2: the accumulator u2*G meets the same table point.
+        assert ec.double_scalar_mult(u, u, ec.GENERATOR) == reference_mult(2 * u)
+
+    def test_double_scalar_mult_meets_table_point_mid_pass(self):
+        # 0x2F*G, plus window 0 of 0x31 -> 0x30*G, which is window 1's entry.
+        assert ec.double_scalar_mult(0x31, 0x2F, ec.GENERATOR) == reference_mult(0x60)
+
+    @pytest.mark.parametrize("u", [1, 2, 15, 16, 0x30, 0xABCDEF, ec.N - 1])
+    def test_double_scalar_mult_cancels_to_infinity(self, u):
+        assert ec.double_scalar_mult(u, ec.N - u, ec.GENERATOR) is None
+        assert ec.double_scalar_mult(u, u, ec.point_neg(ec.GENERATOR)) is None
+
+    def test_double_scalar_mult_continues_past_infinity(self):
+        # -0x31*G + 0x1*G + 0x30*G is infinity after two windows; the third
+        # window then lands on an empty accumulator.
+        assert ec.double_scalar_mult(0x131, ec.N - 0x31, ec.GENERATOR) == reference_mult(0x100)
+
+    def test_double_scalar_mult_rejects_off_curve_point(self):
+        with pytest.raises(InvalidKeyError):
+            ec.double_scalar_mult(1, 1, (1, 1))
+        with pytest.raises(InvalidKeyError):
+            ec.double_scalar_mult(1, 0, (1, 1))
 
 
 class TestEncoding:

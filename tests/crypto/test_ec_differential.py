@@ -24,8 +24,8 @@ from hypothesis import given, settings, strategies as st
 from repro.crypto import ec
 from repro.crypto.ecdsa import Signature, sign, verify
 from repro.crypto.keys import PrivateKey, PublicKey
+from tests.crypto.test_ec import scalars
 
-scalars = st.integers(min_value=1, max_value=ec.N - 1)
 messages = st.binary(min_size=0, max_size=256)
 _ECDSA_SHA256 = lib_ec.ECDSA(hashes.SHA256())
 
@@ -93,3 +93,15 @@ def test_library_and_ours_agree_on_rejection(d, message, other):
     except InvalidSignature:
         accepted = False
     assert verify(PublicKey(*_lib_multiple(d)), other, signature) == accepted
+
+
+@settings(max_examples=100, deadline=None)
+@given(u1=scalars, u2=scalars, d=scalars)
+def test_double_scalar_mult_matches_library(u1, u2, d):
+    point = _lib_multiple(d)
+    joint = ec.double_scalar_mult(u1, u2, point)
+    # two library multiplications, added: u2 * (d * G) is (u2 * d) * G
+    assert joint == ec.point_add(_lib_multiple(u1), _lib_multiple(u2 * d % ec.N))
+    # and with no arithmetic of ours at all, where the sum is not infinity
+    total = (u1 + u2 * d) % ec.N
+    assert joint == (_lib_multiple(total) if total else None)

@@ -108,13 +108,13 @@ class TestSignatures:
     def test_empty_message_signable(self, keypair):
         assert verify(keypair.public, b"", sign(keypair.private, b""))
 
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(message=st.binary(min_size=0, max_size=512))
     def test_roundtrip_property(self, keypair, message):
         signature = sign(keypair.private, message)
         assert verify(keypair.public, message, signature)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(message=st.binary(min_size=1, max_size=64), flip=st.integers(0, 63))
     def test_signature_corruption_detected(self, keypair, message, flip):
         signature = sign(keypair.private, message)
