@@ -270,9 +270,13 @@ def encode_point(point: AffinePoint) -> bytes:
 
 def decode_point(data: bytes) -> AffinePoint:
     """Parse a 65-byte uncompressed SEC1 point, validating curve membership."""
-    if len(data) != 65 or data[0] != 0x04:
+    if len(data) != 65:
         raise InvalidKeyError(
             f"expected 65-byte uncompressed point, got {len(data)} bytes"
+        )
+    if data[0] != 0x04:
+        raise InvalidKeyError(
+            f"expected uncompressed point prefix 0x04, got 0x{data[0]:02x}"
         )
     x = int.from_bytes(data[1:33], "big")
     y = int.from_bytes(data[33:65], "big")

@@ -20,7 +20,7 @@ from repro.crypto import ec
 from repro.crypto.aead import KEY_LEN, open_, seal
 from repro.crypto.kdf import hkdf
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
-from repro.errors import DecryptionError
+from repro.errors import DecryptionError, InvalidKeyError
 
 _EPHEMERAL_LEN = 65
 _HKDF_INFO = b"repro/ecies/v1"
@@ -54,11 +54,18 @@ def ecies_decrypt(
     box: bytes,
     associated_data: bytes = b"",
 ) -> bytes:
-    """Decrypt a box produced by :func:`ecies_encrypt`."""
+    """Decrypt a box produced by :func:`ecies_encrypt`.
+
+    Raises :class:`DecryptionError` for every box that does not open,
+    including one whose ephemeral key is malformed or off the curve.
+    """
     if len(box) < _EPHEMERAL_LEN:
         raise DecryptionError("ciphertext too short for an ECIES box")
     ephemeral_pub = box[:_EPHEMERAL_LEN]
-    ephemeral_point = PublicKey.from_bytes(ephemeral_pub)
+    try:
+        ephemeral_point = PublicKey.from_bytes(ephemeral_pub)
+    except InvalidKeyError as exc:
+        raise DecryptionError("ephemeral public key is not a valid P-256 point") from exc
     shared = ec.scalar_mult(recipient.d, ephemeral_point.point)
     key = _derive_key(shared, ephemeral_pub)
     return open_(key, box[_EPHEMERAL_LEN:], associated_data)

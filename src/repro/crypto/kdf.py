@@ -24,11 +24,9 @@ def hkdf_expand(pseudo_random_key: bytes, info: bytes, length: int) -> bytes:
         raise ValueError(f"HKDF output too long: {length}")
     blocks = []
     previous = b""
-    counter = 1
-    while sum(len(b) for b in blocks) < length:
+    for counter in range(1, -(-length // _HASH_LEN) + 1):
         previous = hmac_sha256(pseudo_random_key, previous, info, bytes([counter]))
         blocks.append(previous)
-        counter += 1
     return b"".join(blocks)[:length]
 
 

@@ -21,6 +21,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.crypto import chacha20
 from repro.crypto.aead import open_, seal
 from repro.crypto.chacha20 import chacha20_xor
 from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
@@ -83,9 +84,9 @@ counters = st.one_of(
     st.integers(min_value=_MASK32 - 8, max_value=_MASK32),
 )
 
-# The bytes ``chacha20_xor`` keystreams per slab (1024 blocks). Lengths
-# around it exercise the slab seam; on a per-block implementation they are
-# just long messages.
+# The bytes ``chacha20_xor`` keystreams per slab (1024 blocks); lengths
+# around it exercise the slab seam. Spelled out, not imported, so that
+# moving the constant fails test_slab_lengths_sit_on_the_slab_seam.
 SLAB_BYTES = 64 * 1024
 
 ZERO_KEY = bytes(32)
@@ -247,6 +248,10 @@ BOUNDARY_LENGTHS = [
 ]
 
 
+def test_slab_lengths_sit_on_the_slab_seam():
+    assert chacha20._SLAB_BYTES == SLAB_BYTES
+
+
 @pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
 def test_boundary_lengths_match_reference(length):
     data = _pattern(length)
@@ -274,18 +279,28 @@ def test_random_inputs_match_reference(key, nonce, counter, data):
     assert chacha20_xor(key, nonce, data, counter) == reference_xor(key, nonce, data, counter)
 
 
+@pytest.mark.parametrize("length", [0, 150])
 @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
-def test_bytes_like_input_returns_bytes(wrap):
-    data = _pattern(150)
+def test_bytes_like_input_returns_bytes(wrap, length):
+    data = _pattern(length)
     out = chacha20_xor(RFC_KEY, ZERO_NONCE, wrap(data))
     assert type(out) is bytes
     assert out == reference_xor(RFC_KEY, ZERO_NONCE, data)
 
 
-@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview], ids=lambda t: t.__name__)
-def test_empty_input_returns_empty_bytes(wrap):
-    out = chacha20_xor(RFC_KEY, ZERO_NONCE, wrap(b""))
-    assert type(out) is bytes and out == b""
+@pytest.mark.parametrize("counter", [-1, 1 << 32, (1 << 32) + 1])
+def test_counter_outside_32_bits_rejected(counter):
+    # These used to alias mod 2^32: -1 encrypted like 0xFFFFFFFF.
+    with pytest.raises(ValueError):
+        chacha20_xor(RFC_KEY, ZERO_NONCE, b"data", initial_counter=counter)
+    with pytest.raises(ValueError):
+        chacha20_xor(RFC_KEY, ZERO_NONCE, b"", initial_counter=counter)
+
+
+@pytest.mark.parametrize("counter", [0, _MASK32])
+def test_counter_bounds_accepted(counter):
+    out = chacha20_xor(RFC_KEY, ZERO_NONCE, bytes(64), initial_counter=counter)
+    assert out == reference_block(RFC_KEY, counter, ZERO_NONCE)
 
 
 # --------------------------------------------------------------------------

@@ -216,7 +216,7 @@ class TestEncoding:
     def test_decode_rejects_wrong_prefix(self):
         encoded = bytearray(ec.encode_point(ec.GENERATOR))
         encoded[0] = 0x02
-        with pytest.raises(InvalidKeyError):
+        with pytest.raises(InvalidKeyError, match="prefix 0x04, got 0x02"):
             ec.decode_point(bytes(encoded))
 
     def test_decode_rejects_off_curve(self):

@@ -58,11 +58,21 @@ class TestECIES:
         with pytest.raises(DecryptionError):
             ecies_decrypt(recipient.private, b"\x04" + b"\x00" * 30)
 
-    def test_tampered_ephemeral_key_rejected(self, recipient):
+    # Prefix byte, both ends of x, both ends of y: every flip leaves a
+    # point that is off the curve (or not an uncompressed point at all).
+    @pytest.mark.parametrize("position", [0, 1, 10, 32, 33, 64])
+    def test_tampered_ephemeral_key_rejected(self, recipient, position):
         box = bytearray(ecies_encrypt(recipient.public, b"data"))
-        box[10] ^= 0x01
-        with pytest.raises((DecryptionError, Exception)):
+        box[position] ^= 0x01
+        with pytest.raises(DecryptionError):
             ecies_decrypt(recipient.private, bytes(box))
+
+    def test_substituted_ephemeral_key_rejected(self, recipient):
+        # A valid point, just not the sender's: ECDH succeeds, the MAC fails.
+        box = ecies_encrypt(recipient.public, b"data")
+        other = generate_keypair(seed=b"interloper").public.to_bytes()
+        with pytest.raises(DecryptionError):
+            ecies_decrypt(recipient.private, other + box[65:])
 
     def test_empty_plaintext(self, recipient):
         box = ecies_encrypt(recipient.public, b"")

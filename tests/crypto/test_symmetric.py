@@ -113,7 +113,7 @@ class TestAEAD:
 
 
 class TestHKDF:
-    """RFC 5869 Test Case 1."""
+    """RFC 5869 test cases 1-3 (SHA-256)."""
 
     IKM = b"\x0b" * 22
     SALT = bytes(range(13))
@@ -127,6 +127,30 @@ class TestHKDF:
             "34007208d5b887185865"
         )
 
+    def test_rfc5869_case2_longer_inputs_and_output(self):
+        okm = hkdf(
+            bytes(range(0x00, 0x50)),
+            82,
+            salt=bytes(range(0x60, 0xB0)),
+            info=bytes(range(0xB0, 0x100)),
+        )
+        assert okm == bytes.fromhex(
+            "b11e398dc80327a1c8e7f78c596a4934"
+            "4f012eda2d4efad8a050cc4c19afa97c"
+            "59045a99cac7827271cb41c65e590e09"
+            "da3275600c2f09b8367793a9aca3db71"
+            "cc30c58179ec3e87c14c01d5c1f3434f"
+            "1d87"
+        )
+
+    def test_rfc5869_case3_zero_length_salt_and_info(self):
+        okm = hkdf(self.IKM, 42, salt=b"", info=b"")
+        assert okm == bytes.fromhex(
+            "8da4e775a563c18f715f802a063c5a31"
+            "b8a11f5c5ee1879ec3454e5f3c738d2d"
+            "9d201395faa4b61a96c8"
+        )
+
     def test_extract_then_expand_matches_oneshot(self):
         prk = hkdf_extract(self.SALT, self.IKM)
         assert hkdf_expand(prk, self.INFO, 42) == hkdf(
@@ -137,7 +161,7 @@ class TestHKDF:
         assert len(hkdf(b"ikm", 32)) == 32
 
     def test_output_length_respected(self):
-        for length in (1, 31, 32, 33, 100):
+        for length in (0, 1, 31, 32, 33, 64, 100, 255 * 32):
             assert len(hkdf(b"ikm", length)) == length
 
     def test_too_long_output_rejected(self):

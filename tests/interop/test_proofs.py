@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.crypto.ecies import ecies_encrypt
 from repro.crypto.hashing import sha256
 from repro.errors import ProofError
 from repro.fabric.identity import Organization
@@ -18,6 +19,7 @@ from repro.interop.proofs import (
     unseal_result,
 )
 from repro.proto.address import CrossNetworkAddress
+from repro.utils.encoding import canonical_json, from_canonical_json
 
 ADDRESS = CrossNetworkAddress("stl", "main", "TradeLensCC", "GetBillOfLading")
 ARGS = ["PO-1"]
@@ -110,6 +112,17 @@ class TestSealEnvelopes:
         tampered = envelope.replace(DATA.hex().encode(), DATA.hex().encode()[::-1])
         with pytest.raises(ProofError):
             unseal_result(tampered)
+
+    # The ephemeral-key region of the ECIES box: prefix byte, x, y.
+    @pytest.mark.parametrize("position", [0, 1, 32, 33, 64])
+    def test_tampered_ephemeral_key_is_a_proof_error(self, world, position):
+        client = world["client"]
+        envelope = from_canonical_json(seal_result(DATA, client.keypair.public, True))
+        box = bytearray.fromhex(envelope["cipher"])
+        box[position] ^= 0x01
+        envelope["cipher"] = box.hex()
+        with pytest.raises(ProofError, match="corrupt or undecryptable"):
+            unseal_result(canonical_json(envelope), client.keypair.private)
 
     def test_malformed_envelope(self):
         with pytest.raises(ProofError):
@@ -281,3 +294,14 @@ class TestValidation:
         )
         with pytest.raises(ProofError, match="private key"):
             decrypt_attestation(wire, None)
+
+    @pytest.mark.parametrize("position", [0, 1, 32, 33, 64])
+    def test_tampered_metadata_ephemeral_key_is_a_proof_error(self, world, position):
+        from repro.proto.messages import Attestation
+
+        client = world["client"]
+        box = bytearray(ecies_encrypt(client.keypair.public, b"metadata"))
+        box[position] ^= 0x01
+        wire = Attestation(metadata_cipher=bytes(box), signature=b"s")
+        with pytest.raises(ProofError, match="corrupt or undecryptable"):
+            decrypt_attestation(wire, client.keypair.private)
