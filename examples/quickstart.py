@@ -582,7 +582,8 @@ def main() -> None:
     print("every asset moved ONE hop around the ring, atomically; had any")
     print("leg stalled, the decremented windows guarantee each escrow is")
     print("refundable in turn — and the journal makes the coordinator")
-    print("recoverable mid-cycle via CycleCoordinator.recover(store, id).")
+    print("recoverable mid-cycle: CycleCoordinator.resume(parties, store, id),")
+    print("then .recover().")
 
 
 if __name__ == "__main__":

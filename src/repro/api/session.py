@@ -47,7 +47,6 @@ from repro.interop.transactions import RemoteTransactionClient
 from repro.ops.trace import ensure_trace
 from repro.proto.messages import (
     PROTOCOL_VERSION,
-    AuthInfo,
     EventSubscribeRequest,
     NetworkAddressMsg,
 )
@@ -162,20 +161,13 @@ class GatewaySession:
                 f"event address {address!r} must be network/ledger/chaincode"
             )
         network, ledger, chaincode = segments
-        identity = self._client.identity
         request = EventSubscribeRequest(
             version=PROTOCOL_VERSION,
             address=NetworkAddressMsg(
                 network=network, ledger=ledger, contract=chaincode, function=""
             ),
             event_name=event_name,
-            auth=AuthInfo(
-                requesting_network=self._client.network_id,
-                requesting_org=identity.org,
-                requestor=identity.name,
-                certificate=identity.certificate.to_bytes(),
-                public_key=identity.keypair.public.to_bytes(),
-            ),
+            auth=self._client.auth_info(),
         )
         stream = VerifiedEventStream(
             self._client,

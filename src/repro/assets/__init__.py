@@ -2,9 +2,10 @@
 
 The paper's relay architecture deliberately stops at trusted *data*
 transfer and names asset transfer as the next step (§6). This package is
-that step: two-party atomic exchange between heterogeneous networks via
-hash-time-locked contracts, riding the existing relay envelope protocol —
-discovery, failover, interceptors, and the proof plane all unchanged.
+that step: atomic exchange between heterogeneous networks — two parties
+or an N-party ring — via hash-time-locked contracts, riding the existing
+relay envelope protocol: discovery, failover, interceptors, and the proof
+plane all unchanged.
 
 - :mod:`repro.assets.htlc` — the platform-neutral vault state machine
   (lock/claim/refund with strictly disjoint claim and refund windows).
@@ -13,15 +14,19 @@ discovery, failover, interceptors, and the proof plane all unchanged.
 - :mod:`repro.assets.ports` — :class:`AssetLedgerPort`, the driver
   capability behind ``supports_assets``; commands are ECC-gated and
   submitted under a designated local invoker, like §5 transactions.
+- :mod:`repro.assets.cycles` — :class:`CycleCoordinator`, the one HTLC
+  state machine: an A→B→C→…→A ring of escrows under one hashlock, with
+  per-hop decremented timelocks, proof-verification before every
+  irreversible step, and journaled crash recovery.
 - :mod:`repro.assets.coordinator` — :class:`AssetExchangeCoordinator`,
-  the explicit exchange state machine: lock → proof-verify → counter-lock
-  → proof-verify → claim → claim, plus abort and timeout-refund paths.
-- :mod:`repro.assets.cycles` — :class:`CycleCoordinator`, the N-party
-  generalization: an A→B→C→…→A ring of escrows under one hashlock, with
-  per-hop decremented timelocks and journaled crash recovery.
+  the two-party view of that engine: an exchange is the N=2 ring, and
+  the view names its steps lock → proof-verify → counter-lock →
+  proof-verify → claim → claim and derives :class:`ExchangeState` from
+  the ring's state.
 - :mod:`repro.assets.metrics` — :class:`ExchangeMetrics`, the shared
-  lock-guarded counters both coordinators report into (exported as the
-  ``repro_assets_*`` Prometheus families by ``repro.ops``).
+  lock-guarded counters the engine reports into under ``kind="cycle"``
+  or ``kind="exchange"`` (exported as the ``repro_assets_*`` Prometheus
+  families by ``repro.ops``).
 
 Applications reach it through ``gateway.exchange()`` and
 ``gateway.exchange_cycle()`` (see :class:`repro.api.ExchangeBuilder` /

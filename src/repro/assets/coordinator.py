@@ -1,8 +1,7 @@
-"""The two-party atomic exchange coordinator (HTLC choreography).
+"""The two-party atomic exchange: a view of the N=2 HTLC ring.
 
-Drives a cross-network asset swap between an *initiator* (offering an
-asset on its own network) and a *responder* (offering one on theirs) as
-an explicit state machine:
+An *initiator* (offering an asset on its own network) and a *responder*
+(offering one on theirs) swap through six steps:
 
 .. code-block:: text
 
@@ -12,52 +11,31 @@ an explicit state machine:
     any pre-reveal state --abort()--> ABORTED --refund()--> REFUNDED
     OFFER_LOCKED.. states ----------- refund() (post-timeout) --> REFUNDED
 
-Every ledger command travels as a ``MSG_KIND_ASSET_*`` relay envelope
-through the ordinary discovery/failover/interceptor path, and — the
-paper's trust argument, extended to value — each party verifies the
-*other side's lock* through a proof-carrying ``GetLock`` query validated
-by the :class:`~repro.interop.proofs.ProofScheme` plane before taking its
-next irreversible step: the responder before locking its own asset, the
-initiator before revealing the preimage. Timeouts are staggered
-(``counter_timeout < offer_timeout``) so the responder can always claim
-the offer with the revealed preimage before the initiator's refund window
-opens.
+That ladder is :class:`~repro.assets.cycles.CycleCoordinator` with two
+legs — the offer is leg 0, the counter (ask) leg 1, ``hop_gap`` the
+difference between the two timeouts — so there is one HTLC state machine
+in this package and :class:`AssetExchangeCoordinator` holds none of its
+own: every envelope is issued, journaled and recovered by the ring, and
+:class:`ExchangeState` is *derived* from the ring's state. Each party
+verifies the *other side's lock* through a proof-carrying ``GetLock``
+query before taking its next irreversible step: the responder before
+locking its own asset, the initiator before revealing the preimage.
+Timeouts are staggered (``counter_timeout < offer_timeout``) so the
+responder can always claim the offer with the revealed preimage before
+the initiator's refund window opens.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.assets.htlc import (
-    STATE_CLAIMED,
-    STATE_LOCKED,
-    make_hashlock,
-    new_preimage,
-)
-from repro.errors import (
-    AssetError,
-    DiscoveryError,
-    ExchangeStateError,
-    ProtocolError,
-    RelayError,
-)
+from repro.assets.cycles import AssetSpec, CycleCoordinator, CycleState
 from repro.assets.metrics import KIND_EXCHANGE, ExchangeMetrics
+from repro.errors import ProtocolError
 from repro.interop.client import InteropClient
+from repro.proto.messages import AssetAckMsg
 from repro.store import StateStore
-from repro.proto.messages import (
-    MSG_KIND_ASSET_CLAIM,
-    MSG_KIND_ASSET_LOCK,
-    MSG_KIND_ASSET_STATUS,
-    MSG_KIND_ASSET_UNLOCK,
-    PROTOCOL_VERSION,
-    STATUS_OK,
-    AssetAckMsg,
-    AssetCommandMsg,
-    AuthInfo,
-    NetworkAddressMsg,
-)
 from repro.utils.ids import random_id
 
 #: :class:`~repro.store.StateStore` namespace for exchange journals.
@@ -79,95 +57,6 @@ class ExchangeState(Enum):
     FAILED = "failed"
 
 
-#: Legal transitions; anything else raises :class:`ExchangeStateError`.
-_TRANSITIONS: dict[ExchangeState, frozenset[ExchangeState]] = {
-    ExchangeState.CREATED: frozenset(
-        {ExchangeState.OFFER_LOCKED, ExchangeState.ABORTED, ExchangeState.FAILED}
-    ),
-    ExchangeState.OFFER_LOCKED: frozenset(
-        {
-            ExchangeState.OFFER_VERIFIED,
-            ExchangeState.ABORTED,
-            ExchangeState.REFUNDED,
-            ExchangeState.FAILED,
-        }
-    ),
-    ExchangeState.OFFER_VERIFIED: frozenset(
-        {
-            ExchangeState.COUNTER_LOCKED,
-            ExchangeState.ABORTED,
-            ExchangeState.REFUNDED,
-            ExchangeState.FAILED,
-        }
-    ),
-    ExchangeState.COUNTER_LOCKED: frozenset(
-        {
-            ExchangeState.COUNTER_VERIFIED,
-            ExchangeState.ABORTED,
-            ExchangeState.REFUNDED,
-            ExchangeState.FAILED,
-        }
-    ),
-    ExchangeState.COUNTER_VERIFIED: frozenset(
-        {
-            ExchangeState.COUNTER_CLAIMED,
-            ExchangeState.ABORTED,
-            ExchangeState.REFUNDED,
-            ExchangeState.FAILED,
-        }
-    ),
-    ExchangeState.COUNTER_CLAIMED: frozenset(
-        {ExchangeState.COMPLETED, ExchangeState.FAILED}
-    ),
-    ExchangeState.COMPLETED: frozenset(),
-    ExchangeState.ABORTED: frozenset({ExchangeState.REFUNDED, ExchangeState.FAILED}),
-    ExchangeState.REFUNDED: frozenset(),
-    # A failed exchange can still unwind its *unclaimed* escrows once
-    # their timelocks expire — a lock is refundable exactly when its
-    # claim window has closed unclaimed, whatever went wrong elsewhere.
-    ExchangeState.FAILED: frozenset({ExchangeState.REFUNDED}),
-}
-
-#: States in which the exchange can still be called off without loss
-#: (the preimage has not been revealed).
-_PRE_REVEAL_STATES = frozenset(
-    {
-        ExchangeState.CREATED,
-        ExchangeState.OFFER_LOCKED,
-        ExchangeState.OFFER_VERIFIED,
-        ExchangeState.COUNTER_LOCKED,
-        ExchangeState.COUNTER_VERIFIED,
-    }
-)
-
-
-@dataclass(frozen=True)
-class AssetSpec:
-    """One leg of the exchange: an asset on a network/ledger/contract.
-
-    No function segment — the HTLC verb travels as the envelope *kind*,
-    not as an addressed function.
-    """
-
-    network: str
-    ledger: str
-    contract: str
-    asset_id: str
-
-    @classmethod
-    def parse(cls, address_text: str, asset_id: str) -> "AssetSpec":
-        segments = address_text.split("/")
-        if len(segments) != 3 or not all(segments):
-            raise ProtocolError(
-                f"asset address {address_text!r} must be network/ledger/contract"
-            )
-        network, ledger, contract = segments
-        return cls(network=network, ledger=ledger, contract=contract, asset_id=asset_id)
-
-    def query_address(self, function: str) -> str:
-        return f"{self.network}/{self.ledger}/{self.contract}/{function}"
-
-
 @dataclass
 class ExchangeResult:
     """What a finished (or unwound) exchange produced."""
@@ -186,6 +75,18 @@ class ExchangeResult:
         return self.state is ExchangeState.COMPLETED
 
 
+class _TwoPartyRing(CycleCoordinator):
+    """The N=2 ring under the exchange's names: its own metrics label and
+    journal namespace, legs called offer and counter. No behaviour."""
+
+    _kind = KIND_EXCHANGE
+    _namespace = NS_EXCHANGES
+    _noun = "exchange"
+
+    def _label(self, leg: int) -> str:
+        return ("offer", "counter")[leg]
+
+
 class AssetExchangeCoordinator:
     """Drives one Fabric↔Quorum(↔anything) atomic exchange end to end.
 
@@ -196,15 +97,13 @@ class AssetExchangeCoordinator:
     verification policies for the proof-carrying lock confirmations
     (``None`` = look up the CMDAC-recorded policy, as for queries).
 
-    Crash recovery: pass a :class:`~repro.store.StateStore` and every
-    state-machine transition is journaled under ``exchange_id``. A
-    restarted process rebuilds the coordinator with :meth:`resume`, then
-    calls :meth:`recover` to resolve the one step the journal cannot —
-    "did the command I issued right before the crash land?" — through
-    proof-carrying ``GetLock`` readbacks against the ledgers themselves
-    (the relay that just crashed is exactly the party not trusted for
-    that answer), and :meth:`run` continues from wherever the machine
-    stopped.
+    Crash recovery is the ring's: pass a :class:`~repro.store.StateStore`
+    and every transition is journaled under ``exchange_id``; a restarted
+    process calls :meth:`resume`, then :meth:`recover`, then :meth:`run`
+    (or :meth:`refund`). ``OFFER_VERIFIED`` and ``COUNTER_VERIFIED`` hold
+    only in the process that did the verifying — a resumed exchange comes
+    back one step earlier and :meth:`run` re-verifies before it escrows
+    or reveals.
     """
 
     def __init__(
@@ -239,19 +138,9 @@ class AssetExchangeCoordinator:
                 f"time to claim with the revealed preimage before the "
                 f"initiator's refund window opens"
             )
-        self._initiator = initiator
-        self._responder = responder
-        self.offer = offer
-        self.ask = ask
-        self.offer_timeout = offer_timeout
-        self.counter_timeout = counter_timeout
-        self._offer_policy = offer_policy
-        self._ask_policy = ask_policy
-        #: Minimum remaining lock lifetime a party requires before acting.
-        self.verify_margin = (
-            verify_margin if verify_margin is not None else counter_timeout / 2
-        )
-        if offer_timeout < counter_timeout + self.verify_margin:
+        if verify_margin is None:
+            verify_margin = counter_timeout / 2
+        if offer_timeout < counter_timeout + verify_margin:
             # Checked HERE, before anything is escrowed: verify_offer()
             # will demand counter_timeout + verify_margin of remaining
             # offer-lock lifetime, so a tighter configuration could only
@@ -259,82 +148,19 @@ class AssetExchangeCoordinator:
             raise ProtocolError(
                 f"offer timeout ({offer_timeout}s) must cover the counter "
                 f"timeout plus the verification margin "
-                f"({counter_timeout}s + {self.verify_margin}s); shorten the "
+                f"({counter_timeout}s + {verify_margin}s); shorten the "
                 f"margin or lengthen the offer timelock"
             )
-        self._clock = initiator.relay.clock
-        #: The initiator's secret; its hash is the exchange's hashlock.
-        self.preimage = new_preimage()
-        self.hashlock = make_hashlock(self.preimage)
-        self._verified_hashlock = b""
-        self._counter_refunded = False
-        self._offer_refunded = False
-        self.state = ExchangeState.CREATED
-        self.offer_deadline: float | None = None
-        self.counter_deadline: float | None = None
-        self.result = ExchangeResult(
-            state=self.state, hashlock=self.hashlock, preimage=None
-        )
-        self.exchange_id = exchange_id or random_id("exch-")
-        self._store = store
-        self._started_at: float | None = None
-        self._metrics = metrics
-        self._journal()
-        if metrics is not None:
-            metrics.exchange_started(KIND_EXCHANGE)
-
-    # -- durability ---------------------------------------------------------------
-
-    def _journal(self) -> None:
-        """Persist everything a resumed coordinator needs (no-op without
-        a store). Written after every transition and flag change."""
-        if self._store is None:
-            return
-        record = {
-            "state": self.state.value,
-            "offer": [
-                self.offer.network,
-                self.offer.ledger,
-                self.offer.contract,
-                self.offer.asset_id,
-            ],
-            "ask": [
-                self.ask.network,
-                self.ask.ledger,
-                self.ask.contract,
-                self.ask.asset_id,
-            ],
-            "offer_timeout": self.offer_timeout,
-            "counter_timeout": self.counter_timeout,
-            "verify_margin": self.verify_margin,
-            "preimage": self.preimage.hex(),
-            "hashlock": self.hashlock.hex(),
-            "verified_hashlock": self._verified_hashlock.hex(),
-            "offer_deadline": self.offer_deadline,
-            "counter_deadline": self.counter_deadline,
-            "counter_refunded": self._counter_refunded,
-            "offer_refunded": self._offer_refunded,
-            "offer_locked": self.result.offer_lock is not None,
-            "counter_locked": self.result.counter_lock is not None,
-            "counter_claimed": self.result.counter_claim is not None,
-            "offer_claimed": self.result.offer_claim is not None,
-            "preimage_revealed": self.result.preimage is not None,
-            "started_at": self._started_at,
-        }
-        self._store.put(
-            NS_EXCHANGES, self.exchange_id, json.dumps(record).encode("utf-8")
-        )
-
-    @staticmethod
-    def _journaled_ack(asset_id: str) -> AssetAckMsg:
-        """Stand-in ack for a leg the journal records as landed: the
-        original wire ack died with the crashed process, but the flags
-        (and :meth:`refund`'s decisions) only need *that* it landed."""
-        return AssetAckMsg(
-            version=PROTOCOL_VERSION,
-            nonce="journaled",
-            status=STATUS_OK,
-            asset_id=asset_id,
+        self._ring = _TwoPartyRing(
+            [initiator, responder],
+            [offer, ask],
+            cycle_timeout=offer_timeout,
+            hop_gap=offer_timeout - counter_timeout,
+            policies=[offer_policy, ask_policy],
+            verify_margin=verify_margin,
+            store=store,
+            cycle_id=exchange_id or random_id("exch-"),
+            metrics=metrics,
         )
 
     @classmethod
@@ -348,583 +174,141 @@ class AssetExchangeCoordinator:
         ask_policy: str | None = None,
         metrics: ExchangeMetrics | None = None,
     ) -> "AssetExchangeCoordinator":
-        """Rebuild a coordinator from its journal after a crash.
-
-        The journal restores the secret, the verified hashlock, the
-        deadlines, and the state machine position; call :meth:`recover`
-        next to resolve whether the command in flight at the crash
-        landed, then :meth:`run` (or :meth:`refund`) to continue.
-        """
-        raw = store.get(NS_EXCHANGES, exchange_id)
-        if raw is None:
-            raise ExchangeStateError(
-                f"no journaled exchange {exchange_id!r} in the store"
-            )
-        record = json.loads(raw.decode("utf-8"))
-        coordinator = cls(
-            initiator,
-            responder,
-            AssetSpec(*record["offer"]),
-            AssetSpec(*record["ask"]),
-            offer_timeout=record["offer_timeout"],
-            counter_timeout=record["counter_timeout"],
-            offer_policy=offer_policy,
-            ask_policy=ask_policy,
-            verify_margin=record["verify_margin"],
-            exchange_id=exchange_id,
+        """Rebuild a coordinator from its journal after a crash (see
+        :meth:`CycleCoordinator.resume`); records journaled in the
+        ``offer_*`` / ``counter_*`` format resume too."""
+        exchange = cls.__new__(cls)
+        exchange._ring = _TwoPartyRing.resume(
+            [initiator, responder],
+            store,
+            exchange_id,
+            policies=[offer_policy, ask_policy],
+            metrics=metrics,
         )
-        coordinator.preimage = bytes.fromhex(record["preimage"])
-        coordinator.hashlock = bytes.fromhex(record["hashlock"])
-        coordinator._verified_hashlock = bytes.fromhex(
-            record["verified_hashlock"]
-        )
-        coordinator.state = ExchangeState(record["state"])
-        coordinator.offer_deadline = record["offer_deadline"]
-        coordinator.counter_deadline = record["counter_deadline"]
-        coordinator._counter_refunded = record["counter_refunded"]
-        coordinator._offer_refunded = record["offer_refunded"]
-        result = coordinator.result
-        result.state = coordinator.state
-        result.hashlock = coordinator.hashlock
-        if record["offer_locked"]:
-            result.offer_lock = cls._journaled_ack(coordinator.offer.asset_id)
-        if record["counter_locked"]:
-            result.counter_lock = cls._journaled_ack(coordinator.ask.asset_id)
-        if record["counter_claimed"]:
-            result.counter_claim = cls._journaled_ack(coordinator.ask.asset_id)
-        if record["offer_claimed"]:
-            result.offer_claim = cls._journaled_ack(coordinator.offer.asset_id)
-        if record["preimage_revealed"]:
-            result.preimage = coordinator.preimage
-        coordinator._started_at = record.get("started_at")
-        # Attach the store (and metrics) only now: a crash inside resume()
-        # itself must never regress the journal to the constructor's
-        # CREATED image, and a resumed exchange is not a *new* start.
-        coordinator._store = store
-        coordinator._metrics = metrics
-        coordinator._journal()
-        return coordinator
+        return exchange
 
-    def _peek_lock(
-        self, viewer: InteropClient, spec: AssetSpec, policy: str | None
-    ) -> dict:
-        """Proof-verified ``GetLock`` readback, returned raw (recovery
-        decides; unlike :meth:`_verify_lock` nothing FAILs here — the
-        readback itself raising leaves the step retriable)."""
-        fetched = viewer.remote_query(
-            spec.query_address("GetLock"), [spec.asset_id], policy=policy
-        )
-        return json.loads(fetched.data)
+    # -- the ring, in two-party words -----------------------------------------------
 
-    def recover(self) -> ExchangeState:
-        """Re-derive the next safe step after :meth:`resume`.
-
-        The journal is written *after* each command's ack, so a crash
-        leaves exactly one ambiguity: the command issued right before it
-        may have committed without being journaled. For each such state
-        the relevant party reads the escrow through a proof-carrying
-        ``GetLock`` query — never the relay's word — and fast-forwards
-        the machine if the ledger shows the step landed with *this*
-        exchange's terms. States with no in-flight command return
-        unchanged; a readback failure raises without a state change, so
-        recovery is retriable.
-        """
-        if self.state is ExchangeState.CREATED:
-            # lock_offer may have landed: the responder (who holds the
-            # offer network's foreign config) checks the offer escrow.
-            record = self._peek_lock(
-                self._responder, self.offer, self._offer_policy
+    @property
+    def state(self) -> ExchangeState:
+        ring = self._ring
+        if ring.state is CycleState.LOCKING:
+            return (
+                ExchangeState.OFFER_VERIFIED
+                if ring.verified_leg == 0
+                else ExchangeState.OFFER_LOCKED
             )
-            if (
-                record.get("state") == STATE_LOCKED
-                and record.get("hashlock") == self.hashlock.hex()
-                and record.get("recipient") == self.responder_party
-            ):
-                self.offer_deadline = float(record.get("timeout", 0.0))
-                self.result.offer_lock = self._journaled_ack(
-                    self.offer.asset_id
-                )
-                self._advance(ExchangeState.OFFER_LOCKED)
-        if self.state is ExchangeState.OFFER_VERIFIED:
-            # lock_counter may have landed: the initiator checks the ask
-            # escrow for the hashlock the responder verified.
-            record = self._peek_lock(self._initiator, self.ask, self._ask_policy)
-            if (
-                record.get("state") == STATE_LOCKED
-                and record.get("hashlock") == self._verified_hashlock.hex()
-                and record.get("recipient") == self.initiator_party
-            ):
-                self.counter_deadline = float(record.get("timeout", 0.0))
-                self.result.counter_lock = self._journaled_ack(
-                    self.ask.asset_id
-                )
-                self._advance(ExchangeState.COUNTER_LOCKED)
-        if self.state is ExchangeState.COUNTER_VERIFIED:
-            # claim_counter may have landed — and if it did, the preimage
-            # is PUBLIC: the machine must move past the reveal, not retry
-            # into a refund window.
-            record = self._peek_lock(self._initiator, self.ask, self._ask_policy)
-            if record.get("state") == STATE_CLAIMED:
-                if record.get("preimage") != self.preimage.hex():
-                    self._advance(ExchangeState.FAILED)
-                    raise AssetError(
-                        "ask escrow was claimed with a foreign preimage; "
-                        "the exchange cannot proceed"
-                    )
-                self.result.counter_claim = self._journaled_ack(
-                    self.ask.asset_id
-                )
-                self.result.preimage = self.preimage
-                self._advance(ExchangeState.COUNTER_CLAIMED)
-        if self.state is ExchangeState.COUNTER_CLAIMED:
-            # claim_offer may have landed: the responder checks its claim.
-            record = self._peek_lock(
-                self._responder, self.offer, self._offer_policy
+        if ring.state is CycleState.LOCKED:
+            return (
+                ExchangeState.COUNTER_VERIFIED
+                if ring.verified_leg == 1
+                else ExchangeState.COUNTER_LOCKED
             )
-            if (
-                record.get("state") == STATE_CLAIMED
-                and record.get("preimage") == self.preimage.hex()
-            ):
-                self.result.offer_claim = self._journaled_ack(
-                    self.offer.asset_id
-                )
-                self._advance(ExchangeState.COMPLETED)
-        return self.state
+        if ring.state is CycleState.CLAIMING:
+            return ExchangeState.COUNTER_CLAIMED
+        return ExchangeState(ring.state.value)
 
-    # -- identity helpers ---------------------------------------------------------
+    @property
+    def result(self) -> ExchangeResult:
+        ring = self._ring.result
+        return ExchangeResult(
+            state=self.state,
+            hashlock=ring.hashlock,
+            preimage=ring.preimage,
+            offer_lock=ring.locks[0],
+            counter_lock=ring.locks[1],
+            counter_claim=ring.claims[1],
+            offer_claim=ring.claims[0],
+            refunds=ring.refunds,
+        )
+
+    @property
+    def exchange_id(self) -> str:
+        return self._ring.cycle_id
+
+    @property
+    def offer(self) -> AssetSpec:
+        return self._ring.specs[0]
+
+    @property
+    def ask(self) -> AssetSpec:
+        return self._ring.specs[1]
+
+    @property
+    def verify_margin(self) -> float:
+        """Minimum remaining lock lifetime a party requires before acting."""
+        return self._ring.verify_margin
+
+    @property
+    def preimage(self) -> bytes:
+        """The initiator's secret; its hash is the exchange's hashlock."""
+        return self._ring.preimage
+
+    @property
+    def hashlock(self) -> bytes:
+        return self._ring.hashlock
+
+    @property
+    def offer_deadline(self) -> float | None:
+        return self._ring.deadlines[0]
+
+    @property
+    def counter_deadline(self) -> float | None:
+        return self._ring.deadlines[1]
 
     @property
     def initiator_party(self) -> str:
-        return f"{self._initiator.identity.name}@{self._initiator.network_id}"
+        return self._ring.party_name(0)
 
     @property
     def responder_party(self) -> str:
-        return f"{self._responder.identity.name}@{self._responder.network_id}"
-
-    @staticmethod
-    def _auth(client: InteropClient) -> AuthInfo:
-        identity = client.identity
-        return AuthInfo(
-            requesting_network=client.network_id,
-            requesting_org=identity.org,
-            requestor=identity.name,
-            certificate=identity.certificate.to_bytes(),
-            public_key=identity.keypair.public.to_bytes(),
-        )
-
-    def _command(
-        self,
-        client: InteropClient,
-        spec: AssetSpec,
-        recipient: str = "",
-        hashlock: bytes = b"",
-        timeout: float = 0.0,
-        preimage: bytes = b"",
-    ) -> AssetCommandMsg:
-        return AssetCommandMsg(
-            version=PROTOCOL_VERSION,
-            address=NetworkAddressMsg(
-                network=spec.network,
-                ledger=spec.ledger,
-                contract=spec.contract,
-                function="",
-            ),
-            asset_id=spec.asset_id,
-            recipient=recipient,
-            hashlock=hashlock,
-            timeout=timeout,
-            preimage=preimage,
-            auth=self._auth(client),
-            nonce=random_id("asset-"),
-        )
-
-    # -- state machine core -------------------------------------------------------
-
-    def _advance(self, new_state: ExchangeState) -> None:
-        if new_state not in _TRANSITIONS[self.state]:
-            raise ExchangeStateError(
-                f"cannot move exchange from {self.state.value!r} to "
-                f"{new_state.value!r}"
-            )
-        self.state = new_state
-        self.result.state = new_state
-        self._journal()
-        if self._metrics is not None:
-            self._metrics.state_entered(KIND_EXCHANGE, new_state.value)
-
-    def _require(self, *states: ExchangeState) -> None:
-        if self.state not in states:
-            expected = ", ".join(state.value for state in states)
-            raise ExchangeStateError(
-                f"step requires state {expected}; exchange is "
-                f"{self.state.value!r}"
-            )
-
-    def _checked(self, ack: AssetAckMsg, step: str) -> AssetAckMsg:
-        if ack.status != STATUS_OK:
-            self._advance(ExchangeState.FAILED)
-            raise AssetError(f"{step} failed: {ack.error}")
-        return ack
+        return self._ring.party_name(1)
 
     # -- protocol steps -----------------------------------------------------------
 
     def lock_offer(self) -> AssetAckMsg:
         """Initiator escrows the offer asset for the responder (step 1)."""
-        self._require(ExchangeState.CREATED)
-        self._started_at = self._clock.now()
-        deadline = self._started_at + self.offer_timeout
-        ack = self._checked(
-            self._initiator.relay.remote_asset(
-                MSG_KIND_ASSET_LOCK,
-                self._command(
-                    self._initiator,
-                    self.offer,
-                    recipient=self.responder_party,
-                    hashlock=self.hashlock,
-                    timeout=deadline,
-                ),
-            ),
-            "offer lock",
-        )
-        self.offer_deadline = deadline
-        self.result.offer_lock = ack
-        self._advance(ExchangeState.OFFER_LOCKED)
-        return ack
+        return self._ring.lock_leg(0)
 
     def verify_offer(self) -> dict:
-        """Responder proof-verifies the offer lock before escrowing (step 2).
-
-        The lock record comes back as trusted data — attested by the
-        offer network's peers under the verification policy — so a lying
-        relay cannot make the responder lock against a phantom escrow. The
-        responder takes the hashlock *from the verified record*, not from
-        out-of-band coordination.
-        """
-        self._require(ExchangeState.OFFER_LOCKED)
-        record = self._verify_lock(
-            self._responder,
-            self.offer,
-            self._offer_policy,
-            expected_recipient=self.responder_party,
-            minimum_lifetime=self.counter_timeout + self.verify_margin,
-        )
-        self._verified_hashlock = bytes.fromhex(record["hashlock"])
-        self._advance(ExchangeState.OFFER_VERIFIED)
-        return record
+        """Responder proof-verifies the offer lock before escrowing, and
+        takes the hashlock *from the verified record* (step 2)."""
+        return self._ring.verify_leg(0)
 
     def lock_counter(self) -> AssetAckMsg:
-        """Responder escrows the ask asset under the same hashlock (step 3)."""
-        self._require(ExchangeState.OFFER_VERIFIED)
-        deadline = self._clock.now() + self.counter_timeout
-        ack = self._checked(
-            self._responder.relay.remote_asset(
-                MSG_KIND_ASSET_LOCK,
-                self._command(
-                    self._responder,
-                    self.ask,
-                    recipient=self.initiator_party,
-                    # The hashlock the responder escrows under is the one it
-                    # proof-verified on the offer ledger — never a value
-                    # relayed out-of-band.
-                    hashlock=self._verified_hashlock,
-                    timeout=deadline,
-                ),
-            ),
-            "counter lock",
-        )
-        self.counter_deadline = deadline
-        self.result.counter_lock = ack
-        self._advance(ExchangeState.COUNTER_LOCKED)
-        return ack
+        """Responder escrows the ask asset under the hashlock it verified
+        on the offer ledger (step 3)."""
+        return self._ring.lock_leg(1)
 
     def verify_counter(self) -> dict:
         """Initiator proof-verifies the counter lock before revealing (step 4)."""
-        self._require(ExchangeState.COUNTER_LOCKED)
-        record = self._verify_lock(
-            self._initiator,
-            self.ask,
-            self._ask_policy,
-            expected_recipient=self.initiator_party,
-            expected_hashlock=self.hashlock,
-            minimum_lifetime=self.verify_margin,
-        )
-        self._advance(ExchangeState.COUNTER_VERIFIED)
-        return record
-
-    def _claim_with_recovery(
-        self,
-        client: InteropClient,
-        spec: AssetSpec,
-        policy: str | None,
-        preimage: bytes,
-        step: str,
-    ) -> AssetAckMsg:
-        """Issue a claim, surviving a lost ack without double-claiming.
-
-        A transport failure on the claim round-trip (the relay crashed or
-        dropped the *reply*) does not mean the claim was lost: the command
-        may have committed before the path failed. Rather than blindly
-        re-claiming — which against an already-claimed lock reads as a
-        contract refusal and would wrongly fail the exchange — learn the
-        escrow's true state and decide: claimed with *this* preimage means
-        the claim landed (exactly once; the vault rejects a second claim),
-        still locked means the request itself was lost and is safe to
-        re-issue. Anything else is unrecoverable.
-
-        The readback is a *proof-carrying* ``GetLock`` query, not a status
-        ack: the relay that just failed is exactly the party the protocol
-        refuses to trust, and an unverified "claimed" answer from it could
-        trick this party into proceeding against a still-locked escrow.
-        Only attestation proofs are believed — here as everywhere.
-        """
-        command = self._command(client, spec, preimage=preimage)
-        try:
-            return client.relay.remote_asset(MSG_KIND_ASSET_CLAIM, command)
-        except (RelayError, DiscoveryError):
-            # May itself raise on an unreachable/tampering path; that
-            # propagates without a state change, so the step is retriable.
-            fetched = client.remote_query(
-                spec.query_address("GetLock"), [spec.asset_id], policy=policy
-            )
-            record = json.loads(fetched.data)
-            if (
-                record.get("state") == STATE_CLAIMED
-                and record.get("preimage") == preimage.hex()
-            ):
-                # The lost ack's claim committed: answer with the
-                # proof-verified post-claim record.
-                return AssetAckMsg(
-                    version=PROTOCOL_VERSION,
-                    nonce=command.nonce,
-                    status=STATUS_OK,
-                    asset_id=record.get("asset_id", spec.asset_id),
-                    state=record.get("state", ""),
-                    owner=record.get("owner", ""),
-                    recipient=record.get("recipient", ""),
-                    hashlock=(
-                        bytes.fromhex(record["hashlock"])
-                        if record.get("hashlock")
-                        else b""
-                    ),
-                    timeout=float(record.get("timeout", 0.0)),
-                    preimage=preimage,
-                )
-            if record.get("state") == STATE_LOCKED:
-                return client.relay.remote_asset(MSG_KIND_ASSET_CLAIM, command)
-            self._advance(ExchangeState.FAILED)
-            raise AssetError(
-                f"{step} ack lost and the escrow is unrecoverable "
-                f"(verified state {record.get('state')!r})"
-            )
+        return self._ring.verify_leg(1)
 
     def claim_counter(self) -> AssetAckMsg:
         """Initiator claims the ask asset, revealing the preimage (step 5)."""
-        self._require(ExchangeState.COUNTER_VERIFIED)
-        ack = self._checked(
-            self._claim_with_recovery(
-                self._initiator,
-                self.ask,
-                self._ask_policy,
-                self.preimage,
-                "counter claim",
-            ),
-            "counter claim",
-        )
-        self.result.counter_claim = ack
-        self.result.preimage = self.preimage
-        self._advance(ExchangeState.COUNTER_CLAIMED)
-        return ack
+        return self._ring.claim_leg(1)
 
     def claim_offer(self) -> AssetAckMsg:
-        """Responder claims the offer with the now-public preimage (step 6).
-
-        The responder reads the revealed preimage from its *own* ledger's
-        lock record (where the initiator's claim published it) — it never
-        needs to trust the initiator or any relay for the secret.
-        """
-        self._require(ExchangeState.COUNTER_CLAIMED)
-        status = self._checked(
-            self._responder.relay.remote_asset(
-                MSG_KIND_ASSET_STATUS,
-                self._command(self._responder, self.ask),
-            ),
-            "preimage readback",
-        )
-        if not status.preimage:
-            self._advance(ExchangeState.FAILED)
-            raise AssetError(
-                f"ask-asset lock on {self.ask.network!r} carries no revealed "
-                f"preimage (state {status.state!r})"
-            )
-        ack = self._checked(
-            self._claim_with_recovery(
-                self._responder,
-                self.offer,
-                self._offer_policy,
-                status.preimage,
-                "offer claim",
-            ),
-            "offer claim",
-        )
-        self.result.offer_claim = ack
-        self._advance(ExchangeState.COMPLETED)
-        if self._metrics is not None and self._started_at is not None:
-            self._metrics.latency_recorded(
-                KIND_EXCHANGE, self._clock.now() - self._started_at
-            )
-        return ack
+        """Responder claims the offer with the now-public preimage, read
+        from its *own* ledger's lock record (step 6)."""
+        return self._ring.claim_leg(0)
 
     def run(self) -> ExchangeResult:
-        """Drive the exchange to completion from the *current* state.
-
-        On a fresh coordinator this is the full happy path; on a
-        journal-resumed one (see :meth:`resume` / :meth:`recover`) it
-        continues from wherever the state machine stopped.
-        """
-        if self.state is ExchangeState.CREATED:
-            self.lock_offer()
-        if self.state is ExchangeState.OFFER_LOCKED:
-            self.verify_offer()
-        if self.state is ExchangeState.OFFER_VERIFIED:
-            self.lock_counter()
-        if self.state is ExchangeState.COUNTER_LOCKED:
-            self.verify_counter()
-        if self.state is ExchangeState.COUNTER_VERIFIED:
-            self.claim_counter()
-        if self.state is ExchangeState.COUNTER_CLAIMED:
-            self.claim_offer()
-        if self.state is not ExchangeState.COMPLETED:
-            raise ExchangeStateError(
-                f"exchange cannot proceed from state {self.state.value!r}"
-            )
+        """Drive the exchange to completion from the *current* state."""
+        self._ring.run()
         return self.result
 
-    # -- unhappy paths ------------------------------------------------------------
+    def recover(self) -> ExchangeState:
+        """Re-derive the next safe step after :meth:`resume` (see
+        :meth:`CycleCoordinator.recover`)."""
+        self._ring.recover()
+        return self.state
 
     def abort(self) -> None:
-        """Call the exchange off before the preimage is revealed.
-
-        Safe by construction: the secret never left the initiator, so
-        neither escrow is claimable by anyone — both unwind through
-        :meth:`refund` once their timelocks expire.
-        """
-        self._require(*_PRE_REVEAL_STATES)
-        self._advance(ExchangeState.ABORTED)
-        if self._metrics is not None:
-            self._metrics.abort_recorded(KIND_EXCHANGE)
+        """Call the exchange off before the preimage is revealed."""
+        self._ring.abort()
 
     def refund(self) -> list[AssetAckMsg]:
-        """Unwind every standing (locked, unclaimed) escrow after its
-        timelock expired.
-
-        Valid from any pre-reveal locked state, after :meth:`abort`, and
-        from ``FAILED`` — whatever broke the exchange, an unclaimed lock
-        must still be recoverable. Each leg's unlock is refused on-ledger
-        while its claim window is still open (the contracts enforce the
-        disjointness), so calling this early raises :class:`AssetError`
-        and leaves the state machine where it was.
-        """
-        refundable_from = _PRE_REVEAL_STATES | {
-            ExchangeState.ABORTED,
-            ExchangeState.FAILED,
-        }
-        if self.state not in refundable_from:
-            raise ExchangeStateError(
-                f"nothing to refund from state {self.state.value!r}"
-            )
-        if self.result.offer_lock is None and self.result.counter_lock is None:
-            raise ExchangeStateError("no escrow is standing; nothing to refund")
-        acks: list[AssetAckMsg] = []
-        # Counter leg first: its (shorter) timelock expires first. A non-OK
-        # ack (claim window still open) raises WITHOUT a terminal state
-        # change, so the refund can be retried once the timelock expires;
-        # legs already refunded or claimed are not touched.
-        if (
-            self.result.counter_lock is not None
-            and self.result.counter_claim is None
-            and not self._counter_refunded
-        ):
-            ack = self._responder.relay.remote_asset(
-                MSG_KIND_ASSET_UNLOCK, self._command(self._responder, self.ask)
-            )
-            if ack.status != STATUS_OK:
-                raise AssetError(f"counter refund refused: {ack.error}")
-            self._counter_refunded = True
-            self._journal()  # a crash here must not re-refund this leg
-            self.result.refunds.append(ack)
-            acks.append(ack)
-            if self._metrics is not None:
-                self._metrics.refund_recorded(KIND_EXCHANGE)
-        if (
-            self.result.offer_lock is not None
-            and self.result.offer_claim is None
-            and not self._offer_refunded
-        ):
-            ack = self._initiator.relay.remote_asset(
-                MSG_KIND_ASSET_UNLOCK, self._command(self._initiator, self.offer)
-            )
-            if ack.status != STATUS_OK:
-                raise AssetError(f"offer refund refused: {ack.error}")
-            self._offer_refunded = True
-            self._journal()
-            self.result.refunds.append(ack)
-            acks.append(ack)
-            if self._metrics is not None:
-                self._metrics.refund_recorded(KIND_EXCHANGE)
-        self._advance(ExchangeState.REFUNDED)
-        return acks
-
-    # -- the proof plane ----------------------------------------------------------
-
-    def _verify_lock(
-        self,
-        verifier: InteropClient,
-        spec: AssetSpec,
-        policy: str | None,
-        expected_recipient: str,
-        minimum_lifetime: float,
-        expected_hashlock: bytes | None = None,
-    ) -> dict:
-        """Fetch + proof-verify a remote lock record; check its terms.
-
-        Runs the ordinary trusted-data-transfer query (attestations under
-        the verification policy, end-to-end sealed), then validates the
-        HTLC terms the verifying party depends on. Failure marks the
-        exchange FAILED and raises.
-        """
-        try:
-            fetched = verifier.remote_query(
-                spec.query_address("GetLock"), [spec.asset_id], policy=policy
-            )
-            record = json.loads(fetched.data)
-        except Exception:
-            self._advance(ExchangeState.FAILED)
-            raise
-        problems: list[str] = []
-        if record.get("state") != STATE_LOCKED:
-            problems.append(f"state is {record.get('state')!r}, not locked")
-        if record.get("asset_id") != spec.asset_id:
-            problems.append(
-                f"record covers asset {record.get('asset_id')!r}, expected "
-                f"{spec.asset_id!r}"
-            )
-        if record.get("recipient") != expected_recipient:
-            problems.append(
-                f"locked for {record.get('recipient')!r}, expected "
-                f"{expected_recipient!r}"
-            )
-        if expected_hashlock is not None and record.get("hashlock") != expected_hashlock.hex():
-            problems.append("hashlock does not match the exchange secret")
-        remaining = float(record.get("timeout", 0.0)) - self._clock.now()
-        if remaining < minimum_lifetime:
-            problems.append(
-                f"lock expires in {remaining:.1f}s, need at least "
-                f"{minimum_lifetime:.1f}s"
-            )
-        if problems:
-            self._advance(ExchangeState.FAILED)
-            raise AssetError(
-                f"verified lock on {spec.network!r} is unacceptable: "
-                + "; ".join(problems)
-            )
-        return record
+        """Unwind every standing escrow after its timelock expired —
+        counter leg first, its (shorter) timelock expires first."""
+        return self._ring.refund()

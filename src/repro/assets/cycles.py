@@ -31,6 +31,12 @@ increasing-deadline order once the windows close. With a
 journaled; :meth:`CycleCoordinator.resume` + :meth:`CycleCoordinator.recover`
 re-derive the one possibly-unjournaled in-flight command through
 proof-carrying ``GetLock`` readbacks against the ledgers themselves.
+
+This is the only HTLC state machine in the package: a two-party exchange
+is the N=2 ring (``hop_gap`` = offer − counter timeout), and
+:class:`~repro.assets.coordinator.AssetExchangeCoordinator` is a view
+naming its steps (``lock_leg`` / ``verify_leg`` / ``claim_leg`` on legs
+0 and 1) the two-party way.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from repro.assets.htlc import (
     make_hashlock,
     new_preimage,
 )
-from repro.assets.coordinator import AssetSpec
 from repro.assets.metrics import KIND_CYCLE, ExchangeMetrics
 from repro.errors import (
     AssetError,
@@ -65,7 +70,6 @@ from repro.proto.messages import (
     STATUS_OK,
     AssetAckMsg,
     AssetCommandMsg,
-    AuthInfo,
     NetworkAddressMsg,
 )
 from repro.utils.ids import random_id
@@ -126,6 +130,33 @@ _PRE_REVEAL_STATES = frozenset(
 )
 
 
+@dataclass(frozen=True)
+class AssetSpec:
+    """One leg of a swap: an asset on a network/ledger/contract.
+
+    No function segment — the HTLC verb travels as the envelope *kind*,
+    not as an addressed function.
+    """
+
+    network: str
+    ledger: str
+    contract: str
+    asset_id: str
+
+    @classmethod
+    def parse(cls, address_text: str, asset_id: str) -> "AssetSpec":
+        segments = address_text.split("/")
+        if len(segments) != 3 or not all(segments):
+            raise ProtocolError(
+                f"asset address {address_text!r} must be network/ledger/contract"
+            )
+        network, ledger, contract = segments
+        return cls(network=network, ledger=ledger, contract=contract, asset_id=asset_id)
+
+    def query_address(self, function: str) -> str:
+        return f"{self.network}/{self.ledger}/{self.contract}/{function}"
+
+
 @dataclass
 class CycleResult:
     """What a finished (or unwound) cycle produced, leg by leg."""
@@ -142,6 +173,48 @@ class CycleResult:
         return self.state is CycleState.COMPLETED
 
 
+#: Ring state for each two-party step name found in an ``offer_*`` /
+#: ``counter_*`` journal (names absent here are spelled the same).
+_TWO_PARTY_STATES = {
+    "offer_locked": "locking",
+    "offer_verified": "locking",
+    "counter_locked": "locked",
+    "counter_verified": "locked",
+    "counter_claimed": "claiming",
+}
+
+
+def _ring_record(record: dict) -> dict:
+    """``record`` in ring format, whichever format it was journaled in.
+
+    A release with a separate two-party state machine journaled
+    ``offer_*`` / ``counter_*`` keys and no ``specs``; such a record maps
+    onto legs 0 and 1 of an N=2 ring, so an exchange in flight across the
+    upgrade still resumes. Its journaled "verified" steps fall back to
+    the lock they followed: a resumed ring re-verifies (``verified_leg``).
+    :meth:`CycleCoordinator.resume` journals what it read, which rewrites
+    the record in ring format.
+    """
+    if "specs" in record:
+        return record
+    return {
+        "state": _TWO_PARTY_STATES.get(record["state"], record["state"]),
+        "specs": [record["offer"], record["ask"]],
+        "cycle_timeout": record["offer_timeout"],
+        "hop_gap": record["offer_timeout"] - record["counter_timeout"],
+        "verify_margin": record["verify_margin"],
+        "preimage": record["preimage"],
+        "hashlock": record["hashlock"],
+        "leg_hashlocks": [record["hashlock"], record["verified_hashlock"]],
+        "deadlines": [record["offer_deadline"], record["counter_deadline"]],
+        "locked": [record["offer_locked"], record["counter_locked"]],
+        "claimed": [record["offer_claimed"], record["counter_claimed"]],
+        "refunded": [record["offer_refunded"], record["counter_refunded"]],
+        "preimage_revealed": record["preimage_revealed"],
+        "started_at": record.get("started_at"),
+    }
+
+
 class CycleCoordinator:
     """Drives one N-party cyclic atomic swap end to end.
 
@@ -154,12 +227,25 @@ class CycleCoordinator:
     ``cycle_timeout`` is leg 0's lock lifetime; every later leg's window
     is ``hop_gap`` shorter than its predecessor's, so the claim walk —
     which runs *backward* — always moves onto a leg with a longer
-    remaining window. Crash recovery mirrors
-    :class:`~repro.assets.coordinator.AssetExchangeCoordinator`: journal
-    through a :class:`~repro.store.StateStore`, rebuild with
-    :meth:`resume`, resolve the in-flight command with :meth:`recover`,
-    continue with :meth:`run` (or :meth:`refund`).
+    remaining window.
+
+    Crash recovery: pass a :class:`~repro.store.StateStore` and every
+    transition and per-leg flag is journaled under ``cycle_id``. A
+    restarted process rebuilds the coordinator with :meth:`resume`, then
+    calls :meth:`recover` to resolve the one step the journal cannot —
+    "did the command I issued right before the crash land?" — through
+    proof-carrying ``GetLock`` readbacks against the ledgers themselves
+    (the relay that just crashed is exactly the party not trusted for
+    that answer), and :meth:`run` (or :meth:`refund`) continues from
+    wherever the machine stopped.
     """
+
+    #: Metrics ``kind`` label, journal namespace and the noun in error
+    #: messages: per class, not per caller (the two-party view's ring in
+    #: ``repro.assets.coordinator`` holds the one other set of values).
+    _kind = KIND_CYCLE
+    _namespace = NS_CYCLES
+    _noun = "cycle"
 
     def __init__(
         self,
@@ -236,6 +322,11 @@ class CycleCoordinator:
         self._claimed = [False] * self.size
         self._refunded = [False] * self.size
         self.deadlines: list[float | None] = [None] * self.size
+        #: The leg :meth:`verify_leg` last accepted. In memory only, never
+        #: journaled: a proof-verification is good for the process that
+        #: made it, so a resumed ring re-verifies before it escrows the
+        #: next leg or reveals the preimage.
+        self.verified_leg: int | None = None
         self.state = CycleState.CREATED
         self.result = CycleResult(
             state=self.state,
@@ -249,7 +340,7 @@ class CycleCoordinator:
         self._metrics = metrics
         self._started_at: float | None = None
         if metrics is not None:
-            metrics.exchange_started(KIND_CYCLE)
+            metrics.exchange_started(self._kind)
         self._journal()
 
     # -- durability ---------------------------------------------------------------
@@ -279,7 +370,7 @@ class CycleCoordinator:
             "started_at": self._started_at,
         }
         self._store.put(
-            NS_CYCLES, self.cycle_id, json.dumps(record).encode("utf-8")
+            self._namespace, self.cycle_id, json.dumps(record).encode("utf-8")
         )
 
     @staticmethod
@@ -310,12 +401,12 @@ class CycleCoordinator:
         next to resolve whether the command in flight at the crash
         landed, then :meth:`run` (or :meth:`refund`) to continue.
         """
-        raw = store.get(NS_CYCLES, cycle_id)
+        raw = store.get(cls._namespace, cycle_id)
         if raw is None:
             raise ExchangeStateError(
-                f"no journaled cycle {cycle_id!r} in the store"
+                f"no journaled {cls._noun} {cycle_id!r} in the store"
             )
-        record = json.loads(raw.decode("utf-8"))
+        record = _ring_record(json.loads(raw.decode("utf-8")))
         coordinator = cls(
             parties,
             [AssetSpec(*leg) for leg in record["specs"]],
@@ -357,9 +448,9 @@ class CycleCoordinator:
 
     def _peek_lock(self, leg: int) -> dict:
         """Proof-verified ``GetLock`` readback of leg ``leg`` by its
-        recipient, returned raw (recovery decides; unlike
-        :meth:`_verify_lock` nothing FAILs here — the readback itself
-        raising leaves the step retriable)."""
+        recipient, returned raw: the caller decides what the record
+        means, and the readback itself raising changes no state, so the
+        step stays retriable."""
         viewer = self._parties[(leg + 1) % self.size]
         spec = self.specs[leg]
         fetched = viewer.remote_query(
@@ -415,12 +506,9 @@ class CycleCoordinator:
         if record.get("preimage") != self.preimage.hex():
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"leg {leg} escrow was claimed with a foreign preimage; "
-                f"the cycle cannot proceed"
+                f"{self._label(leg)} escrow was claimed with a foreign "
+                f"preimage; the {self._noun} cannot proceed"
             )
-        self.result.claims[leg] = self._journaled_ack(
-            self.specs[leg].asset_id
-        )
         self.result.preimage = self.preimage
         self._mark_claimed(leg)
 
@@ -431,19 +519,12 @@ class CycleCoordinator:
         client = self._parties[index % self.size]
         return f"{client.identity.name}@{client.network_id}"
 
-    @staticmethod
-    def _auth(client: InteropClient) -> AuthInfo:
-        identity = client.identity
-        return AuthInfo(
-            requesting_network=client.network_id,
-            requesting_org=identity.org,
-            requestor=identity.name,
-            certificate=identity.certificate.to_bytes(),
-            public_key=identity.keypair.public.to_bytes(),
-        )
+    def _label(self, leg: int) -> str:
+        """How messages name leg ``leg``."""
+        return f"leg {leg}"
 
+    @staticmethod
     def _command(
-        self,
         client: InteropClient,
         spec: AssetSpec,
         recipient: str = "",
@@ -464,7 +545,7 @@ class CycleCoordinator:
             hashlock=hashlock,
             timeout=timeout,
             preimage=preimage,
-            auth=self._auth(client),
+            auth=client.auth_info(),
             nonce=random_id("asset-"),
         )
 
@@ -473,21 +554,27 @@ class CycleCoordinator:
     def _advance(self, new_state: CycleState) -> None:
         if new_state not in _TRANSITIONS[self.state]:
             raise ExchangeStateError(
-                f"cannot move cycle from {self.state.value!r} to "
+                f"cannot move {self._noun} from {self.state.value!r} to "
                 f"{new_state.value!r}"
             )
         self.state = new_state
         self.result.state = new_state
         if self._metrics is not None:
-            self._metrics.state_entered(KIND_CYCLE, new_state.value)
+            self._metrics.state_entered(self._kind, new_state.value)
         self._journal()
 
     def _require(self, *states: CycleState) -> None:
         if self.state not in states:
             expected = ", ".join(state.value for state in states)
             raise ExchangeStateError(
-                f"step requires state {expected}; cycle is "
+                f"step requires state {expected}; {self._noun} is "
                 f"{self.state.value!r}"
+            )
+
+    def _require_turn(self, leg: int, due: int) -> None:
+        if leg != due:
+            raise ExchangeStateError(
+                f"{self._label(leg)} is out of turn; {self._label(due)} is due"
             )
 
     def _checked(self, ack: AssetAckMsg, step: str) -> AssetAckMsg:
@@ -540,7 +627,7 @@ class CycleCoordinator:
             self._advance(CycleState.COMPLETED)
             if self._metrics is not None and self._started_at is not None:
                 self._metrics.latency_recorded(
-                    KIND_CYCLE, self._clock.now() - self._started_at
+                    self._kind, self._clock.now() - self._started_at
                 )
         elif self.state is CycleState.LOCKED:
             self._advance(CycleState.CLAIMING)
@@ -548,43 +635,76 @@ class CycleCoordinator:
             self._journal()
 
     # -- protocol steps -----------------------------------------------------------
+    # One envelope each (claim_leg's preimage readback aside), named by
+    # leg so the ring — not the caller — enforces their order. lock_next /
+    # claim_next compose them; the two-party view calls them directly.
 
-    def lock_next(self) -> AssetAckMsg:
-        """Escrow the next leg of the ring (forward walk).
+    def verify_leg(self, leg: int) -> dict:
+        """Leg ``leg``'s recipient proof-verifies it before the
+        irreversible step it gates.
 
-        For leg *i > 0* the locking party first proof-verifies leg
-        *i−1* — state, recipient, remaining lifetime — and escrows under
-        the hashlock *from that verified record*, so a tampered relay
-        cannot splice a foreign hashlock into the ring.
+        The lock record comes back as trusted data — attested by the
+        leg's network under the verification policy — so a lying relay
+        cannot make a party act against a phantom escrow. Mid-ring the
+        gated step is escrowing leg ``leg+1``: state, recipient and
+        remaining lifetime are checked and the next leg's hashlock is
+        taken *from the verified record*, never from out-of-band
+        coordination. On the final leg it is party 0 revealing the
+        preimage: the leg must carry party 0's *own* hashlock, i.e. the
+        value survived every hop of the ring unchanged.
         """
-        self._require(CycleState.CREATED, CycleState.LOCKING)
-        leg = self._next_unlocked()
-        if leg is None:  # pragma: no cover - states make this unreachable
-            raise ExchangeStateError("every leg is already locked")
-        if leg == 0:
-            deadline = self._clock.now() + self.cycle_timeout
-            self._started_at = self._clock.now()
-        else:
-            upstream_deadline = self.deadlines[leg - 1]
-            assert upstream_deadline is not None
-            deadline = upstream_deadline - self.hop_gap
+        if leg == self.size - 1:
+            self._require(CycleState.LOCKED)
             record = self._verify_lock(
-                self._parties[leg],
-                leg - 1,
-                expected_recipient=self.party_name(leg),
-                # The upstream leg must outlive this party's own planned
-                # window by the margin, or the preimage could go public
-                # with no time left to claim.
-                minimum_lifetime=(deadline - self._clock.now())
+                leg, self.verify_margin, expected_hashlock=self.hashlock
+            )
+        else:
+            self._require(CycleState.LOCKING)
+            self._require_turn(leg, self._next_unlocked() - 1)
+            record = self._verify_lock(
+                leg,
+                # The leg must outlive the next party's own planned window
+                # by the margin, or the preimage could go public with no
+                # time left to claim — and it must still leave the final
+                # leg, (N−1−leg) hops further on, its margin, or the next
+                # party would escrow into a ring party 0 can only refuse.
+                max(
+                    self._planned_deadline(leg + 1) - self._clock.now(),
+                    (self.size - 1 - leg) * self.hop_gap,
+                )
                 + self.verify_margin,
             )
-            self._leg_hashlocks[leg] = bytes.fromhex(record["hashlock"])
-            self._journal()  # the lock command below must postdate this
+            self._leg_hashlocks[leg + 1] = bytes.fromhex(record["hashlock"])
+            self._journal()  # the lock command must postdate this
+        self.verified_leg = leg
+        return record
+
+    def _planned_deadline(self, leg: int) -> float:
+        upstream_deadline = self.deadlines[leg - 1]
+        assert upstream_deadline is not None
+        return upstream_deadline - self.hop_gap
+
+    def lock_leg(self, leg: int) -> AssetAckMsg:
+        """Party ``leg`` escrows its asset for party ``leg+1``, under the
+        hashlock :meth:`verify_leg` took from the upstream record (party
+        0 under its own)."""
+        self._require(CycleState.CREATED, CycleState.LOCKING)
+        self._require_turn(leg, self._next_unlocked())
+        if leg == 0:
+            self._started_at = self._clock.now()
+            deadline = self._started_at + self.cycle_timeout
+        elif self.verified_leg != leg - 1:
+            raise ExchangeStateError(
+                f"{self._label(leg)} cannot be escrowed before this process "
+                f"has proof-verified {self._label(leg - 1)}"
+            )
+        else:
+            deadline = self._planned_deadline(leg)
         if deadline <= self._clock.now():
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"leg {leg} deadline would already have passed; the cycle "
-                f"spent too long locking earlier legs"
+                f"{self._label(leg)} deadline would already have passed; "
+                f"the {self._noun} spent too long locking earlier legs"
             )
         ack = self._checked(
             self._parties[leg].relay.remote_asset(
@@ -597,65 +717,77 @@ class CycleCoordinator:
                     timeout=deadline,
                 ),
             ),
-            f"leg {leg} lock",
+            f"{self._label(leg)} lock",
         )
         self.deadlines[leg] = deadline
         self.result.locks[leg] = ack
         self._mark_locked(leg)
         return ack
 
-    def claim_next(self) -> AssetAckMsg:
-        """Claim the next leg due (backward walk).
+    def claim_leg(self, leg: int) -> AssetAckMsg:
+        """Party ``leg+1`` claims leg ``leg``.
 
-        Party 0 opens the walk: it proof-verifies the final leg — in
-        particular that its hashlock is *party 0's own*, i.e. the value
-        survived every hop of the ring — and claims it, publishing the
-        preimage. Every later claimant reads the now-public preimage
-        from its own network's just-claimed leg and spends it one hop
-        further back.
+        Party 0 opens the walk on the final leg with its own secret —
+        only after this process's :meth:`verify_leg` accepted that leg —
+        and thereby publishes the preimage. Every later claimant reads
+        the now-public preimage from its *own* network's just-claimed
+        leg (it never needs to trust a counterparty or any relay for the
+        secret) and spends it one hop further back.
         """
         self._require(CycleState.LOCKED, CycleState.CLAIMING)
-        leg = self._next_unclaimed()
-        if leg is None:  # pragma: no cover - states make this unreachable
-            raise ExchangeStateError("every leg is already claimed")
+        self._require_turn(leg, self._next_unclaimed())
         claimant = self._parties[(leg + 1) % self.size]
         if leg == self.size - 1:
-            # Party 0 must not reveal against a ring whose hashlock was
-            # substituted mid-cycle: verify the final leg carries its own.
-            self._verify_lock(
-                claimant,
-                leg,
-                expected_recipient=self.party_name(0),
-                expected_hashlock=self.hashlock,
-                minimum_lifetime=self.verify_margin,
-            )
+            if self.verified_leg != leg:
+                raise ExchangeStateError(
+                    f"the preimage cannot be revealed before this process "
+                    f"has proof-verified {self._label(leg)}"
+                )
             preimage = self.preimage
         else:
-            # The claimant's own leg (leg+1, on its own network) was just
-            # claimed; the preimage is public in that lock record.
             status = self._checked(
                 claimant.relay.remote_asset(
                     MSG_KIND_ASSET_STATUS,
                     self._command(claimant, self.specs[leg + 1]),
                 ),
-                f"leg {leg + 1} preimage readback",
+                f"{self._label(leg + 1)} preimage readback",
             )
             if not status.preimage:
                 self._advance(CycleState.FAILED)
                 raise AssetError(
-                    f"leg {leg + 1} lock on "
+                    f"{self._label(leg + 1)} lock on "
                     f"{self.specs[leg + 1].network!r} carries no revealed "
                     f"preimage (state {status.state!r})"
                 )
             preimage = status.preimage
         ack = self._checked(
             self._claim_with_recovery(claimant, leg, preimage),
-            f"leg {leg} claim",
+            f"{self._label(leg)} claim",
         )
         self.result.claims[leg] = ack
         self.result.preimage = self.preimage
         self._mark_claimed(leg)
         return ack
+
+    def lock_next(self) -> AssetAckMsg:
+        """Escrow the next leg of the ring (forward walk), proof-verifying
+        its upstream leg first unless this process just did."""
+        self._require(CycleState.CREATED, CycleState.LOCKING)
+        leg = self._next_unlocked()
+        assert leg is not None  # some leg is unlocked in these states
+        if leg > 0 and self.verified_leg != leg - 1:
+            self.verify_leg(leg - 1)
+        return self.lock_leg(leg)
+
+    def claim_next(self) -> AssetAckMsg:
+        """Claim the next leg due (backward walk); party 0 proof-verifies
+        the final leg before opening it unless this process just did."""
+        self._require(CycleState.LOCKED, CycleState.CLAIMING)
+        leg = self._next_unclaimed()
+        assert leg is not None  # some leg is unclaimed in these states
+        if leg == self.size - 1 and self.verified_leg != leg:
+            self.verify_leg(leg)
+        return self.claim_leg(leg)
 
     def run(self) -> CycleResult:
         """Drive the cycle to completion from the *current* state.
@@ -670,7 +802,7 @@ class CycleCoordinator:
             self.claim_next()
         if self.state is not CycleState.COMPLETED:
             raise ExchangeStateError(
-                f"cycle cannot proceed from state {self.state.value!r}"
+                f"{self._noun} cannot proceed from state {self.state.value!r}"
             )
         return self.result
 
@@ -686,19 +818,21 @@ class CycleCoordinator:
         self._require(*_PRE_REVEAL_STATES)
         self._advance(CycleState.ABORTED)
         if self._metrics is not None:
-            self._metrics.abort_recorded(KIND_CYCLE)
+            self._metrics.abort_recorded(self._kind)
 
     def refund(self) -> list[AssetAckMsg]:
         """Unwind every standing (locked, unclaimed) escrow after its
         timelock expired.
 
         Valid from any pre-reveal state, after :meth:`abort`, and from
-        ``FAILED``. Legs unwind in increasing-deadline order — the last
-        leg locked expires first — and each refund is journaled the
-        moment it lands, so a crash mid-unwind never re-refunds a leg. A
-        leg whose claim window is still open is refused on-ledger; that
-        raises *without* a terminal state change, so the refund can be
-        retried once the window closes.
+        ``FAILED`` — whatever broke the swap, an unclaimed lock must
+        still be recoverable. Legs unwind in increasing-deadline order —
+        the last leg locked expires first — and each refund is journaled
+        the moment it lands, so a crash mid-unwind never re-refunds a
+        leg. A leg whose claim window is still open is refused on-ledger
+        (the contracts enforce the disjointness); that raises *without* a
+        terminal state change, so the refund can be retried once the
+        window closes.
         """
         refundable_from = _PRE_REVEAL_STATES | {
             CycleState.ABORTED,
@@ -723,13 +857,15 @@ class CycleCoordinator:
                 self._command(self._parties[leg], self.specs[leg]),
             )
             if ack.status != STATUS_OK:
-                raise AssetError(f"leg {leg} refund refused: {ack.error}")
+                raise AssetError(
+                    f"{self._label(leg)} refund refused: {ack.error}"
+                )
             self._refunded[leg] = True
             self._journal()  # a crash here must not re-refund this leg
             self.result.refunds.append(ack)
             acks.append(ack)
             if self._metrics is not None:
-                self._metrics.refund_recorded(KIND_CYCLE)
+                self._metrics.refund_recorded(self._kind)
         self._advance(CycleState.REFUNDED)
         return acks
 
@@ -737,13 +873,12 @@ class CycleCoordinator:
 
     def _verify_lock(
         self,
-        verifier: InteropClient,
         leg: int,
-        expected_recipient: str,
         minimum_lifetime: float,
         expected_hashlock: bytes | None = None,
     ) -> dict:
-        """Fetch + proof-verify leg ``leg``'s lock record; check its terms.
+        """Leg ``leg``'s recipient fetches + proof-verifies its lock
+        record and checks its terms.
 
         Runs the ordinary trusted-data-transfer query (attestations under
         the verification policy, end-to-end sealed), then validates the
@@ -752,12 +887,7 @@ class CycleCoordinator:
         """
         spec = self.specs[leg]
         try:
-            fetched = verifier.remote_query(
-                spec.query_address("GetLock"),
-                [spec.asset_id],
-                policy=self._policies[leg],
-            )
-            record = json.loads(fetched.data)
+            record = self._peek_lock(leg)
         except Exception:
             self._advance(CycleState.FAILED)
             raise
@@ -769,16 +899,16 @@ class CycleCoordinator:
                 f"record covers asset {record.get('asset_id')!r}, expected "
                 f"{spec.asset_id!r}"
             )
-        if record.get("recipient") != expected_recipient:
+        if record.get("recipient") != self.party_name(leg + 1):
             problems.append(
                 f"locked for {record.get('recipient')!r}, expected "
-                f"{expected_recipient!r}"
+                f"{self.party_name(leg + 1)!r}"
             )
         if (
             expected_hashlock is not None
             and record.get("hashlock") != expected_hashlock.hex()
         ):
-            problems.append("hashlock does not match the cycle secret")
+            problems.append(f"hashlock does not match the {self._noun} secret")
         remaining = float(record.get("timeout", 0.0)) - self._clock.now()
         if remaining < minimum_lifetime:
             problems.append(
@@ -788,7 +918,7 @@ class CycleCoordinator:
         if problems:
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"verified lock for leg {leg} on {spec.network!r} is "
+                f"verified {self._label(leg)} lock on {spec.network!r} is "
                 f"unacceptable: " + "; ".join(problems)
             )
         return record
@@ -798,14 +928,21 @@ class CycleCoordinator:
     ) -> AssetAckMsg:
         """Issue a claim, surviving a lost ack without double-claiming.
 
-        A transport failure on the claim round-trip does not mean the
-        claim was lost: the command may have committed before the path
-        failed. Learn the escrow's true state through a *proof-carrying*
-        ``GetLock`` readback — the relay that just failed is exactly the
-        party not trusted for the answer — and decide: claimed with
-        *this* preimage means the claim landed (exactly once; the vault
-        rejects a second claim), still locked means the request itself
-        was lost and is safe to re-issue. Anything else is unrecoverable.
+        A transport failure on the claim round-trip (the relay crashed or
+        dropped the *reply*) does not mean the claim was lost: the command
+        may have committed before the path failed. Rather than blindly
+        re-claiming — which against an already-claimed lock reads as a
+        contract refusal and would wrongly fail the swap — learn the
+        escrow's true state and decide: claimed with *this* preimage means
+        the claim landed (exactly once; the vault rejects a second claim),
+        still locked means the request itself was lost and is safe to
+        re-issue. Anything else is unrecoverable.
+
+        The readback is a *proof-carrying* ``GetLock`` query, not a status
+        ack: the relay that just failed is exactly the party the protocol
+        refuses to trust, and an unverified "claimed" answer from it could
+        trick this party into proceeding against a still-locked escrow.
+        Only attestation proofs are believed — here as everywhere.
         """
         spec = self.specs[leg]
         command = self._command(client, spec, preimage=preimage)
@@ -814,12 +951,7 @@ class CycleCoordinator:
         except (RelayError, DiscoveryError):
             # May itself raise on an unreachable/tampering path; that
             # propagates without a state change, so the step is retriable.
-            fetched = client.remote_query(
-                spec.query_address("GetLock"),
-                [spec.asset_id],
-                policy=self._policies[leg],
-            )
-            record = json.loads(fetched.data)
+            record = self._peek_lock(leg)
             if (
                 record.get("state") == STATE_CLAIMED
                 and record.get("preimage") == preimage.hex()
@@ -846,6 +978,6 @@ class CycleCoordinator:
                 return client.relay.remote_asset(MSG_KIND_ASSET_CLAIM, command)
             self._advance(CycleState.FAILED)
             raise AssetError(
-                f"leg {leg} claim ack lost and the escrow is unrecoverable "
-                f"(verified state {record.get('state')!r})"
+                f"{self._label(leg)} claim ack lost and the escrow is "
+                f"unrecoverable (verified state {record.get('state')!r})"
             )

@@ -1,11 +1,13 @@
-"""Shared instrumentation the exchange coordinators report into.
+"""Shared instrumentation the HTLC ring engine reports into.
 
 One process-wide :class:`ExchangeMetrics` can be handed to any number of
-:class:`~repro.assets.coordinator.AssetExchangeCoordinator` and
-:class:`~repro.assets.cycles.CycleCoordinator` instances; every counter
-mutation happens under one lock so concurrent exchanges on different
-threads aggregate safely. ``repro.ops.exporters.register_assets`` turns a
-snapshot of this object into the ``repro_assets_*`` Prometheus families.
+:class:`~repro.assets.cycles.CycleCoordinator` instances and
+:class:`~repro.assets.coordinator.AssetExchangeCoordinator` views of it;
+every counter mutation happens under one lock so concurrent exchanges on
+different threads aggregate safely. ``repro.ops.exporters.register_assets``
+turns a snapshot of this object into the ``repro_assets_*`` Prometheus
+families. Both kinds report the ring's state names (``locking``,
+``locked``, ``claiming`` and the terminal ones) in the ``state`` label.
 """
 
 from __future__ import annotations

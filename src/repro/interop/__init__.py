@@ -18,8 +18,7 @@ Components (paper §3):
   validation (pluggable proof schemes).
 - :mod:`repro.testing` — the threat-model harness used by the security
   evaluation (malicious relays, byzantine peers, replay, DoS) plus the
-  seeded fault-injection and cross-driver conformance machinery
-  (:mod:`repro.interop.adversary` remains as a deprecation shim).
+  seeded fault-injection and cross-driver conformance machinery.
 """
 
 from repro.interop.policy import VerificationPolicy, parse_verification_policy

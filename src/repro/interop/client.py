@@ -135,6 +135,18 @@ class InteropClient:
     def network_id(self) -> str:
         return self._network_id
 
+    def auth_info(self) -> AuthInfo:
+        """Who is asking: the requestor block every outbound request,
+        transaction, subscription and asset command carries."""
+        identity = self._identity
+        return AuthInfo(
+            requesting_network=self._network_id,
+            requesting_org=identity.org,
+            requestor=identity.name,
+            certificate=identity.certificate.to_bytes(),
+            public_key=identity.keypair.public.to_bytes(),
+        )
+
     def _lookup_policy(self, target_network: str) -> str:
         """Fetch the locally-recorded verification policy for a network.
 
@@ -189,13 +201,7 @@ class InteropClient:
             ),
             args=list(args),
             nonce=nonce,
-            auth=AuthInfo(
-                requesting_network=self._network_id,
-                requesting_org=self._identity.org,
-                requestor=self._identity.name,
-                certificate=self._identity.certificate.to_bytes(),
-                public_key=self._identity.keypair.public.to_bytes(),
-            ),
+            auth=self.auth_info(),
             policy=VerificationPolicyMsg(expression=policy_expression),
             confidential=confidential,
         )

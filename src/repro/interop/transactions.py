@@ -309,7 +309,6 @@ class RemoteTransactionClient:
             policy if policy is not None
             else self._client.lookup_policy(address.network)
         )
-        identity = self._client.identity
         nonce = random_id("txnonce-")
         query = NetworkQuery(
             version=PROTOCOL_VERSION,
@@ -321,13 +320,7 @@ class RemoteTransactionClient:
             ),
             args=list(args),
             nonce=nonce,
-            auth=AuthInfo(
-                requesting_network=self._client.network_id,
-                requesting_org=identity.org,
-                requestor=identity.name,
-                certificate=identity.certificate.to_bytes(),
-                public_key=identity.keypair.public.to_bytes(),
-            ),
+            auth=self._client.auth_info(),
             policy=VerificationPolicyMsg(expression=policy_expression),
             confidential=confidential,
             invocation=INVOCATION_TRANSACTION,

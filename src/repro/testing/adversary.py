@@ -20,9 +20,6 @@ and without an adversary in place. All randomized attacks thread an
 explicit :class:`random.Random` seeded generator, so every adversarial run
 is reproducible from its seed — the generalized, schedule-driven form of
 these wrappers lives in :mod:`repro.testing.faults`.
-
-This module is the canonical home of the harness; the old import path
-``repro.interop.adversary`` remains as a deprecation shim.
 """
 
 from __future__ import annotations

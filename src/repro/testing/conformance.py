@@ -67,7 +67,6 @@ from repro.proto.messages import (
     PROTOCOL_VERSION,
     STATUS_OK,
     AssetCommandMsg,
-    AuthInfo,
     NetworkAddressMsg,
 )
 from repro.store import StateStore
@@ -353,7 +352,6 @@ class ConformanceTarget:
             f"{self.network_id}/vault/conformance-vault"
         )
         network, ledger, contract = address_text.split("/")
-        identity = client.identity
         return AssetCommandMsg(
             version=PROTOCOL_VERSION,
             address=NetworkAddressMsg(
@@ -364,13 +362,7 @@ class ConformanceTarget:
             hashlock=hashlock,
             timeout=timeout,
             preimage=preimage,
-            auth=AuthInfo(
-                requesting_network=client.network_id,
-                requesting_org=identity.org,
-                requestor=identity.name,
-                certificate=identity.certificate.to_bytes(),
-                public_key=identity.keypair.public.to_bytes(),
-            ),
+            auth=client.auth_info(),
             nonce=random_id("conf-asset-"),
         )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import InteropGateway
-from repro.assets import ExchangeState
+from repro.assets import CycleCoordinator, ExchangeState
 from repro.errors import AccessDeniedError, AssetError
 from repro.proto.messages import (
     MSG_KIND_ASSET_CLAIM,
@@ -124,7 +124,7 @@ class TestTimelockPath:
         ):
             ack = client.relay.remote_asset(
                 MSG_KIND_ASSET_CLAIM,
-                exchange._command(client, spec, preimage=exchange.preimage),
+                CycleCoordinator._command(client, spec, preimage=exchange.preimage),
             )
             assert ack.status != STATUS_OK
             assert "not locked" in ack.error
@@ -145,7 +145,7 @@ class TestTimelockPath:
         # The claimed counter-lock can never be refunded back.
         ack = scenario.bob_client.relay.remote_asset(
             MSG_KIND_ASSET_UNLOCK,
-            exchange._command(scenario.bob_client, exchange.ask),
+            CycleCoordinator._command(scenario.bob_client, exchange.ask),
         )
         assert ack.status != STATUS_OK
         assert scenario.oil_owner() == "alice@fabnet"
@@ -166,7 +166,7 @@ class TestGovernance:
         )
         ack = scenario.bob_client.relay.remote_asset(
             MSG_KIND_ASSET_CLAIM,
-            exchange._command(
+            CycleCoordinator._command(
                 scenario.bob_client, exchange.offer, preimage=exchange.preimage
             ),
         )
@@ -184,7 +184,7 @@ class TestGovernance:
         from repro.interop import InteropClient
 
         mallory_client = InteropClient(mallory, scenario.quorum_relay, "quornet")
-        command = exchange._command(
+        command = CycleCoordinator._command(
             mallory_client, exchange.offer, preimage=exchange.preimage
         )
         command.auth.requestor = "bob"  # impersonate the rightful recipient
@@ -206,7 +206,7 @@ class TestGovernance:
         # Wrong preimage: the on-ledger claim is refused.
         ack = scenario.bob_client.relay.remote_asset(
             MSG_KIND_ASSET_CLAIM,
-            exchange._command(
+            CycleCoordinator._command(
                 scenario.bob_client, exchange.offer, preimage=b"\x00" * 32
             ),
         )
@@ -272,7 +272,7 @@ class TestGovernance:
             ),
             asset_id="GOLD-1",
             preimage=exchange.preimage,
-            auth=exchange._auth(scenario.bob_client),
+            auth=scenario.bob_client.auth_info(),
             nonce="spoof-1",
         )
         command.auth.requesting_network = "fabnet"  # lie about provenance

@@ -189,9 +189,10 @@ class TestVerificationGuards:
         scenario = exchange_scenario
         exchange = build_exchange(scenario)
         # Simulate a mismatched escrow: lock GOLD-1 for carol, not bob.
+        from repro.assets import CycleCoordinator
         from repro.proto.messages import MSG_KIND_ASSET_LOCK
 
-        command = exchange._command(
+        command = CycleCoordinator._command(
             scenario.alice_client,
             exchange.offer,
             recipient="carol@elsewhere",
@@ -200,9 +201,10 @@ class TestVerificationGuards:
         )
         ack = scenario.alice_client.relay.remote_asset(MSG_KIND_ASSET_LOCK, command)
         assert ack.status == 0  # STATUS_OK
-        exchange.result.offer_lock = ack
-        exchange.state = ExchangeState.OFFER_LOCKED
-        exchange.result.state = ExchangeState.OFFER_LOCKED
+        # Record the escrow the way recover() does for a lock it finds landed.
+        exchange._ring.deadlines[0] = command.timeout
+        exchange._ring._mark_locked(0)
+        assert exchange.state is ExchangeState.OFFER_LOCKED
         with pytest.raises(AssetError, match="locked for"):
             exchange.verify_offer()
         assert exchange.state is ExchangeState.FAILED

@@ -1,30 +1,8 @@
-"""The adversary wrappers moved to repro.testing; the old path still works."""
+"""The adversary wrappers in repro.testing are reproducible from their seed."""
 
 from __future__ import annotations
 
-import importlib
 import random
-import sys
-import warnings
-
-
-def test_old_import_path_warns_and_aliases():
-    sys.modules.pop("repro.interop.adversary", None)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = importlib.import_module("repro.interop.adversary")
-    assert any(
-        issubclass(warning.category, DeprecationWarning) for warning in caught
-    )
-    import repro.testing.adversary as canonical
-
-    # Same objects, not copies — wrappers constructed through either path
-    # are interchangeable.
-    assert legacy.TamperingRelay is canonical.TamperingRelay
-    assert legacy.DroppingRelay is canonical.DroppingRelay
-    assert legacy.EavesdroppingRelay is canonical.EavesdroppingRelay
-    assert legacy.flood_relay is canonical.flood_relay
-    assert legacy._flip_bytes is canonical.flip_bytes
 
 
 def test_tampering_relay_is_seed_reproducible():

@@ -10,6 +10,8 @@ exchange — ownership swaps exactly once on both heterogeneous ledgers.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.assets import ExchangeState
@@ -58,6 +60,35 @@ def crash_and_resume(scenario, store, tmp_path, exchange_id=EXCHANGE_ID):
     return resumed, reopened
 
 
+def rewrite_in_two_party_format(store, state, exchange_id=EXCHANGE_ID):
+    """Replace the journal with the record the separate two-party
+    coordinator (before it became a view of the ring) would have written
+    at two-party step ``state`` — its exact key set."""
+    ring = json.loads(store.get(NS_EXCHANGES, exchange_id).decode("utf-8"))
+    record = {
+        "state": state,
+        "offer": ring["specs"][0],
+        "ask": ring["specs"][1],
+        "offer_timeout": ring["cycle_timeout"],
+        "counter_timeout": ring["cycle_timeout"] - ring["hop_gap"],
+        "verify_margin": ring["verify_margin"],
+        "preimage": ring["preimage"],
+        "hashlock": ring["hashlock"],
+        "verified_hashlock": ring["leg_hashlocks"][1],
+        "offer_deadline": ring["deadlines"][0],
+        "counter_deadline": ring["deadlines"][1],
+        "counter_refunded": ring["refunded"][1],
+        "offer_refunded": ring["refunded"][0],
+        "offer_locked": ring["locked"][0],
+        "counter_locked": ring["locked"][1],
+        "counter_claimed": ring["claimed"][1],
+        "offer_claimed": ring["claimed"][0],
+        "preimage_revealed": ring["preimage_revealed"],
+        "started_at": ring["started_at"],
+    }
+    store.put(NS_EXCHANGES, exchange_id, json.dumps(record).encode("utf-8"))
+
+
 class TestCrashRecovery:
     def test_killed_between_counter_lock_and_claim_completes(
         self, exchange_scenario, tmp_path
@@ -75,10 +106,12 @@ class TestCrashRecovery:
         del coordinator  # the process dies here
 
         resumed, reopened = crash_and_resume(scenario, store, tmp_path)
-        assert resumed.state is ExchangeState.COUNTER_VERIFIED
+        # A verification is good only in the process that made it: the
+        # resumed exchange is back at the lock, and run() re-verifies.
+        assert resumed.state is ExchangeState.COUNTER_LOCKED
         # No claim was in flight: recovery's readback sees the ask escrow
         # still locked and leaves the machine where the journal put it.
-        assert resumed.recover() is ExchangeState.COUNTER_VERIFIED
+        assert resumed.recover() is ExchangeState.COUNTER_LOCKED
         result = resumed.run()
 
         assert result.completed
@@ -105,7 +138,7 @@ class TestCrashRecovery:
         store.put(NS_EXCHANGES, EXCHANGE_ID, stale)  # ...journal lost
 
         resumed, reopened = crash_and_resume(scenario, store, tmp_path)
-        assert resumed.state is ExchangeState.COUNTER_VERIFIED
+        assert resumed.state is ExchangeState.COUNTER_LOCKED
         assert resumed.recover() is ExchangeState.COUNTER_CLAIMED
         assert resumed.result.preimage == resumed.preimage
         result = resumed.run()
@@ -168,6 +201,52 @@ class TestCrashRecovery:
         assert scenario.oil_owner() == "bob@quornet"
         reopened.close()
 
+    def test_resumed_exchange_reverifies_before_revealing(
+        self, exchange_scenario, tmp_path, monkeypatch
+    ):
+        """The counter lock was verified, then the process died and came
+        back after the counter window closed (the offer window is still
+        open). The resumed initiator must re-check the counter lock, not
+        trust the dead process's verification: a claim sent now is
+        refused by the vault, yet it hands the preimage to the relay path
+        and the responder's network while the offer is still claimable
+        with it."""
+        scenario = exchange_scenario
+        store = SqliteStore(tmp_path / "coordinator", fsync=False)
+        coordinator = build_coordinator(scenario, store)
+        coordinator.lock_offer()
+        coordinator.verify_offer()
+        coordinator.lock_counter()
+        coordinator.verify_counter()
+        del coordinator  # the process dies here
+        scenario.clock.advance(310.0)  # counter closed at 1300, offer open to 1600
+
+        resumed, reopened = crash_and_resume(scenario, store, tmp_path)
+        resumed.recover()
+        sent = []
+        send = scenario.fabric_relay.remote_asset
+
+        def remote_asset(kind, command):
+            sent.append(command)
+            return send(kind, command)
+
+        monkeypatch.setattr(scenario.fabric_relay, "remote_asset", remote_asset)
+        with pytest.raises(AssetError):
+            resumed.run()
+        assert not any(command.preimage for command in sent)
+        assert resumed.state is ExchangeState.FAILED
+        assert resumed.result.preimage is None
+
+        # Nothing was revealed, so both legs unwind as their windows close.
+        with pytest.raises(AssetError, match="offer refund refused"):
+            resumed.refund()  # the counter leg unwinds now
+        scenario.clock.advance(300.0)
+        resumed.refund()
+        assert resumed.state is ExchangeState.REFUNDED
+        assert scenario.gold_owner() == "alice@fabnet"
+        assert scenario.oil_owner() == "bob@quornet"
+        reopened.close()
+
     def test_resume_unknown_exchange_raises(self, exchange_scenario, tmp_path):
         store = SqliteStore(tmp_path / "coordinator", fsync=False)
         with pytest.raises(ExchangeStateError, match="no journaled exchange"):
@@ -178,3 +257,84 @@ class TestCrashRecovery:
                 "exch-never-started",
             )
         store.close()
+
+
+class TestTwoPartyFormatJournals:
+    """Journals written in the ``offer_*`` / ``counter_*`` format (the
+    separate two-party coordinator's) resume on the ring and end the way
+    the ring-format ones above do."""
+
+    def resume_from_two_party_format(self, scenario, store, tmp_path, state):
+        rewrite_in_two_party_format(store, state)
+        resumed, reopened = crash_and_resume(scenario, store, tmp_path)
+        # resume() journals what it read: the record is ring format now.
+        stored = json.loads(reopened.get(NS_EXCHANGES, EXCHANGE_ID).decode("utf-8"))
+        assert "specs" in stored and "offer" not in stored
+        return resumed, reopened
+
+    def test_offer_verified_record_completes(self, exchange_scenario, tmp_path):
+        scenario = exchange_scenario
+        store = SqliteStore(tmp_path / "coordinator", fsync=False)
+        coordinator = build_coordinator(scenario, store)
+        coordinator.lock_offer()
+        coordinator.verify_offer()
+
+        resumed, reopened = self.resume_from_two_party_format(
+            scenario, store, tmp_path, "offer_verified"
+        )
+        assert resumed.recover() is ExchangeState.OFFER_LOCKED
+        assert resumed.offer_deadline == coordinator.offer_deadline
+        result = resumed.run()
+
+        assert result.completed
+        assert result.preimage == coordinator.preimage
+        assert scenario.gold_owner() == "bob@quornet"
+        assert scenario.oil_owner() == "alice@fabnet"
+        reopened.close()
+
+    def test_counter_locked_record_refunds_only_the_standing_leg(
+        self, exchange_scenario, tmp_path
+    ):
+        scenario = exchange_scenario
+        store = SqliteStore(tmp_path / "coordinator", fsync=False)
+        coordinator = build_coordinator(scenario, store)
+        coordinator.lock_offer()
+        coordinator.verify_offer()
+        coordinator.lock_counter()
+        scenario.clock.advance(350.0)  # counter window closed, offer's open
+        with pytest.raises(AssetError, match="offer refund refused"):
+            coordinator.refund()  # counter unwound, then the crash
+
+        resumed, reopened = self.resume_from_two_party_format(
+            scenario, store, tmp_path, "counter_locked"
+        )
+        assert resumed.state is ExchangeState.COUNTER_LOCKED
+        scenario.clock.advance(300.0)
+        acks = resumed.refund()
+        assert [ack.asset_id for ack in acks] == ["GOLD-1"]
+        assert resumed.state is ExchangeState.REFUNDED
+        assert scenario.gold_owner() == "alice@fabnet"
+        assert scenario.oil_owner() == "bob@quornet"
+        reopened.close()
+
+    def test_counter_claimed_record_completes(self, exchange_scenario, tmp_path):
+        scenario = exchange_scenario
+        store = SqliteStore(tmp_path / "coordinator", fsync=False)
+        coordinator = build_coordinator(scenario, store)
+        coordinator.lock_offer()
+        coordinator.verify_offer()
+        coordinator.lock_counter()
+        coordinator.verify_counter()
+        coordinator.claim_counter()  # preimage public
+
+        resumed, reopened = self.resume_from_two_party_format(
+            scenario, store, tmp_path, "counter_claimed"
+        )
+        assert resumed.recover() is ExchangeState.COUNTER_CLAIMED
+        assert resumed.result.preimage == coordinator.preimage
+        result = resumed.run()
+
+        assert result.completed
+        assert scenario.gold_owner() == "bob@quornet"
+        assert scenario.oil_owner() == "alice@fabnet"
+        reopened.close()
