@@ -169,7 +169,7 @@ def main() -> None:
     # VerifiedEventStream upgrades each one with a follow-up proof-carrying
     # query before the application sees it (notify-then-verify).
     invoker = source.org("producer-org").enroll("interop-invoker", role="client")
-    enable_remote_transactions(source, source_relay, invoker, discovery=registry)
+    enable_remote_transactions(source, source_relay, invoker)
     enable_relay_events(source, source_relay, source_admin)
     # Events invert the flow: the *source* relay must be able to discover
     # the subscriber's relay to push notifications to it.
@@ -356,7 +356,7 @@ def main() -> None:
     for endpoint in list(registry.lookup("source-net")):
         registry.unregister("source-net", endpoint)
     durable_relay = create_fabric_relay(source, registry, state_dir=state_dir)
-    enable_remote_transactions(source, durable_relay, invoker, discovery=registry)
+    enable_remote_transactions(source, durable_relay, invoker)
 
     prepared = RemoteTransactionClient(client).prepare_transaction(
         "source-net/main/docs/Put",
@@ -380,7 +380,7 @@ def main() -> None:
     del durable_relay
 
     restarted_relay = create_fabric_relay(source, registry, state_dir=state_dir)
-    enable_remote_transactions(source, restarted_relay, invoker, discovery=registry)
+    enable_remote_transactions(source, restarted_relay, invoker)
     replayed = restarted_relay.handle_request(raw)
     assert replayed == first_reply  # answered from the durable record
     assert restarted_relay.stats.duplicates_suppressed == 1

@@ -17,10 +17,8 @@ Enforced, all against the AST (the modules are never imported):
   / ``REPLY_KINDS`` exist and **partition** the kinds: each kind is in
   exactly one;
 - every *request* kind (side-effecting or read-only — replies are never
-  dispatched) is reachable from a dispatch branch of
-  ``RelayService._route``, either by direct ``kind == MSG_KIND_X``
-  comparison or via membership in a dispatched set
-  (``kind in ASSET_COMMAND_KINDS``).
+  dispatched) is a key of the relay's dispatch table,
+  ``RelayService._SERVE_TABLE``.
 """
 
 from __future__ import annotations
@@ -37,6 +35,7 @@ from repro.analysis.core import (
     register,
 )
 from repro.analysis.invariants import (
+    DISPATCH_TABLE,
     KIND_CLASS_SETS,
     MESSAGES_MODULE,
     PROTO_EXPORTS_MODULE,
@@ -103,35 +102,24 @@ def _collect_exports(module: ModuleSource) -> set[str] | None:
     return None
 
 
-def _find_function(tree: ast.AST, name: str) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
+def _dispatch_table_keys(tree: ast.AST) -> set[str] | None:
+    """Kind constants keying the relay's dispatch table (``None`` when
+    the class has no such dict literal)."""
+    class_name, table_name = DISPATCH_TABLE
     for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name:
-            return node
-    return None
-
-
-def _dispatched_names(
-    route: ast.AST, name_sets: dict[str, tuple[int, set[str]]]
-) -> set[str]:
-    """Kind constants reachable from comparison branches in ``_route``."""
-    dispatched: set[str] = set()
-    for node in ast.walk(route):
-        if not isinstance(node, ast.Compare):
+        if not (isinstance(node, ast.ClassDef) and node.name == class_name):
             continue
-        operands = [node.left, *node.comparators]
-        for op, comparator in zip(node.ops, node.comparators):
-            names = [dotted_name(x) for x in operands]
-            if isinstance(op, (ast.Eq, ast.NotEq)):
-                for name in names:
-                    if name is not None and last_segment(name).startswith(KIND_PREFIX):
-                        dispatched.add(last_segment(name))
-            elif isinstance(op, (ast.In, ast.NotIn)):
-                set_name = dotted_name(comparator)
-                if set_name is not None:
-                    entry = name_sets.get(last_segment(set_name))
-                    if entry is not None:
-                        dispatched.update(entry[1])
-    return dispatched
+        for item in node.body:
+            if isinstance(item, ast.Assign) and len(item.targets) == 1:
+                target, value = item.targets[0], item.value
+            elif isinstance(item, ast.AnnAssign):
+                target, value = item.target, item.value
+            else:
+                continue
+            if isinstance(target, ast.Name) and target.id == table_name and isinstance(value, ast.Dict):
+                names = (dotted_name(key) for key in value.keys if key is not None)
+                return {last_segment(name) for name in names if name is not None}
+    return None
 
 
 @register
@@ -224,11 +212,11 @@ class WireKindRegistryChecker(Checker):
         # Request kinds are dispatched by the relay.
         relay = project.find(RELAY_MODULE)
         if relay is not None and len(class_sets) == len(KIND_CLASS_SETS):
-            route = _find_function(relay.tree, "_route")
-            if route is None:
-                flag(1, f"{RELAY_MODULE} has no _route dispatcher", relay.path)
+            table = ".".join(DISPATCH_TABLE)
+            dispatched = _dispatch_table_keys(relay.tree)
+            if dispatched is None:
+                flag(1, f"{RELAY_MODULE} has no {table} dict literal", relay.path)
             else:
-                dispatched = _dispatched_names(route, name_sets)
                 request_kinds = (
                     class_sets["SIDE_EFFECTING_KINDS"] | class_sets["READ_ONLY_KINDS"]
                 )
@@ -237,7 +225,7 @@ class WireKindRegistryChecker(Checker):
                         flag(
                             kinds[name][0],
                             f"request kind {name} has no dispatch branch in "
-                            f"RelayService._route — envelopes of this kind "
+                            f"{table} — envelopes of this kind "
                             f"would answer 'unexpected message kind'",
                         )
         return findings

@@ -292,6 +292,6 @@ RELAY_MODULE = "repro/interop/relay.py"
 #: (exactly one of them).
 KIND_CLASS_SETS = ("SIDE_EFFECTING_KINDS", "READ_ONLY_KINDS", "REPLY_KINDS")
 
-#: Set names whose membership in a relay dispatch test (``kind in X``)
-#: marks every member as dispatched.
-DISPATCH_SET_NAMES = ("ASSET_COMMAND_KINDS", "SIDE_EFFECTING_KINDS", "READ_ONLY_KINDS")
+#: (class, attribute) of the relay's dispatch table: a dict literal keyed
+#: by ``MSG_KIND_*`` constants, one key per request kind it serves.
+DISPATCH_TABLE = ("RelayService", "_SERVE_TABLE")

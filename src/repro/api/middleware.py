@@ -396,10 +396,6 @@ class ResponseCacheInterceptor(Interceptor):
             return True
         if envelope.kind in SIDE_EFFECTING_KINDS:
             return False
-        if envelope.destination_network.endswith("#tx"):
-            # Legacy wire shape: a QUERY_REQUEST addressed to the
-            # '<net>#tx' pseudo-network executes a transaction.
-            return False
         return envelope.headers.get(SIDE_EFFECTING_HEADER) != "true"
 
     def handle(self, ctx: RelayContext, call_next: RelayHandler) -> bytes:

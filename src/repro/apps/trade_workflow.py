@@ -45,7 +45,7 @@ from repro.interop.bootstrap import (
 )
 from repro.interop.contracts.ecc import ECC_NAME
 from repro.interop.discovery import DiscoveryService, InMemoryRegistry
-from repro.interop.relay import RateLimiter, RelayService
+from repro.interop.relay import RateLimiter, RateLimitInterceptor, RelayService
 from repro.utils.clock import Clock
 
 
@@ -135,8 +135,8 @@ def build_trade_scenario(
         create_fabric_relay(
             stl,
             registry,
-            rate_limiter=stl_rate_limit,
             relay_id=f"relay-stl-{index}",
+            middleware=[RateLimitInterceptor(stl_rate_limit)] if stl_rate_limit is not None else None,
         )
         for index in range(stl_relay_count)
     ]

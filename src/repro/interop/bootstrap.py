@@ -37,7 +37,7 @@ from repro.interop.drivers.fabric_driver import (
 from repro.interop.discovery import DiscoveryService, InMemoryRegistry
 from repro.interop.policy import all_orgs_policy
 from repro.interop.proofs import AttestationProofScheme
-from repro.interop.relay import RateLimiter, RelayService
+from repro.interop.relay import RelayService
 from repro.store import open_store
 from repro.crypto.keys import PublicKey
 from repro.proto.address import CrossNetworkAddress
@@ -116,7 +116,6 @@ def enable_fabric_interop(network: FabricNetwork, admin: Identity) -> None:
 def create_fabric_relay(
     network: FabricNetwork,
     discovery: DiscoveryService,
-    rate_limiter: RateLimiter | None = None,
     relay_id: str | None = None,
     register: bool = True,
     middleware: Sequence | None = None,
@@ -127,8 +126,9 @@ def create_fabric_relay(
     With ``register`` (and an :class:`InMemoryRegistry`), the relay is
     registered for discovery; deploy several relays for one network to get
     the paper's redundant-relay DoS mitigation. ``middleware`` installs
-    interceptors (see :mod:`repro.api.middleware`) after the legacy
-    ``rate_limiter`` shim, in the given order. ``state_dir`` is the
+    interceptors (see :mod:`repro.api.middleware`) in the given order —
+    a :class:`~repro.interop.relay.RateLimitInterceptor` first, to shed
+    load before anything else runs. ``state_dir`` is the
     ``--state-dir`` deployment option: ``None`` keeps the volatile
     default, a path makes the relay durable (``repro.store.open_store``)
     and immediately :meth:`~RelayService.recover`\\ s any state already
@@ -138,7 +138,6 @@ def create_fabric_relay(
         network_id=network.name,
         discovery=discovery,
         clock=network.clock,
-        rate_limiter=rate_limiter,
         relay_id=relay_id,
         store=open_store(state_dir),
     )

@@ -351,7 +351,7 @@ class CordaDriver(NetworkDriver):
         if address_msg is None:
             return self._error(query, "transaction request has no address")
         address = CrossNetworkAddress(
-            network=address_msg.network.removesuffix("#tx"),
+            network=address_msg.network,
             ledger=address_msg.ledger,
             contract=address_msg.contract,
             function=address_msg.function,

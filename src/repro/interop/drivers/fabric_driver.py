@@ -12,11 +12,15 @@ from __future__ import annotations
 
 import logging
 
-from repro.errors import PolicyError
+from repro.crypto.keys import PublicKey
+from repro.errors import AccessDeniedError, PolicyError, ReproError
+from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Proposal
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.policy import parse_verification_policy
+from repro.interop.proofs import AttestationProofScheme, seal_result
+from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
     PROTOCOL_VERSION,
     STATUS_OK,
@@ -67,7 +71,8 @@ def build_interop_context(query: NetworkQuery) -> bytes:
 
 
 class FabricDriver(NetworkDriver):
-    """Drives queries against an in-process :class:`FabricNetwork`."""
+    """Drives queries — and, once enabled, transactions, events and asset
+    commands — against an in-process :class:`FabricNetwork`."""
 
     platform = "fabric"
 
@@ -78,6 +83,15 @@ class FabricDriver(NetworkDriver):
         # designated local reader identity (see enable_relay_events).
         self._event_reader = event_reader
         self.supports_events = event_reader is not None
+        self._invoker: Identity | None = None
+        self._scheme = AttestationProofScheme()
+
+    def enable_transactions(self, invoker: Identity) -> None:
+        """Grant the transaction capability: remote invocations submit
+        under ``invoker``, the network's designated local submitter for
+        remote requests (a governance choice, like the exposure rules)."""
+        self._invoker = invoker
+        self.supports_transactions = True
 
     def enable_events(self, reader) -> None:
         """Grant the event capability with ``reader`` for ECC rule reads."""
@@ -204,3 +218,102 @@ class FabricDriver(NetworkDriver):
         else:
             response_msg.result_plain = result_envelope
         return response_msg
+
+    def execute_transaction(self, query: NetworkQuery) -> QueryResponse:
+        """Submit one remote invocation and attest the committed outcome (§5).
+
+        The request passes the same ECC gate as remote queries, then runs
+        through the network's endorse-order-commit pipeline under the
+        invoker identity; each attesting peer confirms the transaction is
+        on *its* ledger replica before signing over the tx id, block
+        number and validation code.
+        """
+        if self._invoker is None:
+            return super().execute_transaction(query)
+        from repro.interop.transactions import check_remote_invocation_exposure
+
+        address_msg = query.address
+        if address_msg is None:
+            return self._error(query, "transaction request has no address")
+        address = CrossNetworkAddress(
+            network=address_msg.network,
+            ledger=address_msg.ledger,
+            contract=address_msg.contract,
+            function=address_msg.function,
+        )
+        try:
+            policy = parse_verification_policy(query.policy.expression)
+        except (ReproError, AttributeError) as exc:
+            return self._error(query, f"malformed verification policy: {exc}")
+        try:
+            check_remote_invocation_exposure(
+                self._network, self._invoker, query.auth, address.contract, address.function
+            )
+        except AccessDeniedError as exc:
+            return self._denied(query, str(exc))
+        except ReproError as exc:
+            return self._error(query, str(exc))
+
+        try:
+            submit = self._network.gateway.submit(
+                self._invoker, address.contract, address.function, list(query.args)
+            )
+        except ReproError as exc:
+            return self._error(query, f"source transaction failed: {exc}")
+        if not submit.committed:
+            return self._error(
+                query,
+                f"source transaction invalidated: {submit.validation_code.value}",
+            )
+
+        # Attest the committed outcome under the verification policy.
+        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
+        selection = policy.select_attesters(available)
+        if selection is None:
+            return self._error(
+                query, f"policy {policy.expression()} unsatisfiable on this network"
+            )
+        client_key = (
+            PublicKey.from_bytes(query.auth.public_key) if query.confidential else None
+        )
+        outcome = canonical_json(
+            {
+                "result": submit.result.hex(),
+                "tx_id": submit.tx_id,
+                "block_number": submit.block_number,
+                "validation_code": submit.validation_code.value,
+            }
+        )
+        envelope = seal_result(outcome, client_key, query.confidential)
+        attestations: list[Attestation] = []
+        for org, peer_id in selection:
+            peer = self._network.peer(peer_id)
+            # Each attesting peer confirms the tx is on ITS ledger replica.
+            if not peer.ledger.contains_tx(submit.tx_id):
+                return self._error(
+                    query, f"peer {peer_id!r} has not committed {submit.tx_id!r}"
+                )
+            attestations.append(
+                self._scheme.generate_attestation(
+                    peer_identity=peer.identity,
+                    network=self._network.name,
+                    address=address,
+                    args=list(query.args),
+                    nonce=query.nonce,
+                    result_envelope=envelope,
+                    client_key=client_key,
+                    confidential=query.confidential,
+                    timestamp=self._network.clock.now(),
+                )
+            )
+        response = QueryResponse(
+            version=PROTOCOL_VERSION,
+            nonce=query.nonce,
+            status=STATUS_OK,
+            attestations=attestations,
+        )
+        if query.confidential:
+            response.result_cipher = envelope
+        else:
+            response.result_plain = envelope
+        return response

@@ -18,6 +18,9 @@ fetching the data along with verifiable proofs from remote networks"
   rather than hardwired into the request path — see
   :mod:`repro.api.middleware` for the stock interceptors.
 
+Serving is one table, :attr:`RelayService._SERVE_TABLE`: one row per
+request kind, one path that decodes, finds the driver and wraps the reply.
+
 Batching: a :data:`~repro.proto.messages.MSG_KIND_BATCH_REQUEST` envelope
 carries N queries to one target network in a single round-trip, sharing one
 discovery lookup and one failover loop, with the serving driver fanning the
@@ -25,7 +28,8 @@ members concurrently (:meth:`NetworkDriver.execute_batch`).
 
 All three §2 primitives ride the same machinery: transactions travel as
 ``MSG_KIND_TRANSACT_REQUEST`` envelopes (and as ``invocation`` -marked
-batch members) routed to a transaction-capable driver, and event
+batch members) routed to the network's one driver once it is granted the
+transaction capability, and event
 subscriptions as ``MSG_KIND_EVENT_SUBSCRIBE`` / ``_PUBLISH`` /
 ``_UNSUBSCRIBE`` envelopes — the source relay taps its network's event hub
 and pushes notifications to the subscriber's relay through the very same
@@ -53,7 +57,7 @@ import json
 import logging
 import threading
 from collections import OrderedDict, deque
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.errors import (
     AccessDeniedError,
@@ -101,6 +105,7 @@ from repro.proto.messages import (
     EventNotificationMsg,
     EventSubscribeRequest,
     EventUnsubscribeRequest,
+    NetworkAddressMsg,
     NetworkQuery,
     QueryResponse,
     RelayEnvelope,
@@ -283,6 +288,26 @@ class _ServedSubscription:
         self.tap = tap
 
 
+class _Refusal(Exception):
+    """A request this relay has no driver for: answered with an error
+    envelope, or with a ``STATUS_ERROR`` slot for a batch member."""
+
+    def __init__(self, message: str, error_kind: str) -> None:
+        super().__init__(message)
+        self.error_kind = error_kind
+
+
+class _ServeRow(NamedTuple):
+    """How :meth:`RelayService._route` serves one request kind."""
+
+    payload_type: type
+    noun: str
+    reply_kind: int
+    #: ``handler(relay, envelope, request)`` returns the reply message or
+    #: raises :class:`_Refusal`.
+    handler: Callable[..., Any]
+
+
 class RateLimitInterceptor:
     """The relay's DoS self-protection as a chain interceptor.
 
@@ -328,7 +353,6 @@ class RelayService:
         network_id: str,
         discovery: DiscoveryService,
         clock: Clock | None = None,
-        rate_limiter: RateLimiter | None = None,
         relay_id: str | None = None,
         store: StateStore | None = None,
         idempotency_capacity: int = 1024,
@@ -339,7 +363,6 @@ class RelayService:
         self.relay_id = relay_id or f"relay-{network_id}"
         self._discovery = discovery
         self._clock = clock or SystemClock()
-        self._rate_limiter = rate_limiter
         self._drivers: dict[str, NetworkDriver] = {}
         self._interceptors: list[RelayInterceptor] = []
         self._chain: RelayHandler | None = None
@@ -380,10 +403,6 @@ class RelayService:
         self._load_durable_state()
         self.stats = RelayStats()
         self.available = True  # toggled by availability experiments
-        if rate_limiter is not None:
-            # Legacy shim: the constructor-injected limiter becomes the
-            # first interceptor of the chain.
-            self.use(RateLimitInterceptor(rate_limiter))
 
     def _load_durable_state(self) -> None:
         """Rebuild the in-memory idempotency record from the store.
@@ -498,21 +517,6 @@ class RelayService:
     def driver_for(self, network_id: str) -> NetworkDriver | None:
         """The registered driver for ``network_id`` (``None`` if absent)."""
         return self._drivers.get(network_id)
-
-    def _transaction_driver(self, target: str) -> NetworkDriver | None:
-        """The transaction-capable driver for ``target``.
-
-        Checks the plainly-registered driver first, then the legacy
-        ``<target>#tx`` pseudo-network registration kept by
-        :func:`~repro.interop.transactions.enable_remote_transactions`.
-        """
-        driver = self._drivers.get(target)
-        if driver is not None and driver.supports_transactions:
-            return driver
-        driver = self._drivers.get(target + "#tx")
-        if driver is not None and driver.supports_transactions:
-            return driver
-        return None
 
     # -- middleware chain ---------------------------------------------------------
 
@@ -706,55 +710,62 @@ class RelayService:
         return reply
 
     def _route(self, envelope: RelayEnvelope) -> bytes:
-        if envelope.kind == MSG_KIND_QUERY_REQUEST:
-            return self._serve_query(envelope)
-        if envelope.kind == MSG_KIND_BATCH_REQUEST:
-            return self._serve_batch(envelope)
-        if envelope.kind == MSG_KIND_TRANSACT_REQUEST:
-            return self._serve_transact(envelope)
-        if envelope.kind == MSG_KIND_EVENT_SUBSCRIBE:
-            return self._serve_event_subscribe(envelope)
-        if envelope.kind == MSG_KIND_EVENT_PUBLISH:
-            return self._serve_event_publish(envelope)
-        if envelope.kind == MSG_KIND_EVENT_UNSUBSCRIBE:
-            return self._serve_event_unsubscribe(envelope)
-        if envelope.kind in ASSET_COMMAND_KINDS:
-            return self._serve_asset(envelope)
-        self.stats.bump("requests_failed")
-        return self._error_envelope(
-            envelope.request_id, f"unexpected message kind {envelope.kind}", False
-        )
+        """Serve one envelope through its :attr:`_SERVE_TABLE` row.
 
-    def _serve_query(self, envelope: RelayEnvelope) -> bytes:
+        Decodes the payload, runs the row's handler and wraps the reply
+        message it returns in the reply envelope; an unknown kind, an
+        undecodable payload or a handler's :class:`_Refusal` is answered
+        with an error envelope instead.
+        """
+        row = self._SERVE_TABLE.get(envelope.kind)
+        if row is None:
+            self.stats.bump("requests_failed")
+            return self._error_envelope(envelope.request_id, f"unexpected message kind {envelope.kind}", False)
         try:
-            query = NetworkQuery.decode(envelope.payload)
+            request = row.payload_type.decode(envelope.payload)
         except Exception as exc:
             self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable query: {exc}", False
-            )
-        target = query.address.network if query.address else ""
-        driver = self._drivers.get(target)
-        if driver is None:
+            return self._error_envelope(envelope.request_id, f"undecodable {row.noun}: {exc}", False)
+        try:
+            message = row.handler(self, envelope, request)
+        except _Refusal as refusal:
             self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id,
-                f"relay {self.relay_id!r} has no driver for network {target!r}",
-                False,
-            )
-        response = driver.execute_query(query)
-        self.stats.bump("requests_served")
+            return self._error_envelope(envelope.request_id, str(refusal), False, refusal.error_kind)
         return RelayEnvelope(
             version=PROTOCOL_VERSION,
-            kind=MSG_KIND_QUERY_RESPONSE,
+            kind=row.reply_kind,
             request_id=envelope.request_id,
             source_network=self.network_id,
             destination_network=envelope.source_network,
-            payload=response.encode(),
+            payload=message.encode(),
             headers=reply_headers(),
         ).encode()
 
-    def _serve_batch(self, envelope: RelayEnvelope) -> bytes:
+    def _driver(self, address: NetworkAddressMsg | None, capability: str = "") -> NetworkDriver:
+        """The driver for ``address``'s network, holding ``capability``.
+
+        ``capability`` is ``"transaction"``, ``"event"`` or ``"asset"`` —
+        the driver's ``supports_<capability>s`` flag — or empty for plain
+        queries. Raises :class:`_Refusal`, marked as a capability refusal
+        when a capability was asked for so the caller fails closed rather
+        than failing over.
+        """
+        target = address.network if address else ""
+        driver = self._drivers.get(target)
+        if driver is not None and (not capability or getattr(driver, f"supports_{capability}s")):
+            return driver
+        holder = f"{capability}-capable driver" if capability else "driver"
+        raise _Refusal(
+            f"relay {self.relay_id!r} has no {holder} for network {target!r}",
+            ERROR_KIND_CAPABILITY if capability else "",
+        )
+
+    def _serve_query(self, envelope: RelayEnvelope, query: NetworkQuery) -> QueryResponse:
+        response = self._driver(query.address).execute_query(query)
+        self.stats.bump("requests_served")
+        return response
+
+    def _serve_batch(self, envelope: RelayEnvelope, batch: BatchQueryRequest) -> BatchQueryResponse:
         """Serve a batch envelope with partial-failure semantics.
 
         Members are grouped per (driver, invocation) and fanned via
@@ -764,13 +775,6 @@ class RelayService:
         failing member) is answered with an error *response* in its slot —
         only an undecodable batch fails as a whole.
         """
-        try:
-            batch = BatchQueryRequest.decode(envelope.payload)
-        except Exception as exc:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable batch: {exc}", False
-            )
         queries = list(batch.queries)
         responses: list[QueryResponse | None] = [None] * len(queries)
         groups: dict[tuple[str, bool], list[int]] = {}
@@ -778,26 +782,19 @@ class RelayService:
             target = query.address.network if query.address else ""
             is_transaction = query.invocation == INVOCATION_TRANSACTION
             groups.setdefault((target, is_transaction), []).append(position)
-        for (target, is_transaction), positions in groups.items():
-            driver = (
-                self._transaction_driver(target)
-                if is_transaction
-                else self._drivers.get(target)
-            )
-            if driver is None:
+        for (_, is_transaction), positions in groups.items():
+            try:
+                driver = self._driver(queries[positions[0]].address, "transaction" if is_transaction else "")
+            except _Refusal as refusal:
                 # Stat parity with the singleton path: a member this relay
                 # cannot route counts as failed, not served.
                 self.stats.bump("requests_failed", len(positions))
-                capability = "transaction-capable driver" if is_transaction else "driver"
                 for position in positions:
                     responses[position] = QueryResponse(
                         version=PROTOCOL_VERSION,
                         nonce=queries[position].nonce,
                         status=STATUS_ERROR,
-                        error=(
-                            f"relay {self.relay_id!r} has no {capability} for "
-                            f"network {target!r}"
-                        ),
+                        error=str(refusal),
                     )
                 continue
             members = [queries[p] for p in positions]
@@ -810,59 +807,21 @@ class RelayService:
                 responses[position] = response
             self.stats.bump("requests_served", len(positions))
         self.stats.bump("batches_served")
-        reply = BatchQueryResponse(
-            version=PROTOCOL_VERSION,
-            responses=[r for r in responses if r is not None],
-        )
-        return RelayEnvelope(
-            version=PROTOCOL_VERSION,
-            kind=MSG_KIND_BATCH_RESPONSE,
-            request_id=envelope.request_id,
-            source_network=self.network_id,
-            destination_network=envelope.source_network,
-            payload=reply.encode(),
-            headers=reply_headers(),
-        ).encode()
+        return BatchQueryResponse(version=PROTOCOL_VERSION, responses=[r for r in responses if r is not None])
 
-    def _serve_transact(self, envelope: RelayEnvelope) -> bytes:
+    def _serve_transact(self, envelope: RelayEnvelope, query: NetworkQuery) -> QueryResponse:
         """Serve a cross-network transaction envelope (§5 extension).
 
         Routed to the network's transaction-capable driver, which submits
         under its designated local invoker identity and attests the
         *committed* outcome (tx id, block number, validation code).
         """
-        try:
-            query = NetworkQuery.decode(envelope.payload)
-        except Exception as exc:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable transaction: {exc}", False
-            )
-        target = query.address.network if query.address else ""
-        driver = self._transaction_driver(target)
-        if driver is None:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id,
-                f"relay {self.relay_id!r} has no transaction-capable driver "
-                f"for network {target!r}",
-                False,
-                error_kind=ERROR_KIND_CAPABILITY,
-            )
-        response = driver._execute_transaction_guarded(query)
+        response = self._driver(query.address, "transaction")._execute_transaction_guarded(query)
         self.stats.bump("requests_served")
         self.stats.bump("transactions_served")
-        return RelayEnvelope(
-            version=PROTOCOL_VERSION,
-            kind=MSG_KIND_TRANSACT_RESPONSE,
-            request_id=envelope.request_id,
-            source_network=self.network_id,
-            destination_network=envelope.source_network,
-            payload=response.encode(),
-            headers=reply_headers(),
-        ).encode()
+        return response
 
-    def _serve_asset(self, envelope: RelayEnvelope) -> bytes:
+    def _serve_asset(self, envelope: RelayEnvelope, command: AssetCommandMsg) -> AssetAckMsg:
         """Serve one HTLC asset-command envelope (lock/claim/unlock/status).
 
         Routed to the network's asset-capable driver. Governance and
@@ -871,24 +830,7 @@ class RelayService:
         distinguish an on-ledger refusal — which is final — from a
         transport failure worth failing over.
         """
-        try:
-            command = AssetCommandMsg.decode(envelope.payload)
-        except Exception as exc:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable asset command: {exc}", False
-            )
-        target = command.address.network if command.address else ""
-        driver = self._drivers.get(target)
-        if driver is None or not driver.supports_assets:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id,
-                f"relay {self.relay_id!r} has no asset-capable driver for "
-                f"network {target!r}",
-                False,
-                error_kind=ERROR_KIND_CAPABILITY,
-            )
+        driver = self._driver(command.address, "asset")
         verbs = {
             MSG_KIND_ASSET_LOCK: driver.lock_asset,
             MSG_KIND_ASSET_CLAIM: driver.claim_asset,
@@ -897,63 +839,32 @@ class RelayService:
         }
         try:
             ack = verbs[envelope.kind](command)
-        except AccessDeniedError as exc:
-            self.stats.bump("requests_failed")
-            ack = AssetAckMsg(
-                version=PROTOCOL_VERSION,
-                nonce=command.nonce,
-                status=STATUS_ACCESS_DENIED,
-                error=str(exc),
-                asset_id=command.asset_id,
-            )
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             self.stats.bump("requests_failed")
             ack = AssetAckMsg(
                 version=PROTOCOL_VERSION,
                 nonce=command.nonce,
-                status=STATUS_ERROR,
+                status=STATUS_ACCESS_DENIED if isinstance(exc, AccessDeniedError) else STATUS_ERROR,
                 error=str(exc),
                 asset_id=command.asset_id,
             )
         else:
             self.stats.bump("requests_served")
             self.stats.bump("asset_commands_served")
-        return RelayEnvelope(
-            version=PROTOCOL_VERSION,
-            kind=MSG_KIND_ASSET_ACK,
-            request_id=envelope.request_id,
-            source_network=self.network_id,
-            destination_network=envelope.source_network,
-            payload=ack.encode(),
-            headers=reply_headers(),
-        ).encode()
+        return ack
 
     # -- source side: event subscriptions ----------------------------------------
 
-    def _event_ack(
-        self,
-        envelope: RelayEnvelope,
-        subscription_id: str,
-        status: int = STATUS_OK,
-        error: str = "",
-    ) -> bytes:
-        ack = EventAck(
+    @staticmethod
+    def _event_ack(subscription_id: str, status: int = STATUS_OK, error: str = "") -> EventAck:
+        return EventAck(
             version=PROTOCOL_VERSION,
             subscription_id=subscription_id,
             status=status,
             error=error,
         )
-        return RelayEnvelope(
-            version=PROTOCOL_VERSION,
-            kind=MSG_KIND_EVENT_ACK,
-            request_id=envelope.request_id,
-            source_network=self.network_id,
-            destination_network=envelope.source_network,
-            payload=ack.encode(),
-            headers=reply_headers(),
-        ).encode()
 
-    def _serve_event_subscribe(self, envelope: RelayEnvelope) -> bytes:
+    def _serve_event_subscribe(self, envelope: RelayEnvelope, request: EventSubscribeRequest) -> EventAck:
         """Open a subscription: ECC-gate it, tap the hub, record the feed.
 
         The ack carries the assigned subscription id; exposure denial comes
@@ -961,24 +872,7 @@ class RelayService:
         the subscriber can distinguish governance denial from transport
         failure.
         """
-        try:
-            request = EventSubscribeRequest.decode(envelope.payload)
-        except Exception as exc:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable subscription: {exc}", False
-            )
-        target = request.address.network if request.address else ""
-        driver = self._drivers.get(target)
-        if driver is None or not driver.supports_events:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id,
-                f"relay {self.relay_id!r} has no event-capable driver for "
-                f"network {target!r}",
-                False,
-                error_kind=ERROR_KIND_CAPABILITY,
-            )
+        driver = self._driver(request.address, "event")
         subscription_id = request.subscription_id or random_id("sub-")
         subscriber_network = envelope.source_network
         record = _ServedSubscription(
@@ -991,12 +885,7 @@ class RelayService:
         with self._subscriptions_lock:
             if subscription_id in self._served_subscriptions:
                 self.stats.bump("requests_failed")
-                return self._event_ack(
-                    envelope,
-                    "",
-                    status=STATUS_ERROR,
-                    error=f"subscription id {subscription_id!r} already in use",
-                )
+                return self._event_ack("", STATUS_ERROR, f"subscription id {subscription_id!r} already in use")
             self._served_subscriptions[subscription_id] = record
 
         def push(notification) -> None:
@@ -1004,16 +893,11 @@ class RelayService:
 
         try:
             record.tap = driver.open_event_tap(request, push)
-        except AccessDeniedError as exc:
-            self._release_claim(subscription_id, record)
-            self.stats.bump("requests_failed")
-            return self._event_ack(
-                envelope, "", status=STATUS_ACCESS_DENIED, error=str(exc)
-            )
         except Exception as exc:  # noqa: BLE001 - answered, not raised
             self._release_claim(subscription_id, record)
             self.stats.bump("requests_failed")
-            return self._event_ack(envelope, "", status=STATUS_ERROR, error=str(exc))
+            status = STATUS_ACCESS_DENIED if isinstance(exc, AccessDeniedError) else STATUS_ERROR
+            return self._event_ack("", status=status, error=str(exc))
         # A concurrent unsubscribe (a duplicated/reordered frame is part
         # of the threat model) may have popped our record while the tap
         # was opening — its pop found no tap to close, so WE must close
@@ -1023,16 +907,11 @@ class RelayService:
         if not still_ours:
             driver.close_event_tap(record.tap)
             self.stats.bump("requests_failed")
-            return self._event_ack(
-                envelope,
-                "",
-                status=STATUS_ERROR,
-                error=f"subscription {subscription_id!r} torn down concurrently",
-            )
+            return self._event_ack("", STATUS_ERROR, f"subscription {subscription_id!r} torn down concurrently")
         self._persist_subscription(subscription_id, subscriber_network, request)
         self.stats.bump("requests_served")
         self.stats.bump("subscriptions_served")
-        return self._event_ack(envelope, subscription_id)
+        return self._event_ack(subscription_id)
 
     def _persist_subscription(
         self,
@@ -1070,17 +949,10 @@ class RelayService:
             if self._served_subscriptions.get(subscription_id) is record:
                 del self._served_subscriptions[subscription_id]
 
-    def _serve_event_unsubscribe(self, envelope: RelayEnvelope) -> bytes:
-        try:
-            request = EventUnsubscribeRequest.decode(envelope.payload)
-        except Exception as exc:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable unsubscribe: {exc}", False
-            )
+    def _serve_event_unsubscribe(self, envelope: RelayEnvelope, request: EventUnsubscribeRequest) -> EventAck:
         self._drop_served_subscription(request.subscription_id)
         self.stats.bump("requests_served")
-        return self._event_ack(envelope, request.subscription_id)
+        return self._event_ack(request.subscription_id)
 
     def _drop_served_subscription(self, subscription_id: str) -> None:
         with self._subscriptions_lock:
@@ -1144,14 +1016,7 @@ class RelayService:
         with self._subscriptions_lock:
             self._event_sinks.pop(subscription_id, None)
 
-    def _serve_event_publish(self, envelope: RelayEnvelope) -> bytes:
-        try:
-            message = EventNotificationMsg.decode(envelope.payload)
-        except Exception as exc:
-            self.stats.bump("requests_failed")
-            return self._error_envelope(
-                envelope.request_id, f"undecodable notification: {exc}", False
-            )
+    def _serve_event_publish(self, envelope: RelayEnvelope, message: EventNotificationMsg) -> EventAck:
         with self._subscriptions_lock:
             sink = self._event_sinks.get(message.subscription_id)
         if sink is None:
@@ -1160,18 +1025,39 @@ class RelayService:
             # over to another relay of this network.
             self.stats.bump("requests_failed")
             return self._event_ack(
-                envelope,
                 message.subscription_id,
-                status=STATUS_ERROR,
-                error=(
-                    f"relay {self.relay_id!r} has no sink for subscription "
-                    f"{message.subscription_id!r}"
-                ),
+                STATUS_ERROR,
+                f"relay {self.relay_id!r} has no sink for subscription {message.subscription_id!r}",
             )
         sink(message)
         self.stats.bump("requests_served")
         self.stats.bump("events_delivered")
-        return self._event_ack(envelope, message.subscription_id)
+        return self._event_ack(message.subscription_id)
+
+    # -- the serve table ------------------------------------------------------------
+
+    #: Every request kind this relay serves, keyed by ``MSG_KIND_*``:
+    #: payload type, the noun "undecodable …" errors use, reply kind,
+    #: handler. REP301 (``python -m repro.analysis``) checks that every
+    #: request kind of the wire-kind registry is a key here.
+    _SERVE_TABLE: dict[int, _ServeRow] = {
+        MSG_KIND_QUERY_REQUEST: _ServeRow(NetworkQuery, "query", MSG_KIND_QUERY_RESPONSE, _serve_query),
+        MSG_KIND_BATCH_REQUEST: _ServeRow(BatchQueryRequest, "batch", MSG_KIND_BATCH_RESPONSE, _serve_batch),
+        MSG_KIND_TRANSACT_REQUEST: _ServeRow(NetworkQuery, "transaction", MSG_KIND_TRANSACT_RESPONSE, _serve_transact),
+        MSG_KIND_EVENT_SUBSCRIBE: _ServeRow(
+            EventSubscribeRequest, "subscription", MSG_KIND_EVENT_ACK, _serve_event_subscribe
+        ),
+        MSG_KIND_EVENT_PUBLISH: _ServeRow(
+            EventNotificationMsg, "notification", MSG_KIND_EVENT_ACK, _serve_event_publish
+        ),
+        MSG_KIND_EVENT_UNSUBSCRIBE: _ServeRow(
+            EventUnsubscribeRequest, "unsubscribe", MSG_KIND_EVENT_ACK, _serve_event_unsubscribe
+        ),
+        MSG_KIND_ASSET_LOCK: _ServeRow(AssetCommandMsg, "asset command", MSG_KIND_ASSET_ACK, _serve_asset),
+        MSG_KIND_ASSET_CLAIM: _ServeRow(AssetCommandMsg, "asset command", MSG_KIND_ASSET_ACK, _serve_asset),
+        MSG_KIND_ASSET_UNLOCK: _ServeRow(AssetCommandMsg, "asset command", MSG_KIND_ASSET_ACK, _serve_asset),
+        MSG_KIND_ASSET_STATUS: _ServeRow(AssetCommandMsg, "asset command", MSG_KIND_ASSET_ACK, _serve_asset),
+    }
 
     # -- destination side: query remote networks -----------------------------------
 

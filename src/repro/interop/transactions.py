@@ -20,6 +20,11 @@ attestation proofs — with two differences:
 Exposure control uses the same ``<network, org, chaincode, function>``
 rules — a governance decision must whitelist each remotely-invokable
 function, exactly as for queries.
+
+This module holds the client half and the Fabric exposure gate; on
+Fabric the source half is the network's own driver
+(:meth:`~repro.interop.drivers.fabric_driver.FabricDriver.execute_transaction`),
+granted the capability by :func:`enable_remote_transactions`.
 """
 
 from __future__ import annotations
@@ -27,34 +32,26 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.errors import AccessDeniedError, ProofError, RelayError, ReproError
+from repro.errors import AccessDeniedError, ProofError, RelayError
 from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
 from repro.interop.client import InteropClient
-from repro.interop.drivers.base import NetworkDriver
 from repro.interop.policy import parse_verification_policy
-from repro.interop.proofs import AttestationProofScheme, decrypt_attestation, seal_result
+from repro.interop.proofs import decrypt_attestation
 from repro.crypto.certs import Certificate, validate_chain
-from repro.crypto.keys import PublicKey
 from repro.proto.address import CrossNetworkAddress, parse_address
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     PROTOCOL_VERSION,
     STATUS_OK,
-    Attestation,
     AuthInfo,
     NetworkAddressMsg,
     NetworkQuery,
     QueryResponse,
     VerificationPolicyMsg,
 )
-from repro.utils.encoding import canonical_json, from_canonical_json
+from repro.utils.encoding import from_canonical_json
 from repro.utils.ids import random_id
-
-from repro.proto.messages import INVOCATION_TRANSACTION
-
-# Legacy alias: the invocation discriminator now lives on the wire
-# (NetworkQuery.invocation) so batch envelopes can mix members.
-INVOKE_TRANSACTION = INVOCATION_TRANSACTION
 
 
 @dataclass
@@ -125,124 +122,6 @@ def check_remote_invocation_exposure(
             f"of {auth.requesting_network!r}"
         )
     validate_chain(creator, [root])
-
-
-class FabricTransactionDriver(NetworkDriver):
-    """Source-side driver for remote *transactions* on a Fabric network.
-
-    Deployed alongside the query driver under the same relay. The
-    ``invoker`` identity is the network's designated local submitter for
-    remote requests (a governance choice, like the exposure rules).
-    """
-
-    platform = "fabric"
-    supports_transactions = True
-    #: Transactions in one batch commit sequentially: concurrent submission
-    #: would race MVCC validation for overlapping keys, and envelope-level
-    #: ordering is part of the batch contract.
-    batch_concurrency = 1
-
-    def __init__(self, network: FabricNetwork, invoker: Identity) -> None:
-        super().__init__(network.name + "#tx")
-        self._network = network
-        self._invoker = invoker
-        self._scheme = AttestationProofScheme()
-
-    def _check_exposure(self, query: NetworkQuery, address: CrossNetworkAddress) -> None:
-        """Remote transactions pass the same ECC gate as remote queries."""
-        check_remote_invocation_exposure(
-            self._network, self._invoker, query.auth, address.contract, address.function
-        )
-
-    def execute_query(self, query: NetworkQuery) -> QueryResponse:
-        """Legacy route: ``MSG_KIND_QUERY_REQUEST`` to the ``#tx``
-        pseudo-network executes the transaction (pre-gateway wire shape)."""
-        return self.execute_transaction(query)
-
-    def execute_transaction(self, query: NetworkQuery) -> QueryResponse:
-        address_msg = query.address
-        if address_msg is None:
-            return self._error(query, "transaction request has no address")
-        address = CrossNetworkAddress(
-            network=address_msg.network.removesuffix("#tx"),
-            ledger=address_msg.ledger,
-            contract=address_msg.contract,
-            function=address_msg.function,
-        )
-        try:
-            policy = parse_verification_policy(query.policy.expression)
-        except (ReproError, AttributeError) as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
-        try:
-            self._check_exposure(query, address)
-        except AccessDeniedError as exc:
-            return self._denied(query, str(exc))
-        except ReproError as exc:
-            return self._error(query, str(exc))
-
-        try:
-            submit = self._network.gateway.submit(
-                self._invoker, address.contract, address.function, list(query.args)
-            )
-        except ReproError as exc:
-            return self._error(query, f"source transaction failed: {exc}")
-        if not submit.committed:
-            return self._error(
-                query,
-                f"source transaction invalidated: {submit.validation_code.value}",
-            )
-
-        # Attest the committed outcome under the verification policy.
-        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query, f"policy {policy.expression()} unsatisfiable on this network"
-            )
-        client_key = (
-            PublicKey.from_bytes(query.auth.public_key) if query.confidential else None
-        )
-        outcome = canonical_json(
-            {
-                "result": submit.result.hex(),
-                "tx_id": submit.tx_id,
-                "block_number": submit.block_number,
-                "validation_code": submit.validation_code.value,
-            }
-        )
-        envelope = seal_result(outcome, client_key, query.confidential)
-        attestations: list[Attestation] = []
-        for org, peer_id in selection:
-            peer = self._network.peer(peer_id)
-            # Each attesting peer confirms the tx is on ITS ledger replica.
-            if not peer.ledger.contains_tx(submit.tx_id):
-                return self._error(
-                    query, f"peer {peer_id!r} has not committed {submit.tx_id!r}"
-                )
-            attestations.append(
-                self._scheme.generate_attestation(
-                    peer_identity=peer.identity,
-                    network=self._network.name,
-                    address=address,
-                    args=list(query.args),
-                    nonce=query.nonce,
-                    result_envelope=envelope,
-                    client_key=client_key,
-                    confidential=query.confidential,
-                    timestamp=self._network.clock.now(),
-                )
-            )
-        response = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response.result_cipher = envelope
-        else:
-            response.result_plain = envelope
-        return response
 
 
 @dataclass
@@ -402,17 +281,7 @@ class RemoteTransactionClient:
         return self.finalize_transaction(prepared, response)
 
 
-def enable_remote_transactions(
-    network: FabricNetwork, relay, invoker: Identity, discovery=None
-) -> None:
-    """Attach a transaction driver for ``network`` to its relay.
-
-    The driver answers to the pseudo-network ``<name>#tx`` so queries and
-    transactions route independently; with an in-memory ``discovery`` the
-    relay is registered under that name too.
-    """
-    relay.register_driver(FabricTransactionDriver(network, invoker))
-    from repro.interop.discovery import InMemoryRegistry
-
-    if discovery is not None and isinstance(discovery, InMemoryRegistry):
-        discovery.register(network.name + "#tx", relay)
+def enable_remote_transactions(network: FabricNetwork, relay, invoker: Identity) -> None:
+    """Grant the transaction capability to ``network``'s driver on ``relay``,
+    with ``invoker`` as the local submitter for remote requests."""
+    relay.driver_for(network.name).enable_transactions(invoker)

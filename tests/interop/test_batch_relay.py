@@ -11,7 +11,7 @@ from repro.errors import (
 )
 from repro.interop.discovery import InMemoryRegistry
 from repro.interop.drivers.base import NetworkDriver
-from repro.interop.relay import RateLimiter, RelayService
+from repro.interop.relay import RateLimiter, RateLimitInterceptor, RelayService
 from repro.proto.messages import (
     MSG_KIND_BATCH_REQUEST,
     MSG_KIND_BATCH_RESPONSE,
@@ -221,8 +221,8 @@ class TestFailover:
         """A shed (retryable) reply advances to the next relay."""
         clock = SimulatedClock()
         registry = InMemoryRegistry()
-        limited = RelayService(
-            "stl", registry, rate_limiter=RateLimiter(1, 10.0, clock=clock)
+        limited = RelayService("stl", registry).use(
+            RateLimitInterceptor(RateLimiter(1, 10.0, clock=clock))
         )
         limited.register_driver(EchoDriver("stl"))
         registry.register("stl", limited)
@@ -301,8 +301,8 @@ class TestFailover:
     def test_batch_rate_limited_shed_carries_request_id_and_fails_over(self):
         clock = SimulatedClock()
         registry = InMemoryRegistry()
-        limited = RelayService(
-            "stl", registry, rate_limiter=RateLimiter(1, 10.0, clock=clock)
+        limited = RelayService("stl", registry).use(
+            RateLimitInterceptor(RateLimiter(1, 10.0, clock=clock))
         )
         limited.register_driver(EchoDriver("stl"))
         registry.register("stl", limited)

@@ -21,9 +21,7 @@ def tx_scenario(trade_scenario):
     """Trade scenario with remote transactions enabled on STL."""
     scenario = trade_scenario
     invoker = scenario.stl.org("seller-org").enroll("interop-invoker", role="client")
-    enable_remote_transactions(
-        scenario.stl, scenario.stl_relay, invoker, discovery=scenario.discovery
-    )
+    enable_remote_transactions(scenario.stl, scenario.stl_relay, invoker)
     admin = scenario.stl.org("seller-org").member("admin")
     # Expose CreateShipment for remote invocation by SWT's seller org.
     scenario.stl.gateway.submit(

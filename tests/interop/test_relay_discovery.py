@@ -12,7 +12,7 @@ from repro.errors import (
     RelayUnavailableError,
 )
 from repro.interop.discovery import AddressResolver, FileRegistry, InMemoryRegistry
-from repro.interop.relay import RateLimiter, RelayService
+from repro.interop.relay import RateLimiter, RateLimitInterceptor, RelayService
 from repro.proto.messages import (
     MSG_KIND_ERROR,
     MSG_KIND_QUERY_REQUEST,
@@ -282,8 +282,8 @@ class TestRelayErrorHandling:
     def test_rate_limited_relay_shed_is_retryable(self):
         clock = SimulatedClock()
         registry = InMemoryRegistry()
-        limited = RelayService(
-            "stl", registry, rate_limiter=RateLimiter(1, 10.0, clock=clock)
+        limited = RelayService("stl", registry).use(
+            RateLimitInterceptor(RateLimiter(1, 10.0, clock=clock))
         )
         registry.register("stl", limited)
         # exhaust the budget

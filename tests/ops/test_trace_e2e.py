@@ -24,7 +24,7 @@ from repro.interop.client import InteropClient
 from repro.interop.contracts.ecc import ECC_NAME
 from repro.interop.discovery import InMemoryRegistry
 from repro.interop.drivers.fabric_driver import INTEROP_TRANSIENT_KEY
-from repro.interop.relay import RateLimiter, RelayService
+from repro.interop.relay import RateLimiter, RateLimitInterceptor, RelayService
 from repro.net import RelayServer
 from repro.ops.logging import capture_logs
 from repro.ops.trace import (
@@ -239,8 +239,8 @@ class TestTracePropagation:
 
     def test_rate_limit_shed_carries_the_callers_trace_id(self):
         registry = InMemoryRegistry()
-        relay = RelayService(
-            "shednet", registry, rate_limiter=RateLimiter(1, 3600.0)
+        relay = RelayService("shednet", registry).use(
+            RateLimitInterceptor(RateLimiter(1, 3600.0))
         )
         with RelayServer(relay, max_workers=2) as server:
             endpoint = server.endpoint(timeout=10.0)
