@@ -57,10 +57,11 @@ def make_interop_endorsement_plugin(network_id: str):
     """Build the custom endorsement logic of §4.3.
 
     Replaces the normal endorsement signature for relay queries: the peer
-    signs proof metadata (including the sealed result) and then encrypts
-    the signed metadata with the requesting client's public key, so that a
-    malicious relay can neither read nor exfiltrate a verifiable proof.
-    The returned bytes are a serialized :class:`repro.proto.Attestation`.
+    signs proof metadata (binding the hash of the result its chaincode
+    sealed) and then encrypts the signed metadata with the requesting
+    client's public key, so that a malicious relay can neither read nor
+    exfiltrate a verifiable proof. The returned bytes are a serialized
+    :class:`repro.proto.Attestation`.
     """
     scheme = AttestationProofScheme()
 

@@ -25,8 +25,9 @@ from repro.fabric.identity import Identity
 from repro.interop.contracts.cmdac import CMDAC_NAME
 from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import (
-    AttestationProofScheme,
     ProofBundle,
+    attested_data_hash,
+    check_attested_query,
     decrypt_attestation,
     unseal_result,
 )
@@ -121,7 +122,6 @@ class InteropClient:
         self._relay = relay
         self._network_id = network_id
         self._gateway = gateway
-        self._scheme = AttestationProofScheme()
 
     @property
     def identity(self) -> Identity:
@@ -346,32 +346,31 @@ class InteropClient:
         This cannot replace the consensual CMDAC validation — the client
         has no ledger-recorded org roots, so it checks internal consistency
         against the certificates embedded in the proof — but it fails fast
-        before a doomed transaction is submitted.
+        before a doomed transaction is submitted. Each attestation must
+        attest to the query this client prepared (network, address, args,
+        nonce) and to the digest of the data it decrypted.
         """
         if not bundle.attestations:
             raise ProofError("response proof is empty")
-        from repro.crypto.ecdsa import Signature, verify as verify_sig
-
         data_hash = sha256(data).hex()
         attesters = []
         for position, attestation in enumerate(bundle.attestations):
+            label = f"attestation[{position}]"
             metadata = attestation.metadata()
-            certificate = attestation.decoded_certificate()
-            if not verify_sig(
-                certificate.public_key,
-                attestation.metadata_bytes,
-                Signature.from_bytes(attestation.signature),
-            ):
-                raise ProofError(f"attestation[{position}]: bad signature")
-            if metadata.nonce != nonce:
-                raise ProofError(f"attestation[{position}]: nonce mismatch")
-            from repro.interop.proofs import envelope_plaintext_hash
-
-            if envelope_plaintext_hash(metadata.result) != data_hash:
+            check_attested_query(
+                label,
+                metadata,
+                network=address.network,
+                address=address,
+                args=args,
+                nonce=nonce,
+            )
+            if attested_data_hash(metadata) != data_hash:
                 raise ProofError(
-                    f"attestation[{position}]: attested hash does not cover the "
-                    f"decrypted data"
+                    f"{label}: attested hash does not cover the decrypted data"
                 )
+            if not attestation.signed_by(attestation.decoded_certificate().public_key):
+                raise ProofError(f"{label}: bad signature")
             attesters.append((metadata.org, metadata.peer_id))
         if not parsed_policy.satisfied_by(attesters):
             raise ProofError(

@@ -8,12 +8,35 @@ after the requesting client decrypts the metadata, anyone holding the
 source network's recorded configuration can validate the signatures —
 which is exactly what the destination's Data Acceptance contract does.
 
-Result confidentiality uses a *seal envelope*: canonical JSON carrying the
-SHA-256 hash of the plaintext plus either the ECIES ciphertext
-(confidential mode) or the plaintext itself. Because the envelope — hash
-included — is embedded in the signed metadata, the proof binds the
-plaintext data to the source network's consensus view even though peers
-encrypted their responses.
+**What a signature covers (proof format 2).** A peer signs the encoded
+:class:`~repro.proto.messages.ProofMetadata`: the query it answered
+(network, address, args, nonce), its own identity (org, peer id), a
+timestamp, and ``data_hash``, the SHA-256 of the plaintext result. The
+signature covers the result's digest, not the result, so metadata stays
+a few hundred bytes however large the result is. On a transaction the
+plaintext is the sealed outcome (result, tx id, block number,
+validation code), so the digest covers the commit coordinates too.
+
+**The result travels once,** in ``QueryResponse.result_cipher`` /
+``result_plain``, as a *seal envelope* of bytes: a version byte
+(:data:`ENVELOPE_VERSION`), a mode byte (plain or cipher), the 32-byte
+``data_hash``, then the raw ECIES box (confidential mode) or the
+plaintext. The hash inside the envelope only lets the opener check what
+it decrypted; trust comes from the signed ``data_hash`` in every
+attestation, which the opened plaintext must equal.
+
+**Deviation from §4.3.** The paper has every peer return its own
+encrypted result. Here each selected peer still seals the result (the
+chaincode calls ECC ``SealResponse`` on every endorser), but the reply
+carries one envelope: all peers attest to the same digest, so one copy
+lets the client check every attestation.
+
+**Format 1,** written before this one, embedded a JSON seal envelope
+(ciphertext in hex) in each peer's metadata as ``result`` beside its
+hash ``result_hash``. Such bundles sit on destination ledgers and in
+relay idempotency records. :func:`attested_data_hash` is the one reader
+of "what did this peer attest to" and the one translation from format 1;
+:func:`unseal_result` opens both envelope versions.
 
 The architecture "allows any suitable proof scheme to be plugged in" (§6);
 :class:`ProofScheme` is that plug point and
@@ -32,17 +55,34 @@ from repro.crypto.ecdsa import Signature, verify
 from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import PrivateKey, PublicKey
-from repro.errors import DecryptionError, ProofError
+from repro.errors import DecodeError, DecryptionError, InvalidSignatureError, ProofError
 from repro.fabric.identity import Identity
 from repro.interop.policy import Attester, VerificationPolicy
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import Attestation, NetworkAddressMsg, ProofMetadata
-from repro.utils.encoding import canonical_json, from_canonical_json
+from repro.utils.encoding import from_canonical_json
 
 
 # ---------------------------------------------------------------------------
 # Seal envelopes (result channel)
 # ---------------------------------------------------------------------------
+
+#: First byte of a format-2 seal envelope. A format-1 envelope is
+#: canonical JSON, so its first byte is ``{``.
+ENVELOPE_VERSION = 2
+_MODE_PLAIN = 0
+_MODE_CIPHER = 1
+_HASH_BYTES = 32
+_HEADER_BYTES = 2 + _HASH_BYTES
+
+
+@dataclass(frozen=True)
+class _Sealed:
+    """A parsed seal envelope of either version."""
+
+    data_hash: bytes
+    payload: bytes  # the ECIES box if ``confidential``, else the plaintext
+    confidential: bool
 
 
 def seal_result(
@@ -57,52 +97,134 @@ def seal_result(
     either way the envelope carries the plaintext hash that the signed
     metadata will bind to.
     """
-    envelope: dict[str, str] = {"hash": sha256(plaintext).hex()}
     if confidential:
         if client_key is None:
             raise ProofError("confidential responses require the client public key")
-        envelope["cipher"] = ecies_encrypt(client_key, plaintext).hex()
+        mode, payload = _MODE_CIPHER, ecies_encrypt(client_key, plaintext)
     else:
-        envelope["plain"] = plaintext.hex()
-    return canonical_json(envelope)
+        mode, payload = _MODE_PLAIN, plaintext
+    return b"".join((bytes((ENVELOPE_VERSION, mode)), sha256(plaintext), payload))
 
 
 def unseal_result(envelope_bytes: bytes, client_key: PrivateKey | None = None) -> bytes:
-    """Recover and integrity-check the plaintext from a seal envelope."""
-    envelope = _parse_envelope(envelope_bytes)
-    try:
-        if "cipher" in envelope:
-            if client_key is None:
-                raise ProofError(
-                    "envelope is confidential but no private key was supplied"
-                )
-            plaintext = ecies_decrypt(client_key, bytes.fromhex(envelope["cipher"]))
-        elif "plain" in envelope:
-            plaintext = bytes.fromhex(envelope["plain"])
-        else:
-            raise ProofError("seal envelope carries neither cipher nor plain payload")
-    except (ValueError, DecryptionError) as exc:
-        raise ProofError(
-            f"seal envelope payload is corrupt or undecryptable: {exc}"
-        ) from exc
-    if sha256(plaintext).hex() != envelope.get("hash"):
+    """Recover and integrity-check the plaintext from a seal envelope of
+    either version. Raises :class:`ProofError` and nothing else."""
+    sealed = _read_envelope(envelope_bytes)
+    if sealed.confidential:
+        if client_key is None:
+            raise ProofError("envelope is confidential but no private key was supplied")
+        try:
+            plaintext = ecies_decrypt(client_key, sealed.payload)
+        except (ValueError, DecryptionError) as exc:
+            raise ProofError(
+                f"seal envelope payload is corrupt or undecryptable: {exc}"
+            ) from exc
+    else:
+        plaintext = sealed.payload
+    if sha256(plaintext) != sealed.data_hash:
         raise ProofError("seal envelope hash does not match its payload")
     return plaintext
 
 
 def envelope_plaintext_hash(envelope_bytes: bytes) -> str:
     """Extract the plaintext hash a seal envelope commits to (hex)."""
-    return _parse_envelope(envelope_bytes)["hash"]
+    return _read_envelope(envelope_bytes).data_hash.hex()
 
 
-def _parse_envelope(envelope_bytes: bytes) -> dict:
+def _read_envelope(envelope_bytes: bytes) -> _Sealed:
+    if envelope_bytes[:1] == b"{":
+        return _read_v1_envelope(envelope_bytes)
+    if len(envelope_bytes) < _HEADER_BYTES or envelope_bytes[0] != ENVELOPE_VERSION:
+        raise ProofError(
+            "malformed seal envelope: unknown version or a header shorter "
+            f"than {_HEADER_BYTES} bytes"
+        )
+    mode = envelope_bytes[1]
+    if mode not in (_MODE_PLAIN, _MODE_CIPHER):
+        raise ProofError(f"malformed seal envelope: unknown mode {mode}")
+    return _Sealed(
+        data_hash=bytes(envelope_bytes[2:_HEADER_BYTES]),
+        payload=bytes(envelope_bytes[_HEADER_BYTES:]),
+        confidential=mode == _MODE_CIPHER,
+    )
+
+
+def _read_v1_envelope(envelope_bytes: bytes) -> _Sealed:
+    """Format 1: canonical JSON ``{"hash": hex, "cipher" | "plain": hex}``."""
     try:
         envelope = from_canonical_json(envelope_bytes)
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProofError(f"malformed seal envelope: {exc}") from exc
-    if not isinstance(envelope, dict) or "hash" not in envelope:
-        raise ProofError("seal envelope must be an object with a 'hash' field")
-    return envelope
+        data_hash = bytes.fromhex(envelope["hash"])
+        if "cipher" in envelope:
+            return _Sealed(data_hash, bytes.fromhex(envelope["cipher"]), True)
+        return _Sealed(data_hash, bytes.fromhex(envelope["plain"]), False)
+    except (ValueError, TypeError, KeyError, RecursionError) as exc:
+        raise ProofError(f"malformed seal envelope: {exc!r}") from exc
+
+
+# ---------------------------------------------------------------------------
+# What a peer attested to
+# ---------------------------------------------------------------------------
+
+
+def attested_data_hash(metadata: ProofMetadata) -> str:
+    """The plaintext hash (hex) a peer's signed metadata commits to.
+
+    Every check of "does this attestation cover this data" reads it here.
+    Format 2 metadata carries it as ``data_hash``. Format 1 metadata
+    embedded the seal envelope as ``result`` with its SHA-256 as
+    ``result_hash``; the two must agree, and the answer is the hash inside
+    that envelope. Raises :class:`ProofError` and nothing else.
+    """
+    if metadata.data_hash:
+        if metadata.result or metadata.result_hash:
+            raise ProofError("metadata mixes a data hash with an embedded result")
+        if len(metadata.data_hash) != _HASH_BYTES:
+            raise ProofError(
+                f"attested data hash is {len(metadata.data_hash)} bytes, "
+                f"expected {_HASH_BYTES}"
+            )
+        return metadata.data_hash.hex()
+    if not metadata.result:
+        raise ProofError("metadata attests no data hash")
+    if sha256(metadata.result) != metadata.result_hash:
+        raise ProofError("result hash does not match embedded result")
+    return envelope_plaintext_hash(metadata.result)
+
+
+def check_attested_query(
+    label: str,
+    metadata: ProofMetadata,
+    *,
+    network: str,
+    address: CrossNetworkAddress,
+    args: Sequence[str],
+    nonce: str,
+) -> None:
+    """Raise :class:`ProofError` unless ``metadata`` attests exactly this
+    query: the same source network, address, arguments and nonce.
+
+    The destination contract and the requesting client both run it, so a
+    relay that rewrites the request and keeps the nonce is caught by
+    either.
+    """
+    if metadata.network != network:
+        raise ProofError(
+            f"{label}: attests network {metadata.network!r}, expected {network!r}"
+        )
+    attested = metadata.address
+    if attested is None or (
+        attested.network,
+        attested.ledger,
+        attested.contract,
+        attested.function,
+    ) != (address.network, address.ledger, address.contract, address.function):
+        raise ProofError(f"{label}: attested address does not match the query")
+    if list(metadata.args) != list(args):
+        raise ProofError(f"{label}: attested arguments do not match the query")
+    if metadata.nonce != nonce:
+        raise ProofError(
+            f"{label}: attested nonce {metadata.nonce!r} does not match {nonce!r}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +241,10 @@ class SignedAttestation:
     certificate: bytes
 
     def metadata(self) -> ProofMetadata:
-        return ProofMetadata.decode(self.metadata_bytes)
+        try:
+            return ProofMetadata.decode(self.metadata_bytes)
+        except DecodeError as exc:
+            raise ProofError(f"undecodable attestation metadata: {exc}") from exc
 
     def decoded_certificate(self) -> Certificate:
         return Certificate.from_bytes(self.certificate)
@@ -127,6 +252,14 @@ class SignedAttestation:
     def attester(self) -> Attester:
         meta = self.metadata()
         return (meta.org, meta.peer_id)
+
+    def signed_by(self, public_key: PublicKey) -> bool:
+        """True iff ``signature`` signs ``metadata_bytes`` under ``public_key``."""
+        try:
+            signature = Signature.from_bytes(self.signature)
+        except InvalidSignatureError:
+            return False
+        return verify(public_key, self.metadata_bytes, signature)
 
     def to_dict(self) -> dict:
         return {
@@ -143,7 +276,7 @@ class SignedAttestation:
                 signature=bytes.fromhex(data["signature"]),
                 certificate=bytes.fromhex(data["certificate"]),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError, TypeError) as exc:
             raise ProofError(f"malformed attestation record: {exc}") from exc
 
 
@@ -164,7 +297,7 @@ class ProofBundle:
     def from_json(cls, text: str) -> "ProofBundle":
         try:
             records = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, TypeError, RecursionError) as exc:
             raise ProofError(f"proof bundle is not valid JSON: {exc}") from exc
         if not isinstance(records, list):
             raise ProofError("proof bundle must be a JSON array")
@@ -238,6 +371,8 @@ class AttestationProofScheme(ProofScheme):
         result_envelope: bytes,
         timestamp: float,
     ) -> ProofMetadata:
+        """The metadata a peer signs: the query, the peer, and the hash of
+        the plaintext that ``result_envelope`` seals (never the envelope)."""
         return ProofMetadata(
             address=NetworkAddressMsg(
                 network=address.network,
@@ -247,12 +382,11 @@ class AttestationProofScheme(ProofScheme):
             ),
             args=list(args),
             nonce=nonce,
-            result_hash=sha256(result_envelope),
             peer_id=peer_identity.id,
             org=peer_identity.org,
             network=network,
             timestamp=timestamp,
-            result=result_envelope,
+            data_hash=_read_envelope(result_envelope).data_hash,
         )
 
     def generate_attestation(
@@ -357,54 +491,31 @@ class AttestationProofScheme(ProofScheme):
             )
         try:
             metadata = attestation.metadata()
-        except Exception as exc:
+        except ProofError as exc:
             raise ProofError(f"{label}: unparseable metadata: {exc}") from exc
-        if metadata.network != expected_network:
-            raise ProofError(
-                f"{label}: attests network {metadata.network!r}, expected "
-                f"{expected_network!r}"
-            )
         if metadata.org != org_id:
             raise ProofError(
                 f"{label}: metadata org {metadata.org!r} does not match "
                 f"certificate org {org_id!r}"
             )
-        address = metadata.address
-        if address is None or (
-            address.network,
-            address.ledger,
-            address.contract,
-            address.function,
-        ) != (
-            expected_address.network,
-            expected_address.ledger,
-            expected_address.contract,
-            expected_address.function,
-        ):
-            raise ProofError(f"{label}: attested address does not match the query")
-        if list(metadata.args) != list(expected_args):
-            raise ProofError(f"{label}: attested arguments do not match the query")
-        if metadata.nonce != expected_nonce:
-            raise ProofError(
-                f"{label}: attested nonce {metadata.nonce!r} does not match "
-                f"{expected_nonce!r}"
-            )
-        if sha256(metadata.result).hex() != metadata.result_hash.hex():
-            raise ProofError(f"{label}: result hash does not match embedded result")
+        check_attested_query(
+            label,
+            metadata,
+            network=expected_network,
+            address=expected_address,
+            args=expected_args,
+            nonce=expected_nonce,
+        )
         try:
-            inner_hash = envelope_plaintext_hash(metadata.result)
+            data_hash = attested_data_hash(metadata)
         except ProofError as exc:
             raise ProofError(f"{label}: {exc}") from exc
-        if inner_hash != expected_data_hash:
+        if data_hash != expected_data_hash:
             raise ProofError(
-                f"{label}: attested data hash {inner_hash} does not match the "
+                f"{label}: attested data hash {data_hash} does not match the "
                 f"transaction data hash {expected_data_hash}"
             )
-        if not verify(
-            certificate.public_key,
-            attestation.metadata_bytes,
-            Signature.from_bytes(attestation.signature),
-        ):
+        if not attestation.signed_by(certificate.public_key):
             raise ProofError(f"{label}: signature verification failed")
         return (metadata.org, metadata.peer_id)
 

@@ -12,10 +12,11 @@ attestation proofs — with two differences:
 1. the source driver routes the request through the source network's
    normal endorse-order-commit pipeline (under a dedicated local *invoker*
    identity, since the foreign client is not a source-network member), and
-2. the returned attestations cover the *committed* outcome: the metadata
-   embeds the transaction id, block number and validation code alongside
-   the result, so the destination can verify that the update really
-   entered the source ledger.
+2. the returned attestations cover the *committed* outcome: the sealed
+   result holds the transaction id, block number and validation code
+   beside the function's return value, and each peer's signed metadata
+   carries that outcome's digest, so the destination can verify that the
+   update really entered the source ledger.
 
 Exposure control uses the same ``<network, org, chaincode, function>``
 rules — a governance decision must whitelist each remotely-invokable
@@ -37,8 +38,14 @@ from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
 from repro.interop.client import InteropClient
 from repro.interop.policy import parse_verification_policy
-from repro.interop.proofs import decrypt_attestation
+from repro.interop.proofs import (
+    attested_data_hash,
+    check_attested_query,
+    decrypt_attestation,
+    unseal_result,
+)
 from repro.crypto.certs import Certificate, validate_chain
+from repro.crypto.hashing import sha256
 from repro.proto.address import CrossNetworkAddress, parse_address
 from repro.proto.messages import (
     INVOCATION_TRANSACTION,
@@ -217,13 +224,14 @@ class RemoteTransactionClient:
     def finalize_transaction(
         self, prepared: PreparedTransaction, response: QueryResponse
     ) -> RemoteTransactionResult:
-        """Decrypt and verify one transaction reply.
+        """Decrypt and check one transaction reply.
 
         Checks that the source committed the transaction (validation code),
-        that every attestation binds to this request's nonce, and that the
-        attesting organizations satisfy the verification policy.
+        that every attestation attests to this request (network, address,
+        args, nonce) and to the digest of the sealed outcome, and that the
+        attesting organizations satisfy the verification policy. It does
+        not yet verify the attestation signatures (ROADMAP item 1).
         """
-        from repro.interop.proofs import unseal_result
         from repro.proto.messages import STATUS_ACCESS_DENIED
 
         identity = self._client.identity
@@ -242,14 +250,26 @@ class RemoteTransactionClient:
                 f"source network reports the transaction as "
                 f"{outcome.get('validation_code')!r}"
             )
+        outcome_hash = sha256(outcome_bytes).hex()
         attesting_orgs = []
-        for attestation in response.attestations:
+        for position, attestation in enumerate(response.attestations):
+            label = f"transaction attestation[{position}]"
             signed = decrypt_attestation(
                 attestation, identity.keypair.private if confidential else None
             )
             metadata = signed.metadata()
-            if metadata.nonce != prepared.nonce:
-                raise ProofError("attestation nonce mismatch on remote transaction")
+            check_attested_query(
+                label,
+                metadata,
+                network=prepared.address.network,
+                address=prepared.address,
+                args=prepared.args,
+                nonce=prepared.nonce,
+            )
+            if attested_data_hash(metadata) != outcome_hash:
+                raise ProofError(
+                    f"{label}: attested hash does not cover the sealed outcome"
+                )
             attesting_orgs.append(metadata.org)
         if not parse_verification_policy(prepared.policy_expression).satisfied_by(
             [(org, f"?.{org}") for org in attesting_orgs]

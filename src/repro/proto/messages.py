@@ -8,7 +8,9 @@ along with a proof satisfying that policy.
 
 Proofs follow §4.3: each source peer contributes an
 ``<encrypted result, encrypted metadata, signature>`` triple; the array of
-``<encrypted metadata, signature>`` pairs constitutes the proof.
+``<encrypted metadata, signature>`` pairs constitutes the proof. The
+signed metadata carries the result's digest, and the reply carries the
+encrypted result once (see :mod:`repro.interop.proofs`).
 """
 
 from __future__ import annotations
@@ -199,20 +201,28 @@ class NetworkQuery(Message):
 class ProofMetadata(Message):
     """The metadata a source peer signs over a query result (§4.3).
 
-    Binds together the query (address + args + nonce), the result hash and
-    the responding peer's identity, so a signature over the encoded
-    metadata attests "this peer executed this query and got this result".
+    Binds together the query (address + args + nonce), the SHA-256 of the
+    plaintext result (``data_hash``) and the responding peer's identity, so
+    a signature over the encoded metadata attests "this peer executed this
+    query and got the result with this digest". The result itself is not
+    here: it travels once, sealed, in the :class:`QueryResponse`.
+
+    ``result_hash`` and ``result`` belong to proof format 1, which embedded
+    the whole seal envelope and its hash. Nothing writes them now; they
+    stay in the schema so that stored format-1 bundles still decode, and
+    only :func:`repro.interop.proofs.attested_data_hash` reads them.
     """
 
     address = MessageField(1, NetworkAddressMsg)
     args = RepeatedStringField(2)
     nonce = StringField(3)
-    result_hash = BytesField(4)
+    result_hash = BytesField(4)  # format 1 only
     peer_id = StringField(5)
     org = StringField(6)
     network = StringField(7)
     timestamp = DoubleField(8)
-    result = BytesField(9)  # included so the proof is self-contained (§4.3)
+    result = BytesField(9)  # format 1 only
+    data_hash = BytesField(10)
 
 
 class Attestation(Message):
@@ -238,9 +248,11 @@ class Attestation(Message):
 class QueryResponse(Message):
     """A cross-network query response (message-flow step 8).
 
-    ``result_cipher`` is the query result encrypted with the requesting
-    client's public key; ``attestations`` is the proof. Errors carry a
-    status code plus human-readable detail.
+    ``result_cipher`` is the seal envelope holding the query result
+    encrypted with the requesting client's public key (``result_plain``
+    holds it unencrypted when confidentiality is off); it is the only copy
+    of the result in the reply. ``attestations`` is the proof. Errors
+    carry a status code plus human-readable detail.
     """
 
     version = UintField(1)

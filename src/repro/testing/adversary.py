@@ -36,6 +36,7 @@ from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import (
     AttestationProofScheme,
     ProofBundle,
+    attested_data_hash,
     decrypt_attestation,
 )
 from repro.proto.messages import (
@@ -189,7 +190,6 @@ class EavesdroppingRelay:
                 metadata = attestations[0].metadata()
                 address_msg = metadata.address
                 from repro.proto.address import CrossNetworkAddress
-                from repro.interop.proofs import envelope_plaintext_hash
 
                 address = CrossNetworkAddress(
                     network=address_msg.network,
@@ -203,7 +203,7 @@ class EavesdroppingRelay:
                     expected_address=address,
                     expected_args=list(metadata.args),
                     expected_nonce=metadata.nonce,
-                    expected_data_hash=envelope_plaintext_hash(metadata.result),
+                    expected_data_hash=attested_data_hash(metadata),
                     policy=policy,
                     org_roots=org_roots,
                 )

@@ -1,0 +1,190 @@
+"""A relay that rewrites what it carries and keeps the nonce.
+
+The relay is untrusted (§5), and the nonce alone does not say *what* was
+asked. A client must hold every attestation to the query it prepared —
+network, address, arguments and nonce — and to the digest of the data it
+opened, as the destination contract does.
+
+The transaction half is still open: ``finalize_transaction`` binds the
+reply to the request and to the sealed outcome, but verifies no
+signature, so a relay that re-makes every attestation over a commit that
+never happened is believed. That scenario is a strict expected failure
+until ROADMAP item 1 lands.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from types import SimpleNamespace
+
+import pytest
+
+from repro.crypto.ecies import ecies_encrypt
+from repro.crypto.keys import PublicKey
+from repro.errors import ProofError
+from repro.interop.proofs import AttestationProofScheme, seal_result
+from repro.interop.transactions import RemoteTransactionClient
+from repro.proto.address import CrossNetworkAddress
+from repro.proto.messages import (
+    MSG_KIND_QUERY_REQUEST,
+    MSG_KIND_TRANSACT_REQUEST,
+    Attestation,
+    NetworkQuery,
+    QueryResponse,
+    RelayEnvelope,
+)
+from repro.utils.encoding import canonical_json
+
+PLATFORMS = ["fabric", "quorum", "corda", "pubchain"]
+
+
+@contextmanager
+def interposed(target, wrapper_factory):
+    """Put ``wrapper_factory(relay)`` in front of the target's source relay."""
+    registry = target.registry
+    originals = list(registry.lookup(target.network_id))
+    wrapper = wrapper_factory(originals[0])
+    for endpoint in originals:
+        registry.unregister(target.network_id, endpoint)
+    registry.register(target.network_id, wrapper)
+    try:
+        yield wrapper
+    finally:
+        registry.unregister(target.network_id, wrapper)
+        for endpoint in originals:
+            registry.register(target.network_id, endpoint)
+
+
+class RequestRewritingRelay:
+    """Rewrites each query request in flight, keeping its nonce."""
+
+    def __init__(self, inner, rewrite) -> None:
+        self._inner = inner
+        self._rewrite = rewrite
+        self.rewritten = 0
+
+    def handle_request(self, data: bytes) -> bytes:
+        envelope = RelayEnvelope.decode(data)
+        if envelope.kind == MSG_KIND_QUERY_REQUEST:
+            query = NetworkQuery.decode(envelope.payload)
+            self._rewrite(query)
+            envelope.payload = query.encode()
+            data = envelope.encode()
+            self.rewritten += 1
+        return self._inner.handle_request(data)
+
+
+@pytest.mark.parametrize("conformance_target", PLATFORMS, indirect=True)
+class TestClientBindsTheRequest:
+    def test_rewritten_arguments_are_refused(self, conformance_target):
+        """The client asks for a record that does not exist; the relay asks
+        the source for one that does. The honest answer to the wrong
+        question must not pass as the answer to the client's."""
+        target = conformance_target
+
+        def swap_args(query):
+            query.args = list(target.query_args)
+
+        with interposed(target, lambda inner: RequestRewritingRelay(inner, swap_args)) as relay:
+            with pytest.raises(ProofError, match="arguments"):
+                target.client.remote_query(
+                    target.query_address, ["NO-SUCH-RECORD"], policy=target.policy
+                )
+        assert relay.rewritten == 1
+
+    def test_rewritten_function_is_refused(self, conformance_target):
+        target = conformance_target
+        asked = target.query_address + "Elsewhere"
+        real_function = target.query_address.rsplit("/", 1)[1]
+
+        def swap_function(query):
+            query.address.function = real_function
+
+        with interposed(target, lambda inner: RequestRewritingRelay(inner, swap_function)) as relay:
+            with pytest.raises(ProofError, match="address"):
+                target.client.remote_query(asked, list(target.query_args), policy=target.policy)
+        assert relay.rewritten == 1
+
+
+class TransactionReplyForgingRelay:
+    """Answers a transaction with a commit that never happened.
+
+    The outcome is re-sealed to the requester's public key (which every
+    request carries), and each attestation is re-made over it: metadata
+    naming the same peer and the same request, encrypted to the requester,
+    under an all-zero signature. Only a signature check can tell.
+    """
+
+    FORGED_TX_ID = "tx-never-committed"
+    FORGED_BLOCK = 424242
+
+    def __init__(self, inner) -> None:
+        self._inner = inner
+        self._scheme = AttestationProofScheme()
+
+    def handle_request(self, data: bytes) -> bytes:
+        reply_bytes = self._inner.handle_request(data)
+        request = RelayEnvelope.decode(data)
+        if request.kind != MSG_KIND_TRANSACT_REQUEST:
+            return reply_bytes
+        query = NetworkQuery.decode(request.payload)
+        reply = RelayEnvelope.decode(reply_bytes)
+        response = QueryResponse.decode(reply.payload)
+        client_key = PublicKey.from_bytes(query.auth.public_key)
+        outcome = canonical_json(
+            {
+                "result": b"forged".hex(),
+                "tx_id": self.FORGED_TX_ID,
+                "block_number": self.FORGED_BLOCK,
+                "validation_code": "VALID",
+            }
+        )
+        envelope = seal_result(outcome, client_key, True)
+        address = CrossNetworkAddress(
+            query.address.network,
+            query.address.ledger,
+            query.address.contract,
+            query.address.function,
+        )
+        forged = []
+        for attestation in response.attestations:
+            signer = SimpleNamespace(id=attestation.peer_id, org=attestation.org)
+            metadata = self._scheme.build_metadata(
+                signer, address.network, address, list(query.args), query.nonce, envelope, 0.0
+            )
+            forged.append(
+                Attestation(
+                    metadata_cipher=ecies_encrypt(client_key, metadata.encode()),
+                    signature=bytes(64),
+                    certificate=attestation.certificate,
+                    peer_id=attestation.peer_id,
+                    org=attestation.org,
+                )
+            )
+        response.result_cipher = envelope
+        response.attestations = forged
+        reply.payload = response.encode()
+        return reply.encode()
+
+
+@pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1: finalize_transaction verifies no attestation signature",
+)
+def test_forged_transaction_reply_is_refused(conformance_target):
+    target = conformance_target
+    transactions = RemoteTransactionClient(target.client)
+    with interposed(target, TransactionReplyForgingRelay):
+        try:
+            result = transactions.remote_transact(
+                target.transact_address,
+                target.transact_args(f"FORGED-{target.platform}"),
+                policy=target.policy,
+            )
+        except ProofError:
+            return
+    assert result.tx_id != TransactionReplyForgingRelay.FORGED_TX_ID, (
+        f"a forged commit was accepted: {result}"
+    )

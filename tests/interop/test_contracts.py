@@ -79,8 +79,9 @@ class TestECC:
             "SealResponse",
             [b"data".hex(), "", "false"],
         )
-        parsed = json.loads(envelope)
-        assert bytes.fromhex(parsed["plain"]) == b"data"
+        from repro.interop.proofs import unseal_result
+
+        assert unseal_result(envelope) == b"data"
 
     def test_seal_response_invalid_pubkey(self, scenario):
         with pytest.raises(EndorsementError, match="public key"):
