@@ -34,7 +34,7 @@ SUBSCRIBER_COUNTS = (1, 4, 8)
 def event_scenario(scenario):
     """The bench scenario with relay-side events enabled and exposed."""
     stl_admin = scenario.stl.org("seller-org").member("admin")
-    enable_relay_events(scenario.stl, scenario.stl_relay, stl_admin)
+    enable_relay_events(scenario.stl, scenario.stl_relay)
     scenario.stl.gateway.submit(
         stl_admin,
         "ecc",

@@ -170,7 +170,7 @@ def main() -> None:
     # query before the application sees it (notify-then-verify).
     invoker = source.org("producer-org").enroll("interop-invoker", role="client")
     enable_remote_transactions(source, source_relay, invoker)
-    enable_relay_events(source, source_relay, source_admin)
+    enable_relay_events(source, source_relay)
     # Events invert the flow: the *source* relay must be able to discover
     # the subscriber's relay to push notifications to it.
     registry.register("dest-net", dest_relay)

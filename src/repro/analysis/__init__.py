@@ -20,6 +20,8 @@ Rules:
 - **REP401** broad ``except`` without typed re-raise / error answer /
   rationale tag in the transport/relay/driver layers
 - **REP501** capability flag granted without the full verb set
+- **REP601** a certificate bound to a claim, or a requestor's chain
+  validated, outside the one access gate (``interop/access.py``)
 
 Intentional violations live in ``analysis-baseline.json`` at the repo
 root, each with a mandatory rationale; the checkers/registries are in

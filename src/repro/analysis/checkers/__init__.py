@@ -1,6 +1,7 @@
 """The checker suite — importing this package registers every checker."""
 
 from repro.analysis.checkers import (  # noqa: F401 - registration imports
+    access_gate,
     async_safety,
     capabilities,
     error_taxonomy,

@@ -295,3 +295,19 @@ KIND_CLASS_SETS = ("SIDE_EFFECTING_KINDS", "READ_ONLY_KINDS", "REPLY_KINDS")
 #: (class, attribute) of the relay's dispatch table: a dict literal keyed
 #: by ``MSG_KIND_*`` constants, one key per request kind it serves.
 DISPATCH_TABLE = ("RelayService", "_SERVE_TABLE")
+
+# ---------------------------------------------------------------------------
+# REP601 — one access gate: where certificates may be bound to claims.
+# ---------------------------------------------------------------------------
+
+ACCESS_GATE_LAYERS = (
+    "repro/interop/",
+    "repro/assets/",
+    "repro/pubchain/",
+    "repro/api/",
+)
+ACCESS_GATE_MODULE = "repro/interop/access.py"
+
+#: Modules that may call ``validate_chain`` outside the gate: proof
+#: validation authenticates the attesting *peers* against recorded roots.
+CHAIN_VALIDATION_EXEMPT = ("repro/interop/proofs.py",)

@@ -39,8 +39,8 @@ streaming, and a composable relay middleware chain.
   ``relay.use(...)``.
 
 The legacy entry points (``InteropClient.remote_query``,
-``RemoteTransactionClient.remote_transact``, ``EventBridge.subscribe``)
-keep working unchanged; they are thin shims over this layer's machinery.
+``RemoteTransactionClient.remote_transact``) keep working unchanged; they
+are thin shims over this layer's machinery.
 """
 
 from repro.api.batch import (

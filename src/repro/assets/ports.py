@@ -6,9 +6,11 @@ operations on one concrete ledger. It is the asset analogue of the §5
 transaction extension: commands are submitted under a *designated local
 invoker* identity (the foreign party is not a member of the source
 network), the acting party travels as an authenticated logical id
-(``<requestor>@<network>``), and every verb passes the same governance
-gates as queries — certificate authentication plus exposure-control rules
-on the asset contract's functions.
+(``<requestor>@<network>``), and every verb passes the network's one
+access gate (:func:`repro.interop.access.authorise`) with the asset
+contract's function as the rule object, exactly as a query does. A member
+of the source network itself proves membership against the network's own
+org roots instead, with no rule lookup.
 
 Trust note: the ack a port returns is transport truth only. Counterparties
 upgrade a remote lock to *trusted* data with a proof-carrying query
@@ -19,6 +21,7 @@ driver can deny service but cannot fake a lock.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 from abc import ABC, abstractmethod
@@ -29,11 +32,12 @@ from repro.assets.contracts import (
     QUORUM_ASSET_CONTRACT,
 )
 from repro.assets.htlc import STATE_AVAILABLE, STATE_CLAIMED, STATE_LOCKED, STATE_REFUNDED
-from repro.crypto.certs import Certificate, validate_chain
-from repro.errors import AccessDeniedError, AssetError, LedgerError
+from repro.errors import AssetError, LedgerError
 from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
+from repro.interop.access import authorise
 from repro.interop.contracts.cmdac import org_roots_from_config
+from repro.interop.contracts.ecc import check_access
 from repro.interop.contracts.ports import InteropPort
 from repro.proto.messages import (
     PROTOCOL_VERSION,
@@ -44,55 +48,6 @@ from repro.proto.messages import (
 )
 from repro.quorum.contracts import CallContext
 from repro.quorum.network import QuorumNetwork
-
-
-def acting_party(auth: AuthInfo | None) -> str:
-    """The logical party id an authenticated command acts as."""
-    if auth is None or not auth.requestor or not auth.requesting_network:
-        raise AccessDeniedError("asset command carries no requesting identity")
-    return f"{auth.requestor}@{auth.requesting_network}"
-
-
-def authenticated_certificate(auth: AuthInfo | None) -> Certificate:
-    """Decode a command's certificate and bind it to the claimed identity.
-
-    The vault authorizes owners/recipients by their logical party id
-    (:func:`acting_party`), so the certificate must vouch for *both*
-    components of that id: its subject organization must match the claimed
-    org and its common name the claimed requestor — otherwise any enrolled
-    member of an accepted org could impersonate any other party.
-    """
-    if auth is None or not auth.certificate:
-        raise AccessDeniedError("asset command carries no certificate")
-    creator = Certificate.from_bytes(auth.certificate)
-    if creator.subject.organization != auth.requesting_org:
-        raise AccessDeniedError(
-            f"certificate org {creator.subject.organization!r} does not "
-            f"match claimed org {auth.requesting_org!r}"
-        )
-    if creator.subject.common_name != auth.requestor:
-        raise AccessDeniedError(
-            f"certificate common name {creator.subject.common_name!r} does "
-            f"not match claimed requestor {auth.requestor!r}"
-        )
-    return creator
-
-
-def validate_local_member(creator: Certificate, config, network_id: str) -> None:
-    """Validate a local member's certificate against its own MSP roots.
-
-    A command claiming local provenance bypasses the (foreign-facing) ECC
-    gate, so membership must be proven against the network's exported
-    configuration instead.
-    """
-    roots = org_roots_from_config(config)
-    root = roots.get(creator.subject.organization)
-    if root is None:
-        raise AccessDeniedError(
-            f"org {creator.subject.organization!r} is not a member of "
-            f"network {network_id!r}"
-        )
-    validate_chain(creator, [root])
 
 
 class AssetLedgerPort(ABC):
@@ -124,6 +79,18 @@ class AssetLedgerPort(ABC):
         """The asset's current lock record (read-only, unproven)."""
 
     # -- shared helpers -----------------------------------------------------------
+
+    def _check(self, auth: AuthInfo | None, function: str) -> str:
+        """Admit ``auth`` to ``function`` and return the logical party id it
+        acts as (``<requestor>@<network>``). A member of this network is
+        admitted by its own org roots alone; anyone else passes the
+        network's gate, ``self._gate(auth, contract, function)``."""
+        if auth is not None and auth.requesting_network == self._network.name:
+            roots = org_roots_from_config(self._network.export_config())
+            authorise(auth, roots, None, self.contract, function)
+        else:
+            self._gate(auth, self.contract, function)
+        return f"{auth.requestor}@{auth.requesting_network}"
 
     def _ack(
         self,
@@ -165,6 +132,7 @@ class FabricAssetLedgerPort(AssetLedgerPort):
         contract: str = FABRIC_ASSET_CHAINCODE,
     ) -> None:
         self._network = network
+        self._gate = functools.partial(check_access, network)
         self._invoker = invoker
         self.contract = contract
         self._commit_lock = threading.Lock()
@@ -180,21 +148,6 @@ class FabricAssetLedgerPort(AssetLedgerPort):
                 f"failed to authorize invoker {invoker.name!r} on "
                 f"{network.name!r}: {result.validation_code.value}"
             )
-
-    def _check(self, auth: AuthInfo | None, function: str) -> None:
-        creator = authenticated_certificate(auth)
-        if auth.requesting_network == self._network.name:
-            # A local member acting through its own relay: native MSP
-            # membership is the gate, not the (foreign-facing) ECC.
-            validate_local_member(
-                creator, self._network.export_config(), self._network.name
-            )
-            return
-        from repro.interop.transactions import check_remote_invocation_exposure
-
-        check_remote_invocation_exposure(
-            self._network, self._invoker, auth, self.contract, function
-        )
 
     def _commit_and_read(
         self, command: AssetCommandMsg, function: str, args: list[str]
@@ -221,13 +174,13 @@ class FabricAssetLedgerPort(AssetLedgerPort):
         return json.loads(raw)
 
     def lock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "LockAsset")
+        party = self._check(command.auth, "LockAsset")
         return self._commit_and_read(
             command,
             "LockAsset",
             [
                 command.asset_id,
-                acting_party(command.auth),
+                party,
                 command.recipient,
                 command.hashlock.hex(),
                 repr(command.timeout),
@@ -235,18 +188,14 @@ class FabricAssetLedgerPort(AssetLedgerPort):
         )
 
     def claim_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "ClaimAsset")
+        party = self._check(command.auth, "ClaimAsset")
         return self._commit_and_read(
-            command,
-            "ClaimAsset",
-            [command.asset_id, acting_party(command.auth), command.preimage.hex()],
+            command, "ClaimAsset", [command.asset_id, party, command.preimage.hex()]
         )
 
     def unlock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "UnlockAsset")
-        return self._commit_and_read(
-            command, "UnlockAsset", [command.asset_id, acting_party(command.auth)]
-        )
+        party = self._check(command.auth, "UnlockAsset")
+        return self._commit_and_read(command, "UnlockAsset", [command.asset_id, party])
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")
@@ -278,25 +227,10 @@ class CordaAssetLedgerPort(AssetLedgerPort):
         contract: str = CORDA_ASSET_CONTRACT,
     ) -> None:
         self._network = network
-        self._port = port
+        self._gate = port.check_access
         self._invoker = invoker
         self.contract = contract
         self._commit_lock = threading.Lock()
-
-    def _check(self, auth: AuthInfo | None, function: str) -> None:
-        creator = authenticated_certificate(auth)
-        if auth.requesting_network == self._network.name:
-            validate_local_member(
-                creator, self._network.export_config(), self._network.name
-            )
-            return
-        self._port.check_access(
-            auth.requesting_network,
-            auth.requesting_org,
-            self.contract,
-            function,
-            creator,
-        )
 
     def _state(self, asset_id: str):
         try:
@@ -340,8 +274,7 @@ class CordaAssetLedgerPort(AssetLedgerPort):
         return lock
 
     def lock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "LockAsset")
-        party = acting_party(command.auth)
+        party = self._check(command.auth, "LockAsset")
         with self._commit_lock:
             ref, state = self._state(command.asset_id)
             asset = dict(state.data["asset"])
@@ -366,8 +299,7 @@ class CordaAssetLedgerPort(AssetLedgerPort):
         )
 
     def claim_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "ClaimAsset")
-        party = acting_party(command.auth)
+        party = self._check(command.auth, "ClaimAsset")
         with self._commit_lock:
             ref, state = self._state(command.asset_id)
             lock = state.data.get("lock")
@@ -392,8 +324,7 @@ class CordaAssetLedgerPort(AssetLedgerPort):
         )
 
     def unlock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "UnlockAsset")
-        party = acting_party(command.auth)
+        party = self._check(command.auth, "UnlockAsset")
         with self._commit_lock:
             ref, state = self._state(command.asset_id)
             lock = state.data.get("lock")
@@ -473,8 +404,8 @@ class PubChainAssetLedgerPort(AssetLedgerPort):
     ) -> None:
         from repro.pubchain.finality import FinalityPolicy
 
-        self._chain = chain
-        self._ecc_port = ecc_port
+        self._network = chain
+        self._gate = ecc_port.check_access
         self._invoker = invoker
         self.contract = contract
         self._finality = finality or FinalityPolicy()
@@ -483,33 +414,18 @@ class PubChainAssetLedgerPort(AssetLedgerPort):
             invoker, contract, "AuthorizeInvoker", [invoker.name]
         )
 
-    def _check(self, auth: AuthInfo | None, function: str) -> None:
-        creator = authenticated_certificate(auth)
-        if auth.requesting_network == self._chain.name:
-            validate_local_member(
-                creator, self._chain.export_config(), self._chain.name
-            )
-            return
-        self._ecc_port.check_access(
-            auth.requesting_network,
-            auth.requesting_org,
-            self.contract,
-            function,
-            creator,
-        )
-
     def _commit_and_read(
         self, command: AssetCommandMsg, function: str, args: list[str]
     ) -> AssetAckMsg:
         with self._commit_lock:
-            tx = self._chain.submit_transaction(
+            tx = self._network.submit_transaction(
                 self._invoker, self.contract, function, args
             )
             record = self._read_lock(command.asset_id)
-        return self._ack(command, record, tx.tx_id, self._chain.height_of(tx.tx_id))
+        return self._ack(command, record, tx.tx_id, self._network.height_of(tx.tx_id))
 
     def _read_lock_with_keys(self, asset_id: str) -> tuple[dict, frozenset]:
-        raw, read_keys = self._chain.view(
+        raw, read_keys = self._network.view(
             self._invoker, self.contract, "GetLock", [asset_id]
         )
         return json.loads(raw), read_keys
@@ -524,28 +440,28 @@ class PubChainAssetLedgerPort(AssetLedgerPort):
         from repro.pubchain.finality import VERB_ASSETS
 
         _record, read_keys = self._read_lock_with_keys(asset_id)
-        reorged = self._chain.reorged_keys(self.contract, read_keys)
+        reorged = self._network.reorged_keys(self.contract, read_keys)
         if reorged:
             raise ReorgDetectedError(
                 f"lock on asset {asset_id!r} was orphaned by a chain reorg on "
-                f"{self._chain.name!r}; re-verify before claiming"
+                f"{self._network.name!r}; re-verify before claiming"
             )
-        depth = self._chain.confirmation_depth(self.contract, read_keys)
+        depth = self._network.confirmation_depth(self.contract, read_keys)
         required = self._finality.required(VERB_ASSETS)
         if depth is not None and depth < required:
             raise FinalityPendingError(
                 f"lock on asset {asset_id!r} has {depth} of {required} required "
-                f"confirmation(s) on {self._chain.name!r}; pending, not claimable"
+                f"confirmation(s) on {self._network.name!r}; pending, not claimable"
             )
 
     def lock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "LockAsset")
+        party = self._check(command.auth, "LockAsset")
         return self._commit_and_read(
             command,
             "LockAsset",
             [
                 command.asset_id,
-                acting_party(command.auth),
+                party,
                 command.recipient,
                 command.hashlock.hex(),
                 repr(command.timeout),
@@ -553,19 +469,15 @@ class PubChainAssetLedgerPort(AssetLedgerPort):
         )
 
     def claim_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "ClaimAsset")
+        party = self._check(command.auth, "ClaimAsset")
         self._require_settled_lock(command.asset_id)
         return self._commit_and_read(
-            command,
-            "ClaimAsset",
-            [command.asset_id, acting_party(command.auth), command.preimage.hex()],
+            command, "ClaimAsset", [command.asset_id, party, command.preimage.hex()]
         )
 
     def unlock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "UnlockAsset")
-        return self._commit_and_read(
-            command, "UnlockAsset", [command.asset_id, acting_party(command.auth)]
-        )
+        party = self._check(command.auth, "UnlockAsset")
+        return self._commit_and_read(command, "UnlockAsset", [command.asset_id, party])
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")
@@ -589,7 +501,7 @@ class QuorumAssetLedgerPort(AssetLedgerPort):
         contract: str = QUORUM_ASSET_CONTRACT,
     ) -> None:
         self._network = network
-        self._ecc_port = ecc_port
+        self._gate = ecc_port.check_access
         self._invoker = invoker
         self.contract = contract
         self._commit_lock = threading.Lock()
@@ -598,21 +510,6 @@ class QuorumAssetLedgerPort(AssetLedgerPort):
         # makes the port's invoker an accepted delegate.
         network.submit_transaction(
             invoker, contract, "AuthorizeInvoker", [invoker.name]
-        )
-
-    def _check(self, auth: AuthInfo | None, function: str) -> None:
-        creator = authenticated_certificate(auth)
-        if auth.requesting_network == self._network.name:
-            validate_local_member(
-                creator, self._network.export_config(), self._network.name
-            )
-            return
-        self._ecc_port.check_access(
-            auth.requesting_network,
-            auth.requesting_org,
-            self.contract,
-            function,
-            creator,
         )
 
     def _commit_and_read(
@@ -637,13 +534,13 @@ class QuorumAssetLedgerPort(AssetLedgerPort):
         return json.loads(raw)
 
     def lock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "LockAsset")
+        party = self._check(command.auth, "LockAsset")
         return self._commit_and_read(
             command,
             "LockAsset",
             [
                 command.asset_id,
-                acting_party(command.auth),
+                party,
                 command.recipient,
                 command.hashlock.hex(),
                 repr(command.timeout),
@@ -651,18 +548,14 @@ class QuorumAssetLedgerPort(AssetLedgerPort):
         )
 
     def claim_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "ClaimAsset")
+        party = self._check(command.auth, "ClaimAsset")
         return self._commit_and_read(
-            command,
-            "ClaimAsset",
-            [command.asset_id, acting_party(command.auth), command.preimage.hex()],
+            command, "ClaimAsset", [command.asset_id, party, command.preimage.hex()]
         )
 
     def unlock_asset(self, command: AssetCommandMsg) -> AssetAckMsg:
-        self._check(command.auth, "UnlockAsset")
-        return self._commit_and_read(
-            command, "UnlockAsset", [command.asset_id, acting_party(command.auth)]
-        )
+        party = self._check(command.auth, "UnlockAsset")
+        return self._commit_and_read(command, "UnlockAsset", [command.asset_id, party])
 
     def asset_status(self, command: AssetCommandMsg) -> AssetAckMsg:
         self._check(command.auth, "GetLock")

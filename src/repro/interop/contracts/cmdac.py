@@ -26,7 +26,7 @@ decisions *consensual* rather than unilateral.
 
 from __future__ import annotations
 
-from repro.crypto.certs import Certificate, validate_chain
+from repro.crypto.certs import Certificate
 from repro.errors import ChaincodeError, ConfigurationError, ProofError, ReplayError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub, require_args
 from repro.interop.policy import parse_verification_policy
@@ -70,7 +70,6 @@ class ConfigAndDataAcceptanceChaincode(Chaincode):
     - ``ValidateProof(source_network, address, args_json, nonce,
       data_hash_hex, proof_json)`` -> b"OK" (raises on any failure) and
       consumes the nonce
-    - ``ValidateForeignCertificate(network_id, cert_hex)`` -> b"OK"
     """
 
     name = CMDAC_NAME
@@ -89,7 +88,6 @@ class ConfigAndDataAcceptanceChaincode(Chaincode):
             "SetVerificationPolicy": self._set_verification_policy,
             "GetVerificationPolicy": self._get_verification_policy,
             "ValidateProof": self._validate_proof,
-            "ValidateForeignCertificate": self._validate_foreign_certificate,
         }.get(function)
         if handler is None:
             raise ChaincodeError(f"CMDAC has no function {function!r}")
@@ -209,23 +207,4 @@ class ConfigAndDataAcceptanceChaincode(Chaincode):
             )
         stub.put_state(nonce_key, b"consumed")
         stub.set_event("ProofAccepted", f"{source_network}/{nonce}".encode("utf-8"))
-        return b"OK"
-
-    # -- foreign certificate validation (used by the source-side ECC) ---------------------
-
-    def _validate_foreign_certificate(self, stub: ChaincodeStub) -> bytes:
-        network_id, cert_hex = require_args(stub, 2)
-        config = self._load_config(stub, network_id)
-        org_roots = org_roots_from_config(config)
-        try:
-            certificate = Certificate.from_bytes(bytes.fromhex(cert_hex))
-        except Exception as exc:
-            raise ChaincodeError(f"unparseable foreign certificate: {exc}") from exc
-        root = org_roots.get(certificate.subject.organization)
-        if root is None:
-            raise ChaincodeError(
-                f"organization {certificate.subject.organization!r} is not part "
-                f"of the recorded configuration for network {network_id!r}"
-            )
-        validate_chain(certificate, [root])
         return b"OK"

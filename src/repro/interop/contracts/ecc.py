@@ -1,4 +1,4 @@
-"""ECC: Exposure Control Chaincode.
+"""ECC: Exposure Control Chaincode — the one Fabric gate.
 
 "The Exposure Control contract enforces access control policy rules
 against incoming requests, determining which data items in the local
@@ -7,27 +7,46 @@ ledger and smart contract functions can be exposed" (§3.2).
 Rules follow the paper's §4.3 tuple form
 ``<network ID, organization ID, chaincode name, chaincode function>``:
 the subject is a member of a (foreign) network organization, the object
-is a local chaincode function. The example rule recorded on STL is
+is a local chaincode function (or ``event:<name>`` for a subscription).
+The example rule recorded on STL is
 ``<"we-trade", "seller-org", "TradeLensCC", "GetBillOfLading">``.
 
-Application chaincode on a source network inserts exactly two calls
-(the paper's ~35 SLOC adaptation): ``CheckAccess`` before query execution
-and ``SealResponse`` after. Certificate authentication of the foreign
-requestor delegates to the CMDAC's recorded configuration, as in the
-paper ("the ECC validates the SWT-SC's certificate using the recorded
-SWT configuration (managed by the CMDAC)").
+``CheckAccess`` is the one place a Fabric network decides access, for
+every verb:
+
+- a query runs it inside the application chaincode: the paper's ~35 SLOC
+  adaptation inserts exactly two calls, ``CheckAccess`` before query
+  execution and ``SealResponse`` after;
+- a transaction, an asset command and a subscription run it through
+  :func:`check_access`, one read-only simulation on one peer with the
+  requestor's certificate as proposal creator.
+
+Either way the decision is :func:`repro.interop.access.authorise` against
+the foreign configuration the CMDAC recorded, as in the paper ("the ECC
+validates the SWT-SC's certificate using the recorded SWT configuration
+(managed by the CMDAC)").
 """
 
 from __future__ import annotations
 
+import json
+
 from repro.crypto.keys import PublicKey
-from repro.errors import AccessDeniedError, ChaincodeError
+from repro.errors import ChaincodeError, ConfigurationError
 from repro.fabric.chaincode import Chaincode, ChaincodeStub, require_args
-from repro.interop.contracts.cmdac import CMDAC_NAME
+from repro.fabric.network import FabricNetwork
+from repro.fabric.peer import Proposal
+from repro.interop.access import authorise
+from repro.interop.contracts.cmdac import CMDAC_NAME, org_roots_from_config
 from repro.interop.proofs import seal_result
+from repro.proto.messages import AuthInfo, NetworkConfigMsg
 from repro.utils.encoding import canonical_json
+from repro.utils.ids import random_id
 
 ECC_NAME = "ecc"
+
+#: Transient key of the interop context every relay proposal carries.
+INTEROP_TRANSIENT_KEY = "interop"
 
 _RULE_PREFIX = "rule/"
 _WILDCARD = "*"
@@ -48,9 +67,10 @@ class ExposureControlChaincode(Chaincode):
     - ``RemoveAccessRule(network, org, chaincode, function)``
     - ``ListAccessRules()`` -> JSON array of rule tuples
     - ``CheckAccess(requesting_network, requesting_org, chaincode, function)``
-      -> b"OK"; authenticates the proposal creator's certificate against
-      the CMDAC-recorded foreign configuration, then matches rules.
-      Raises :class:`AccessDeniedError` otherwise.
+      -> b"OK"; :func:`~repro.interop.access.authorise` of the proposal
+      creator, claiming the requestor named in the interop transient,
+      against the CMDAC-recorded roots and this contract's rules. Raises
+      :class:`~repro.errors.AccessDeniedError` otherwise.
     - ``SealResponse(result_hex, client_pubkey_hex, confidential)`` ->
       seal-envelope bytes (the result channel of the proof format, §4.3).
     """
@@ -106,40 +126,32 @@ class ExposureControlChaincode(Chaincode):
 
     def _check_access(self, stub: ChaincodeStub) -> bytes:
         requesting_network, requesting_org, chaincode, function = require_args(stub, 4)
-
-        # 1. Authenticate the requestor: the proposal creator must present a
-        #    certificate chaining to the recorded configuration of the
-        #    requesting network (delegated to the CMDAC, §4.3).
         creator = stub.get_creator()
-        if creator is None:
-            raise AccessDeniedError("interop request carries no creator certificate")
-        if creator.subject.organization != requesting_org:
-            raise AccessDeniedError(
-                f"creator certificate belongs to org "
-                f"{creator.subject.organization!r}, but the request claims org "
-                f"{requesting_org!r}"
+        interop_raw = stub.get_transient(INTEROP_TRANSIENT_KEY)
+        requestor = json.loads(interop_raw).get("requestor", "") if interop_raw else ""
+        try:
+            config_hex = stub.invoke_chaincode(
+                CMDAC_NAME, "GetNetworkConfig", [requesting_network]
             )
-        stub.invoke_chaincode(
-            CMDAC_NAME,
-            "ValidateForeignCertificate",
-            [requesting_network, creator.to_bytes().hex()],
+        except ConfigurationError:
+            roots = None
+        else:
+            roots = org_roots_from_config(
+                NetworkConfigMsg.decode(bytes.fromhex(config_hex.decode("ascii")))
+            )
+        authorise(
+            AuthInfo(
+                requesting_network=requesting_network,
+                requesting_org=requesting_org,
+                requestor=requestor,
+                certificate=creator.to_bytes() if creator else b"",
+            ),
+            roots,
+            lambda rule: stub.get_state(_rule_key(*rule)) is not None,
+            chaincode,
+            function,
         )
-
-        # 2. Match access rules at decreasing granularity (§3.3 allows
-        #    policies at network, organization, or entity level).
-        candidates = [
-            _rule_key(requesting_network, requesting_org, chaincode, function),
-            _rule_key(requesting_network, requesting_org, chaincode, _WILDCARD),
-            _rule_key(requesting_network, _WILDCARD, chaincode, function),
-            _rule_key(requesting_network, _WILDCARD, chaincode, _WILDCARD),
-        ]
-        for key in candidates:
-            if stub.get_state(key) is not None:
-                return b"OK"
-        raise AccessDeniedError(
-            f"exposure control denied <{requesting_network}, {requesting_org}, "
-            f"{chaincode}, {function}>: no matching access rule"
-        )
+        return b"OK"
 
     # -- response sealing ---------------------------------------------------------------
 
@@ -159,3 +171,30 @@ class ExposureControlChaincode(Chaincode):
         except ValueError as exc:
             raise ChaincodeError(f"result_hex is not valid hex: {exc}") from exc
         return seal_result(plaintext, client_key, confidential)
+
+
+def check_access(
+    network: FabricNetwork, auth: AuthInfo | None, contract: str, obj: str
+) -> None:
+    """Run ECC ``CheckAccess`` for a request that executes no chaincode query.
+
+    One read-only simulation on one peer, with the requestor's certificate
+    as the proposal creator: the same call application chaincode makes for
+    a query. Nothing is signed, ordered or committed. Raises
+    :class:`~repro.errors.AccessDeniedError` on refusal.
+    """
+    auth = auth or AuthInfo()
+    network.peers[0].simulate(
+        Proposal(
+            tx_id=random_id("access-"),
+            channel=network.channel,
+            chaincode=ECC_NAME,
+            function="CheckAccess",
+            args=(auth.requesting_network, auth.requesting_org, contract, obj),
+            creator=auth.certificate,
+            transient={
+                INTEROP_TRANSIENT_KEY: canonical_json({"requestor": auth.requestor})
+            },
+            timestamp=network.clock.now(),
+        )
+    )

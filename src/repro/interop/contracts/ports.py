@@ -7,23 +7,24 @@ contracts will remain the same" (§5).
 
 :class:`InteropPort` re-implements the ECC + CMDAC *functions* (access
 rules over ``<network, org, contract, function>`` tuples, foreign-config
-records, verification policies, foreign-certificate validation, response
-sealing) as a node-attached service, which is how a platform without
-Fabric-style chaincode would host them. The Fabric implementation lives in
-:mod:`repro.interop.contracts.ecc` / ``cmdac`` as real chaincode.
+records, verification policies, response sealing) as a node-attached
+service, which is how a platform without Fabric-style chaincode would host
+them. What it holds is platform-specific; the access decision is not:
+:meth:`InteropPort.check_access` hands its recorded roots and rule set to the
+same :func:`repro.interop.access.authorise` the Fabric ECC runs. The
+Fabric implementation lives in :mod:`repro.interop.contracts.ecc` /
+``cmdac`` as real chaincode.
 """
 
 from __future__ import annotations
 
-from repro.crypto.certs import Certificate, validate_chain
 from repro.crypto.keys import PublicKey
-from repro.errors import AccessDeniedError, ConfigurationError
+from repro.errors import ConfigurationError
+from repro.interop.access import authorise
 from repro.interop.contracts.cmdac import org_roots_from_config
 from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import seal_result
-from repro.proto.messages import NetworkConfigMsg
-
-_WILDCARD = "*"
+from repro.proto.messages import AuthInfo, NetworkConfigMsg
 
 
 class InteropPort:
@@ -68,19 +69,6 @@ class InteropPort:
             )
         return expression
 
-    def validate_foreign_certificate(
-        self, network_id: str, certificate: Certificate
-    ) -> None:
-        config = self.get_network_config(network_id)
-        roots = org_roots_from_config(config)
-        root = roots.get(certificate.subject.organization)
-        if root is None:
-            raise ConfigurationError(
-                f"organization {certificate.subject.organization!r} is not part "
-                f"of the recorded configuration for network {network_id!r}"
-            )
-        validate_chain(certificate, [root])
-
     # -- exposure control (ECC functions) --------------------------------------------
 
     def add_access_rule(
@@ -96,33 +84,17 @@ class InteropPort:
     def list_access_rules(self) -> list[tuple[str, str, str, str]]:
         return sorted(self._rules)
 
-    def check_access(
-        self,
-        requesting_network: str,
-        requesting_org: str,
-        contract: str,
-        function: str,
-        creator: Certificate | None,
-    ) -> None:
-        if creator is None:
-            raise AccessDeniedError("interop request carries no creator certificate")
-        if creator.subject.organization != requesting_org:
-            raise AccessDeniedError(
-                f"creator certificate belongs to org "
-                f"{creator.subject.organization!r}, not {requesting_org!r}"
-            )
-        self.validate_foreign_certificate(requesting_network, creator)
-        candidates = [
-            (requesting_network, requesting_org, contract, function),
-            (requesting_network, requesting_org, contract, _WILDCARD),
-            (requesting_network, _WILDCARD, contract, function),
-            (requesting_network, _WILDCARD, contract, _WILDCARD),
-        ]
-        if not any(candidate in self._rules for candidate in candidates):
-            raise AccessDeniedError(
-                f"exposure control denied <{requesting_network}, "
-                f"{requesting_org}, {contract}, {function}>: no matching rule"
-            )
+    def check_access(self, auth: AuthInfo | None, contract: str, obj: str) -> None:
+        """The port's access gate: :func:`repro.interop.access.authorise`
+        against the recorded configurations and this port's rules."""
+        config = self._foreign_configs.get(auth.requesting_network) if auth else None
+        authorise(
+            auth,
+            org_roots_from_config(config) if config else None,
+            self._rules.__contains__,
+            contract,
+            obj,
+        )
 
     # -- response sealing (ECC SealResponse) --------------------------------------------
 

@@ -39,7 +39,6 @@ from repro.corda.network import CordaNetwork
 from repro.corda.node import CordaNode
 from repro.corda.states import LinearState
 from repro.corda.transactions import CordaTransaction
-from repro.crypto.certs import Certificate
 from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
@@ -52,7 +51,6 @@ from repro.proto.messages import (
     PROTOCOL_VERSION,
     STATUS_OK,
     Attestation,
-    EventSubscribeRequest,
     NetworkQuery,
     QueryResponse,
 )
@@ -266,22 +264,9 @@ class CordaDriver(NetworkDriver):
 
         auth = query.auth
         try:
-            creator = (
-                Certificate.from_bytes(auth.certificate)
-                if auth and auth.certificate
-                else None
-            )
-            self._port.check_access(
-                auth.requesting_network if auth else "",
-                auth.requesting_org if auth else "",
-                address.contract,
-                address.function,
-                creator,
-            )
+            self._port.check_access(auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-        except ReproError as exc:
-            return self._error(query, str(exc))
 
         client_key = None
         if query.confidential:
@@ -370,22 +355,9 @@ class CordaDriver(NetworkDriver):
 
         auth = query.auth
         try:
-            creator = (
-                Certificate.from_bytes(auth.certificate)
-                if auth and auth.certificate
-                else None
-            )
-            self._port.check_access(
-                auth.requesting_network if auth else "",
-                auth.requesting_org if auth else "",
-                address.contract,
-                address.function,
-                creator,
-            )
+            self._port.check_access(auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-        except ReproError as exc:
-            return self._error(query, str(exc))
 
         available = [
             (node.org, node.identity.id) for node in self._network.nodes
@@ -463,33 +435,6 @@ class CordaDriver(NetworkDriver):
 
     # -- event capability ---------------------------------------------------------
 
-    def _check_event_exposure(
-        self, request: EventSubscribeRequest, contract: str, event_name: str
-    ) -> None:
-        """Gate a subscription on the port's ``event:<name>`` rule objects."""
-        auth = request.auth
-        creator = (
-            Certificate.from_bytes(auth.certificate)
-            if auth and auth.certificate
-            else None
-        )
-        denial: AccessDeniedError | None = None
-        for rule_object in (f"event:{event_name}", "event:*"):
-            try:
-                self._port.check_access(
-                    auth.requesting_network if auth else "",
-                    auth.requesting_org if auth else "",
-                    contract,
-                    rule_object,
-                    creator,
-                )
-                return
-            except AccessDeniedError as exc:
-                denial = exc
-        raise denial if denial is not None else AccessDeniedError(
-            "event subscription carries no authentication"
-        )
-
     def open_event_tap(self, request, listener):
         """Exposure-check and tap network finality (§2 primitive iii).
 
@@ -509,7 +454,7 @@ class CordaDriver(NetworkDriver):
         address = request.address
         contract = address.contract if address else ""
         event_name = request.event_name
-        self._check_event_exposure(request, contract, event_name)
+        self._port.check_access(request.auth, contract, f"event:{event_name}")
         tap = CordaEventTap(
             network_id=self.network_id, contract=contract, event_name=event_name
         )

@@ -17,7 +17,9 @@ from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Proposal
+from repro.interop.contracts.ecc import INTEROP_TRANSIENT_KEY, check_access
 from repro.interop.drivers.base import NetworkDriver
+from repro.interop.events import open_hub_tap
 from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import AttestationProofScheme, seal_result
 from repro.proto.address import CrossNetworkAddress
@@ -31,7 +33,6 @@ from repro.proto.messages import (
 from repro.utils.encoding import canonical_json
 from repro.utils.ids import random_id
 
-INTEROP_TRANSIENT_KEY = "interop"
 INTEROP_PLUGIN = "interop"
 
 #: Driver-layer structured logging; records carry the serving relay's
@@ -76,13 +77,9 @@ class FabricDriver(NetworkDriver):
 
     platform = "fabric"
 
-    def __init__(self, network: FabricNetwork, event_reader=None) -> None:
+    def __init__(self, network: FabricNetwork) -> None:
         super().__init__(network.name)
         self._network = network
-        # Event capability is opt-in: subscribe-time ECC rule reads need a
-        # designated local reader identity (see enable_relay_events).
-        self._event_reader = event_reader
-        self.supports_events = event_reader is not None
         self._invoker: Identity | None = None
         self._scheme = AttestationProofScheme()
 
@@ -93,9 +90,8 @@ class FabricDriver(NetworkDriver):
         self._invoker = invoker
         self.supports_transactions = True
 
-    def enable_events(self, reader) -> None:
-        """Grant the event capability with ``reader`` for ECC rule reads."""
-        self._event_reader = reader
+    def enable_events(self) -> None:
+        """Grant the event capability (subscriptions tap the event hub)."""
         self.supports_events = True
 
     def enable_assets(self, invoker, contract: str | None = None) -> None:
@@ -114,31 +110,14 @@ class FabricDriver(NetworkDriver):
         )
 
     def open_event_tap(self, request, listener):
-        """Exposure-check and tap the network's event hub (§2 primitive iii)."""
-        from repro.errors import DriverError
-        from repro.interop.events import check_event_exposure, open_hub_tap
-
-        if self._event_reader is None:
-            raise DriverError(
-                f"driver for network {self.network_id!r} has no event "
-                f"capability enabled (no ECC reader identity)"
-            )
-        auth = request.auth
-        address = request.address
-        check_event_exposure(
-            self._network,
-            self._event_reader,
-            auth.requesting_network if auth else "",
-            auth.requesting_org if auth else "",
-            address.contract if address else "",
-            request.event_name,
+        """ECC-gate and tap the network's event hub (§2 primitive iii)."""
+        if not self.supports_events:
+            return super().open_event_tap(request, listener)
+        contract = request.address.contract if request.address else ""
+        check_access(
+            self._network, request.auth, contract, f"event:{request.event_name}"
         )
-        return open_hub_tap(
-            self._network,
-            address.contract if address else "",
-            request.event_name,
-            listener,
-        )
+        return open_hub_tap(self._network, contract, request.event_name, listener)
 
     def close_event_tap(self, tap) -> None:
         tap.close()
@@ -230,8 +209,6 @@ class FabricDriver(NetworkDriver):
         """
         if self._invoker is None:
             return super().execute_transaction(query)
-        from repro.interop.transactions import check_remote_invocation_exposure
-
         address_msg = query.address
         if address_msg is None:
             return self._error(query, "transaction request has no address")
@@ -246,9 +223,7 @@ class FabricDriver(NetworkDriver):
         except (ReproError, AttributeError) as exc:
             return self._error(query, f"malformed verification policy: {exc}")
         try:
-            check_remote_invocation_exposure(
-                self._network, self._invoker, query.auth, address.contract, address.function
-            )
+            check_access(self._network, query.auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
         except ReproError as exc:

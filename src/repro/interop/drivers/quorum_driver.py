@@ -8,7 +8,6 @@ for Fabric.
 
 from __future__ import annotations
 
-from repro.crypto.certs import Certificate
 from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
@@ -41,9 +40,8 @@ class QuorumDriver(NetworkDriver):
     def enable_assets(self, invoker, contract: str | None = None) -> None:
         """Grant the asset capability: HTLC commands submit under ``invoker``.
 
-        Exposure control and foreign-certificate authentication reuse this
-        driver's :class:`InteropPort`; ``contract`` names the deployed
-        vault contract (defaults to
+        The access gate is this driver's :class:`InteropPort`; ``contract``
+        names the deployed vault contract (defaults to
         :data:`repro.assets.contracts.QUORUM_ASSET_CONTRACT`).
         """
         from repro.assets.contracts import QUORUM_ASSET_CONTRACT
@@ -81,35 +79,21 @@ class QuorumDriver(NetworkDriver):
 
         auth = query.auth
         try:
-            creator = (
-                Certificate.from_bytes(auth.certificate)
-                if auth and auth.certificate
-                else None
-            )
-            self._port.check_access(
-                auth.requesting_network if auth else "",
-                auth.requesting_org if auth else "",
-                address.contract,
-                address.function,
-                creator,
-            )
+            self._port.check_access(auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-        except ReproError as exc:
-            return self._error(query, str(exc))
 
         client_key = None
         if query.confidential:
             client_key = PublicKey.from_bytes(auth.public_key)
 
-        requestor = auth.requestor if auth else "remote"
         attestations: list[Attestation] = []
         result_envelope = b""
         for org, peer_id in selection:
             peer = self._network.peer(peer_id)
             ctx = CallContext(
-                sender=requestor,
-                sender_org=auth.requesting_org if auth else "",
+                sender=auth.requestor,
+                sender_org=auth.requesting_org,
                 timestamp=self._network.clock.now(),
             )
             try:

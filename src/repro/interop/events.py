@@ -3,44 +3,38 @@
 Networks "should expose the following operations for interoperability:
 (i) query ... (ii) carry out transactions ... and (iii) publish and
 subscribe to events" (§2); cross-network events are named future work in
-§7. This module implements the notify-then-verify pattern:
+§7. This module holds the source side's mechanism for the
+notify-then-verify pattern:
 
 - A destination application *subscribes* through its local relay to named
-  chaincode events of a remote network. The subscription is access-
-  controlled by the source ECC (rule object ``event:<name>``).
+  events of a remote network (``MSG_KIND_EVENT_SUBSCRIBE``). The source
+  driver admits the subscription through the network's one access gate
+  (:func:`repro.interop.access.authorise`) under the rule object
+  ``event:<name>``, exactly as it admits a query: the subscriber's
+  certificate must chain to a recorded root and name the org it claims.
 - The source relay bridges its network's event hub to remote subscribers,
-  forwarding compact, *unauthenticated* notifications (block number,
-  transaction id, payload).
+  forwarding compact, *unauthenticated* notifications
+  (:class:`RemoteEventNotification`: block number, transaction id,
+  payload) as ``MSG_KIND_EVENT_PUBLISH`` envelopes.
 - Because notifications are not consensus-backed, the subscriber turns a
-  notification into *trusted* data with a follow-up proof-carrying query —
-  the helper :meth:`RemoteEventSubscription.verify_with_query` wires that
-  up. This keeps the trust argument identical to the paper's: only
-  attestation proofs are believed.
+  notification into *trusted* data with a follow-up proof-carrying query
+  (``VerifiedEventStream`` in :mod:`repro.api`). This keeps the trust
+  argument identical to the paper's: only attestation proofs are believed.
 
-Since the gateway redesign, remote delivery rides relay envelopes
-(``MSG_KIND_EVENT_SUBSCRIBE`` / ``MSG_KIND_EVENT_PUBLISH`` /
-``MSG_KIND_EVENT_UNSUBSCRIBE``) through the same discovery, failover, and
-interceptor chain as queries — see :meth:`RelayService.remote_subscribe`
-and the :class:`repro.api.GatewaySession` / ``VerifiedEventStream``
-surface. :func:`enable_relay_events` switches a network's relay driver on
-for that path. The in-process :class:`EventBridge` below predates it and
-is kept as a thin shim over the same exposure check
-(:func:`check_event_exposure`) and hub tap (:func:`open_hub_tap`).
+:func:`enable_relay_events` switches a Fabric network's relay driver on
+for that path; :func:`open_hub_tap` is the tap it opens once the gate
+has admitted a subscriber.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from repro.errors import AccessDeniedError, DiscoveryError
+from repro.errors import DiscoveryError
 from repro.fabric.events import ChaincodeEvent
-from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
-from repro.interop.client import InteropClient, RemoteQueryResult
 from repro.utils.encoding import canonical_json, from_canonical_json
-from repro.utils.ids import random_id
 
 
 @dataclass(frozen=True)
@@ -82,37 +76,6 @@ class RemoteEventNotification:
 EventCallback = Callable[[RemoteEventNotification], None]
 
 
-def check_event_exposure(
-    network: FabricNetwork,
-    reader: Identity,
-    requesting_network: str,
-    requesting_org: str,
-    chaincode: str,
-    name: str,
-) -> None:
-    """Gate one event subscription on the source ECC.
-
-    Subscriptions use the same ``<network, org, chaincode, object>`` rule
-    shape as queries and transactions, with the object ``event:<name>``
-    (or ``event:*``) — a governance decision must whitelist each remotely
-    observable event, mirroring data-exposure control.
-    """
-    rules_raw = network.gateway.evaluate(reader, "ecc", "ListAccessRules", [])
-    rules = {tuple(rule) for rule in json.loads(rules_raw)}
-    candidates = {
-        (requesting_network, requesting_org, chaincode, f"event:{name}"),
-        (requesting_network, requesting_org, chaincode, "event:*"),
-        (requesting_network, "*", chaincode, f"event:{name}"),
-        (requesting_network, "*", chaincode, "event:*"),
-    }
-    if not candidates & rules:
-        raise AccessDeniedError(
-            f"exposure control denied event subscription "
-            f"<{requesting_network}, {requesting_org}, {chaincode}, "
-            f"event:{name}>"
-        )
-
-
 @dataclass
 class HubTap:
     """A closeable listener registration on a network's event hub.
@@ -140,8 +103,8 @@ def open_hub_tap(
 
     Each matching committed :class:`ChaincodeEvent` is normalized into a
     :class:`RemoteEventNotification` and handed to ``listener`` while the
-    returned tap is open. Exposure control is the caller's job
-    (:func:`check_event_exposure`) — the tap is mechanism, not policy.
+    returned tap is open. Admitting the subscriber is the caller's job —
+    the tap is mechanism, not policy.
     """
     tap = HubTap(network_id=network.name, chaincode=chaincode, event_name=event_name)
 
@@ -163,13 +126,9 @@ def open_hub_tap(
     return tap
 
 
-def enable_relay_events(
-    network: FabricNetwork, relay, reader: Identity
-) -> None:
+def enable_relay_events(network: FabricNetwork, relay) -> None:
     """Switch ``network``'s relay driver on for relay-side subscriptions.
 
-    ``reader`` is the local identity the driver uses for ECC rule reads at
-    subscribe time (a governance choice, like the transaction invoker).
     After this call the relay serves ``MSG_KIND_EVENT_SUBSCRIBE``
     envelopes for the network and pushes ``MSG_KIND_EVENT_PUBLISH``
     notifications to subscriber networks through discovery + failover.
@@ -180,94 +139,4 @@ def enable_relay_events(
             f"relay {relay.relay_id!r} has no driver for network "
             f"{network.name!r} to enable events on"
         )
-    driver.enable_events(reader)
-
-
-@dataclass
-class RemoteEventSubscription:
-    """A live subscription held by a destination application."""
-
-    subscription_id: str
-    source_network: str
-    chaincode: str
-    event_name: str
-    notifications: list[RemoteEventNotification] = field(default_factory=list)
-    callback: EventCallback | None = None
-
-    def deliver(self, notification: RemoteEventNotification) -> None:
-        self.notifications.append(notification)
-        if self.callback is not None:
-            self.callback(notification)
-
-    def verify_with_query(
-        self,
-        client: InteropClient,
-        address: str,
-        args: list[str],
-        policy: str | None = None,
-    ) -> RemoteQueryResult:
-        """Turn a notification into trusted data via a proof-backed query."""
-        return client.remote_query(address, args, policy=policy)
-
-
-class EventBridge:
-    """Legacy in-process bridge from a network's event hub to subscribers.
-
-    Predates the relay-envelope subscription path; kept as a thin shim
-    over the shared exposure check (:func:`check_event_exposure`) and hub
-    tap (:func:`open_hub_tap`) for callers wired before the
-    :class:`~repro.api.GatewaySession` surface existed. New code should
-    subscribe through the gateway so delivery rides discovery, failover,
-    and the interceptor chain.
-    """
-
-    def __init__(self, network: FabricNetwork, admin_reader) -> None:
-        self._network = network
-        self._reader = admin_reader  # identity used for ECC rule reads
-        self._taps: dict[str, HubTap] = {}  # subscription id -> live tap
-
-    def subscribe(
-        self,
-        requesting_network: str,
-        requesting_org: str,
-        chaincode: str,
-        event_name: str,
-        callback: EventCallback | None = None,
-    ) -> RemoteEventSubscription:
-        """Register a remote subscriber (raises on exposure denial)."""
-        check_event_exposure(
-            self._network, self._reader,
-            requesting_network, requesting_org, chaincode, event_name,
-        )
-        subscription = RemoteEventSubscription(
-            subscription_id=random_id("sub-"),
-            source_network=self._network.name,
-            chaincode=chaincode,
-            event_name=event_name,
-            callback=callback,
-        )
-        self._taps[subscription.subscription_id] = open_hub_tap(
-            self._network, chaincode, event_name, subscription.deliver
-        )
-        return subscription
-
-    def unsubscribe(self, subscription: RemoteEventSubscription) -> None:
-        tap = self._taps.pop(subscription.subscription_id, None)
-        if tap is not None:
-            tap.close()
-
-
-class EventBridgeRegistry:
-    """Destination-side lookup of source event bridges (like discovery)."""
-
-    def __init__(self) -> None:
-        self._bridges: dict[str, EventBridge] = {}
-
-    def register(self, network_id: str, bridge: EventBridge) -> None:
-        self._bridges[network_id] = bridge
-
-    def lookup(self, network_id: str) -> EventBridge:
-        bridge = self._bridges.get(network_id)
-        if bridge is None:
-            raise DiscoveryError(f"no event bridge registered for {network_id!r}")
-        return bridge
+    driver.enable_events()

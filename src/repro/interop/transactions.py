@@ -18,19 +18,18 @@ attestation proofs — with two differences:
    carries that outcome's digest, so the destination can verify that the
    update really entered the source ledger.
 
-Exposure control uses the same ``<network, org, chaincode, function>``
-rules — a governance decision must whitelist each remotely-invokable
-function, exactly as for queries.
+Exposure control is the same gate, over the same
+``<network, org, chaincode, function>`` rules — a governance decision
+must whitelist each remotely-invokable function, exactly as for queries.
 
-This module holds the client half and the Fabric exposure gate; on
-Fabric the source half is the network's own driver
+This module holds the client half; on Fabric the source half is the
+network's own driver
 (:meth:`~repro.interop.drivers.fabric_driver.FabricDriver.execute_transaction`),
 granted the capability by :func:`enable_remote_transactions`.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from repro.errors import AccessDeniedError, ProofError, RelayError
@@ -44,14 +43,12 @@ from repro.interop.proofs import (
     decrypt_attestation,
     unseal_result,
 )
-from repro.crypto.certs import Certificate, validate_chain
 from repro.crypto.hashing import sha256
 from repro.proto.address import CrossNetworkAddress, parse_address
 from repro.proto.messages import (
     INVOCATION_TRANSACTION,
     PROTOCOL_VERSION,
     STATUS_OK,
-    AuthInfo,
     NetworkAddressMsg,
     NetworkQuery,
     QueryResponse,
@@ -72,63 +69,6 @@ class RemoteTransactionResult:
     block_number: int
     nonce: str
     attesting_orgs: list[str]
-
-
-def check_remote_invocation_exposure(
-    network: FabricNetwork,
-    invoker: Identity,
-    auth: AuthInfo | None,
-    contract: str,
-    function: str,
-) -> None:
-    """ECC-gate and authenticate one remote invocation on a Fabric network.
-
-    The same governance gate remote *queries* pass, applied to the other
-    side-effecting verbs (transactions, asset lock/claim/unlock): the
-    foreign requestor must present a certificate chaining to the
-    CMDAC-recorded configuration of its claimed network, and an ECC rule
-    must whitelist ``<network, org, contract, function>``. Raises
-    :class:`AccessDeniedError` otherwise. ``invoker`` is the designated
-    local identity used for the ledger reads.
-    """
-    if auth is None or not auth.certificate:
-        raise AccessDeniedError("remote invocation carries no certificate")
-    creator = Certificate.from_bytes(auth.certificate)
-    if creator.subject.organization != auth.requesting_org:
-        raise AccessDeniedError(
-            f"certificate org {creator.subject.organization!r} does not "
-            f"match claimed org {auth.requesting_org!r}"
-        )
-    rules_raw = network.gateway.evaluate(invoker, "ecc", "ListAccessRules", [])
-    rules = {tuple(rule) for rule in json.loads(rules_raw)}
-    candidates = {
-        (auth.requesting_network, auth.requesting_org, contract, function),
-        (auth.requesting_network, auth.requesting_org, contract, "*"),
-        (auth.requesting_network, "*", contract, function),
-        (auth.requesting_network, "*", contract, "*"),
-    }
-    if not candidates & rules:
-        raise AccessDeniedError(
-            f"exposure control denied remote invocation "
-            f"<{auth.requesting_network}, {auth.requesting_org}, "
-            f"{contract}, {function}>"
-        )
-    # Authenticate the foreign certificate against recorded config.
-    config_hex = network.gateway.evaluate(
-        invoker, "cmdac", "GetNetworkConfig", [auth.requesting_network]
-    )
-    from repro.interop.contracts.cmdac import org_roots_from_config
-    from repro.proto.messages import NetworkConfigMsg
-
-    config = NetworkConfigMsg.decode(bytes.fromhex(config_hex.decode("ascii")))
-    roots = org_roots_from_config(config)
-    root = roots.get(creator.subject.organization)
-    if root is None:
-        raise AccessDeniedError(
-            f"org {creator.subject.organization!r} not in recorded config "
-            f"of {auth.requesting_network!r}"
-        )
-    validate_chain(creator, [root])
 
 
 @dataclass

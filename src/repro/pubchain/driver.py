@@ -27,7 +27,6 @@ give a foreign relay a commit pipeline or an ordered event hub for free.
 
 from __future__ import annotations
 
-from repro.crypto.certs import Certificate
 from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
@@ -155,22 +154,9 @@ class PubChainDriver(NetworkDriver):
 
         auth = query.auth
         try:
-            creator = (
-                Certificate.from_bytes(auth.certificate)
-                if auth and auth.certificate
-                else None
-            )
-            self._port.check_access(
-                auth.requesting_network if auth else "",
-                auth.requesting_org if auth else "",
-                address.contract,
-                address.function,
-                creator,
-            )
+            self._port.check_access(auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-        except ReproError as exc:
-            return self._error(query, str(exc))
 
         client_key = None
         if query.confidential:

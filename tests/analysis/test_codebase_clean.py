@@ -20,6 +20,7 @@ BASELINE_PATH = ROOT / "analysis-baseline.json"
 MESSAGES = ROOT / "src" / "repro" / "proto" / "messages.py"
 PROTO_INIT = ROOT / "src" / "repro" / "proto" / "__init__.py"
 RELAY = ROOT / "src" / "repro" / "interop" / "relay.py"
+ASSET_PORTS = ROOT / "src" / "repro" / "assets" / "ports.py"
 
 
 def analyze_src():
@@ -113,3 +114,24 @@ def test_lock_across_relay_round_trip_regression_is_caught():
     ]
     assert len(regressions) == 1
     assert "handle_request" in regressions[0].message
+
+
+def test_org_comparison_outside_the_gate_is_caught():
+    # Re-insert, into the real asset-ports module, the org check it once
+    # held beside the access gate: the drift REP601 exists to stop.
+    sources = {"src/repro/assets/ports.py": ASSET_PORTS.read_text(encoding="utf-8")}
+    assert [f for f in run_analysis(Project.from_sources(sources)) if f.rule == "REP601"] == []
+    sources["src/repro/assets/ports.py"] += textwrap.dedent(
+        """
+
+        def _smoke_regression(auth, creator):
+            if creator.subject.organization != auth.requesting_org:
+                raise AccessDeniedError("certificate org does not match the claim")
+        """
+    )
+    findings = run_analysis(Project.from_sources(sources))
+    regressions = [
+        f for f in findings if f.rule == "REP601" and f.symbol == "_smoke_regression"
+    ]
+    assert len(regressions) == 1
+    assert "subject.organization" in regressions[0].message

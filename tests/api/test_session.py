@@ -39,7 +39,7 @@ def full_gateway(trade_scenario):
     stl_admin = scenario.stl.org("seller-org").member("admin")
     invoker = scenario.stl.org("seller-org").enroll("interop-invoker", role="client")
     enable_remote_transactions(scenario.stl, scenario.stl_relay, invoker)
-    enable_relay_events(scenario.stl, scenario.stl_relay, stl_admin)
+    enable_relay_events(scenario.stl, scenario.stl_relay)
     for rule_object in ("CreateShipment", "event:BillOfLadingIssued"):
         scenario.stl.gateway.submit(
             stl_admin,

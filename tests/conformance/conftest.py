@@ -242,7 +242,7 @@ def build_fabric_target() -> ConformanceTarget:
     relay = create_fabric_relay(fabric, destination.registry)
     invoker = fabric.org("conf-org-a").enroll("interop-invoker", role="client")
     enable_remote_transactions(fabric, relay, invoker)
-    enable_relay_events(fabric, relay, admin)
+    enable_relay_events(fabric, relay)
     asset_invoker = fabric.org("conf-org-a").enroll("asset-invoker", role="client")
     relay.driver_for("fabnetc").enable_assets(asset_invoker)
 

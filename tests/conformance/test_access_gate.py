@@ -95,72 +95,72 @@ HASHLOCK = hashlib.sha256(b"gate-secret").digest()
 TABLE = """
 fabric   query      no-cert                 | STATUS_ACCESS_DENIED       | AccessDeniedError: interop request carries no creator certificate
 fabric   query      org-mismatch            | STATUS_ACCESS_DENIED       | AccessDeniedError: creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
-fabric   query      cn-mismatch             | STATUS_OK                  |
-fabric   query      self-made-ca            | STATUS_ERROR               | peer 'peer0.conf-org-a' failed to execute the query: CertificateError: certificate for 'app' carries an invalid signature from 'ca.dest-org'
-fabric   query      org-not-recorded        | STATUS_ERROR               | peer 'peer0.conf-org-a' failed to execute the query: ChaincodeError: organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-fabric   query      network-not-recorded    | STATUS_ERROR               | peer 'peer0.conf-org-a' failed to execute the query: ConfigurationError: no configuration recorded for foreign network 'ghost-net'
+fabric   query      cn-mismatch             | STATUS_ACCESS_DENIED       | AccessDeniedError: creator certificate has common name 'app', but the request claims requestor 'counter'
+fabric   query      self-made-ca            | STATUS_ACCESS_DENIED       | AccessDeniedError: creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+fabric   query      org-not-recorded        | STATUS_ACCESS_DENIED       | AccessDeniedError: org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+fabric   query      network-not-recorded    | STATUS_ACCESS_DENIED       | AccessDeniedError: no configuration recorded for requesting network 'ghost-net'
 fabric   query      no-rule                 | STATUS_ACCESS_DENIED       | AccessDeniedError: exposure control denied <norule-net, dest-org, confcc, Get>: no matching access rule
 fabric   query      rule-exact              | STATUS_OK                  |
 fabric   query      rule-any-object         | STATUS_OK                  |
 fabric   query      rule-any-org            | STATUS_OK                  |
 fabric   query      rule-any-org-any-object | STATUS_OK                  |
-fabric   transact   no-cert                 | STATUS_ACCESS_DENIED       | remote invocation carries no certificate
-fabric   transact   org-mismatch            | STATUS_ACCESS_DENIED       | certificate org 'dest-org' does not match claimed org 'other-org'
-fabric   transact   cn-mismatch             | STATUS_OK                  |
-fabric   transact   self-made-ca            | STATUS_ERROR               | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-fabric   transact   org-not-recorded        | STATUS_ACCESS_DENIED       | exposure control denied remote invocation <destnet, stranger-org, confcc, Put>
-fabric   transact   network-not-recorded    | STATUS_ACCESS_DENIED       | exposure control denied remote invocation <ghost-net, dest-org, confcc, Put>
-fabric   transact   no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied remote invocation <norule-net, dest-org, confcc, Put>
+fabric   transact   no-cert                 | STATUS_ACCESS_DENIED       | interop request carries no creator certificate
+fabric   transact   org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+fabric   transact   cn-mismatch             | STATUS_ACCESS_DENIED       | creator certificate has common name 'app', but the request claims requestor 'counter'
+fabric   transact   self-made-ca            | STATUS_ACCESS_DENIED       | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+fabric   transact   org-not-recorded        | STATUS_ACCESS_DENIED       | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+fabric   transact   network-not-recorded    | STATUS_ACCESS_DENIED       | no configuration recorded for requesting network 'ghost-net'
+fabric   transact   no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, confcc, Put>: no matching access rule
 fabric   transact   rule-exact              | STATUS_OK                  |
 fabric   transact   rule-any-object         | STATUS_OK                  |
 fabric   transact   rule-any-org            | STATUS_OK                  |
 fabric   transact   rule-any-org-any-object | STATUS_OK                  |
-fabric   subscribe  no-cert                 | tap                        |
-fabric   subscribe  org-mismatch            | AccessDeniedError          | exposure control denied event subscription <destnet, other-org, confcc, event:Stored>
-fabric   subscribe  cn-mismatch             | tap                        |
-fabric   subscribe  self-made-ca            | tap                        |
-fabric   subscribe  org-not-recorded        | AccessDeniedError          | exposure control denied event subscription <destnet, stranger-org, confcc, event:Stored>
-fabric   subscribe  network-not-recorded    | AccessDeniedError          | exposure control denied event subscription <ghost-net, dest-org, confcc, event:Stored>
-fabric   subscribe  no-rule                 | AccessDeniedError          | exposure control denied event subscription <norule-net, dest-org, confcc, event:Stored>
+fabric   subscribe  no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+fabric   subscribe  org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+fabric   subscribe  cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+fabric   subscribe  self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+fabric   subscribe  org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+fabric   subscribe  network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+fabric   subscribe  no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, confcc, event:Stored>: no matching access rule
 fabric   subscribe  rule-exact              | tap                        |
 fabric   subscribe  rule-any-object         | tap                        |
 fabric   subscribe  rule-any-org            | tap                        |
 fabric   subscribe  rule-any-org-any-object | tap                        |
-fabric   lock       no-cert                 | AccessDeniedError          | asset command carries no certificate
-fabric   lock       org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-fabric   lock       cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-fabric   lock       self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-fabric   lock       org-not-recorded        | AccessDeniedError          | exposure control denied remote invocation <destnet, stranger-org, assetscc, LockAsset>
-fabric   lock       network-not-recorded    | AccessDeniedError          | exposure control denied remote invocation <ghost-net, dest-org, assetscc, LockAsset>
-fabric   lock       no-rule                 | AccessDeniedError          | exposure control denied remote invocation <norule-net, dest-org, assetscc, LockAsset>
+fabric   lock       no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+fabric   lock       org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+fabric   lock       cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+fabric   lock       self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+fabric   lock       org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+fabric   lock       network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+fabric   lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, assetscc, LockAsset>: no matching access rule
 fabric   lock       rule-exact              | STATUS_OK                  | locked
 fabric   lock       rule-any-object         | STATUS_OK                  | locked
 fabric   lock       rule-any-org            | STATUS_OK                  | locked
 fabric   lock       rule-any-org-any-object | STATUS_OK                  | locked
-fabric   status     no-cert                 | AccessDeniedError          | asset command carries no certificate
-fabric   status     org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-fabric   status     cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-fabric   status     self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-fabric   status     org-not-recorded        | AccessDeniedError          | exposure control denied remote invocation <destnet, stranger-org, assetscc, GetLock>
-fabric   status     network-not-recorded    | AccessDeniedError          | exposure control denied remote invocation <ghost-net, dest-org, assetscc, GetLock>
-fabric   status     no-rule                 | AccessDeniedError          | exposure control denied remote invocation <norule-net, dest-org, assetscc, GetLock>
+fabric   status     no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+fabric   status     org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+fabric   status     cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+fabric   status     self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+fabric   status     org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+fabric   status     network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+fabric   status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, assetscc, GetLock>: no matching access rule
 fabric   status     rule-exact              | STATUS_OK                  | available
 fabric   status     rule-any-object         | STATUS_OK                  | available
 fabric   status     rule-any-org            | STATUS_OK                  | available
 fabric   status     rule-any-org-any-object | STATUS_OK                  | available
-fabric   local-lock no-cert                 | AccessDeniedError          | asset command carries no certificate
-fabric   local-lock org-mismatch            | AccessDeniedError          | certificate org 'conf-org-a' does not match claimed org 'other-org'
-fabric   local-lock cn-mismatch             | AccessDeniedError          | certificate common name 'admin' does not match claimed requestor 'counter'
-fabric   local-lock self-made-ca            | CertificateError           | certificate for 'admin' carries an invalid signature from 'ca.conf-org-a'
-fabric   local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not a member of network 'fabnetc'
+fabric   local-lock no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+fabric   local-lock org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'conf-org-a', but the request claims org 'other-org'
+fabric   local-lock cn-mismatch             | AccessDeniedError          | creator certificate has common name 'admin', but the request claims requestor 'counter'
+fabric   local-lock self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'conf-org-a': certificate for 'admin' carries an invalid signature from 'ca.conf-org-a'
+fabric   local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'fabnetc'
 fabric   local-lock member                  | STATUS_OK                  | locked
 quorum   query      no-cert                 | STATUS_ACCESS_DENIED       | interop request carries no creator certificate
-quorum   query      org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', not 'other-org'
-quorum   query      cn-mismatch             | STATUS_OK                  |
-quorum   query      self-made-ca            | STATUS_ERROR               | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-quorum   query      org-not-recorded        | STATUS_ERROR               | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-quorum   query      network-not-recorded    | STATUS_ERROR               | no configuration recorded for foreign network 'ghost-net'
-quorum   query      no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, document-registry, GetDocument>: no matching rule
+quorum   query      org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+quorum   query      cn-mismatch             | STATUS_ACCESS_DENIED       | creator certificate has common name 'app', but the request claims requestor 'counter'
+quorum   query      self-made-ca            | STATUS_ACCESS_DENIED       | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+quorum   query      org-not-recorded        | STATUS_ACCESS_DENIED       | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+quorum   query      network-not-recorded    | STATUS_ACCESS_DENIED       | no configuration recorded for requesting network 'ghost-net'
+quorum   query      no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, document-registry, GetDocument>: no matching access rule
 quorum   query      rule-exact              | STATUS_OK                  |
 quorum   query      rule-any-object         | STATUS_OK                  |
 quorum   query      rule-any-org            | STATUS_OK                  |
@@ -187,102 +187,102 @@ quorum   subscribe  rule-exact              | UnsupportedCapabilityError | drive
 quorum   subscribe  rule-any-object         | UnsupportedCapabilityError | driver for network 'quornetc' does not support event subscriptions
 quorum   subscribe  rule-any-org            | UnsupportedCapabilityError | driver for network 'quornetc' does not support event subscriptions
 quorum   subscribe  rule-any-org-any-object | UnsupportedCapabilityError | driver for network 'quornetc' does not support event subscriptions
-quorum   lock       no-cert                 | AccessDeniedError          | asset command carries no certificate
-quorum   lock       org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-quorum   lock       cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-quorum   lock       self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-quorum   lock       org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-quorum   lock       network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-quorum   lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, LockAsset>: no matching rule
+quorum   lock       no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+quorum   lock       org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+quorum   lock       cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+quorum   lock       self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+quorum   lock       org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+quorum   lock       network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+quorum   lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, LockAsset>: no matching access rule
 quorum   lock       rule-exact              | STATUS_OK                  | locked
 quorum   lock       rule-any-object         | STATUS_OK                  | locked
 quorum   lock       rule-any-org            | STATUS_OK                  | locked
 quorum   lock       rule-any-org-any-object | STATUS_OK                  | locked
-quorum   status     no-cert                 | AccessDeniedError          | asset command carries no certificate
-quorum   status     org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-quorum   status     cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-quorum   status     self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-quorum   status     org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-quorum   status     network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-quorum   status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, GetLock>: no matching rule
+quorum   status     no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+quorum   status     org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+quorum   status     cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+quorum   status     self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+quorum   status     org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+quorum   status     network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+quorum   status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, GetLock>: no matching access rule
 quorum   status     rule-exact              | STATUS_OK                  | available
 quorum   status     rule-any-object         | STATUS_OK                  | available
 quorum   status     rule-any-org            | STATUS_OK                  | available
 quorum   status     rule-any-org-any-object | STATUS_OK                  | available
-quorum   local-lock no-cert                 | AccessDeniedError          | asset command carries no certificate
-quorum   local-lock org-mismatch            | AccessDeniedError          | certificate org 'op-org-1' does not match claimed org 'other-org'
-quorum   local-lock cn-mismatch             | AccessDeniedError          | certificate common name 'gate-local' does not match claimed requestor 'counter'
-quorum   local-lock self-made-ca            | CertificateError           | certificate for 'gate-local' carries an invalid signature from 'ca.op-org-1'
-quorum   local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not a member of network 'quornetc'
+quorum   local-lock no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+quorum   local-lock org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'op-org-1', but the request claims org 'other-org'
+quorum   local-lock cn-mismatch             | AccessDeniedError          | creator certificate has common name 'gate-local', but the request claims requestor 'counter'
+quorum   local-lock self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'op-org-1': certificate for 'gate-local' carries an invalid signature from 'ca.op-org-1'
+quorum   local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'quornetc'
 quorum   local-lock member                  | STATUS_OK                  | locked
 corda    query      no-cert                 | STATUS_ACCESS_DENIED       | interop request carries no creator certificate
-corda    query      org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', not 'other-org'
-corda    query      cn-mismatch             | STATUS_OK                  |
-corda    query      self-made-ca            | STATUS_ERROR               | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-corda    query      org-not-recorded        | STATUS_ERROR               | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-corda    query      network-not-recorded    | STATUS_ERROR               | no configuration recorded for foreign network 'ghost-net'
-corda    query      no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, vault, GetState>: no matching rule
+corda    query      org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+corda    query      cn-mismatch             | STATUS_ACCESS_DENIED       | creator certificate has common name 'app', but the request claims requestor 'counter'
+corda    query      self-made-ca            | STATUS_ACCESS_DENIED       | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+corda    query      org-not-recorded        | STATUS_ACCESS_DENIED       | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+corda    query      network-not-recorded    | STATUS_ACCESS_DENIED       | no configuration recorded for requesting network 'ghost-net'
+corda    query      no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, vault, GetState>: no matching access rule
 corda    query      rule-exact              | STATUS_OK                  |
 corda    query      rule-any-object         | STATUS_OK                  |
 corda    query      rule-any-org            | STATUS_OK                  |
 corda    query      rule-any-org-any-object | STATUS_OK                  |
 corda    transact   no-cert                 | STATUS_ACCESS_DENIED       | interop request carries no creator certificate
-corda    transact   org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', not 'other-org'
-corda    transact   cn-mismatch             | STATUS_OK                  |
-corda    transact   self-made-ca            | STATUS_ERROR               | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-corda    transact   org-not-recorded        | STATUS_ERROR               | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-corda    transact   network-not-recorded    | STATUS_ERROR               | no configuration recorded for foreign network 'ghost-net'
-corda    transact   no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, vault, RecordState>: no matching rule
+corda    transact   org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+corda    transact   cn-mismatch             | STATUS_ACCESS_DENIED       | creator certificate has common name 'app', but the request claims requestor 'counter'
+corda    transact   self-made-ca            | STATUS_ACCESS_DENIED       | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+corda    transact   org-not-recorded        | STATUS_ACCESS_DENIED       | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+corda    transact   network-not-recorded    | STATUS_ACCESS_DENIED       | no configuration recorded for requesting network 'ghost-net'
+corda    transact   no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, vault, RecordState>: no matching access rule
 corda    transact   rule-exact              | STATUS_OK                  |
 corda    transact   rule-any-object         | STATUS_OK                  |
 corda    transact   rule-any-org            | STATUS_OK                  |
 corda    transact   rule-any-org-any-object | STATUS_OK                  |
 corda    subscribe  no-cert                 | AccessDeniedError          | interop request carries no creator certificate
-corda    subscribe  org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', not 'other-org'
-corda    subscribe  cn-mismatch             | tap                        |
-corda    subscribe  self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-corda    subscribe  org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-corda    subscribe  network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-corda    subscribe  no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, vault, event:*>: no matching rule
+corda    subscribe  org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+corda    subscribe  cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+corda    subscribe  self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+corda    subscribe  org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+corda    subscribe  network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+corda    subscribe  no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, vault, event:Record>: no matching access rule
 corda    subscribe  rule-exact              | tap                        |
 corda    subscribe  rule-any-object         | tap                        |
 corda    subscribe  rule-any-org            | tap                        |
 corda    subscribe  rule-any-org-any-object | tap                        |
-corda    lock       no-cert                 | AccessDeniedError          | asset command carries no certificate
-corda    lock       org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-corda    lock       cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-corda    lock       self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-corda    lock       org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-corda    lock       network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-corda    lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, LockAsset>: no matching rule
+corda    lock       no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+corda    lock       org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+corda    lock       cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+corda    lock       self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+corda    lock       org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+corda    lock       network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+corda    lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, LockAsset>: no matching access rule
 corda    lock       rule-exact              | STATUS_OK                  | locked
 corda    lock       rule-any-object         | STATUS_OK                  | locked
 corda    lock       rule-any-org            | STATUS_OK                  | locked
 corda    lock       rule-any-org-any-object | STATUS_OK                  | locked
-corda    status     no-cert                 | AccessDeniedError          | asset command carries no certificate
-corda    status     org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-corda    status     cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-corda    status     self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-corda    status     org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-corda    status     network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-corda    status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, GetLock>: no matching rule
+corda    status     no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+corda    status     org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+corda    status     cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+corda    status     self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+corda    status     org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+corda    status     network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+corda    status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, GetLock>: no matching access rule
 corda    status     rule-exact              | STATUS_OK                  | available
 corda    status     rule-any-object         | STATUS_OK                  | available
 corda    status     rule-any-org            | STATUS_OK                  | available
 corda    status     rule-any-org-any-object | STATUS_OK                  | available
-corda    local-lock no-cert                 | AccessDeniedError          | asset command carries no certificate
-corda    local-lock org-mismatch            | AccessDeniedError          | certificate org 'nodeA' does not match claimed org 'other-org'
-corda    local-lock cn-mismatch             | AccessDeniedError          | certificate common name 'nodeA' does not match claimed requestor 'counter'
-corda    local-lock self-made-ca            | CertificateError           | certificate for 'nodeA' carries an invalid signature from 'ca.nodeA'
-corda    local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not a member of network 'cordanetc'
+corda    local-lock no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+corda    local-lock org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'nodeA', but the request claims org 'other-org'
+corda    local-lock cn-mismatch             | AccessDeniedError          | creator certificate has common name 'nodeA', but the request claims requestor 'counter'
+corda    local-lock self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'nodeA': certificate for 'nodeA' carries an invalid signature from 'ca.nodeA'
+corda    local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'cordanetc'
 corda    local-lock member                  | STATUS_OK                  | locked
 pubchain query      no-cert                 | STATUS_ACCESS_DENIED       | interop request carries no creator certificate
-pubchain query      org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', not 'other-org'
-pubchain query      cn-mismatch             | STATUS_OK                  |
-pubchain query      self-made-ca            | STATUS_ERROR               | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-pubchain query      org-not-recorded        | STATUS_ERROR               | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-pubchain query      network-not-recorded    | STATUS_ERROR               | no configuration recorded for foreign network 'ghost-net'
-pubchain query      no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, document-registry, GetDocument>: no matching rule
+pubchain query      org-mismatch            | STATUS_ACCESS_DENIED       | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+pubchain query      cn-mismatch             | STATUS_ACCESS_DENIED       | creator certificate has common name 'app', but the request claims requestor 'counter'
+pubchain query      self-made-ca            | STATUS_ACCESS_DENIED       | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+pubchain query      org-not-recorded        | STATUS_ACCESS_DENIED       | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+pubchain query      network-not-recorded    | STATUS_ACCESS_DENIED       | no configuration recorded for requesting network 'ghost-net'
+pubchain query      no-rule                 | STATUS_ACCESS_DENIED       | exposure control denied <norule-net, dest-org, document-registry, GetDocument>: no matching access rule
 pubchain query      rule-exact              | STATUS_OK                  |
 pubchain query      rule-any-object         | STATUS_OK                  |
 pubchain query      rule-any-org            | STATUS_OK                  |
@@ -309,33 +309,33 @@ pubchain subscribe  rule-exact              | UnsupportedCapabilityError | drive
 pubchain subscribe  rule-any-object         | UnsupportedCapabilityError | driver for network 'pubnetc' does not support event subscriptions
 pubchain subscribe  rule-any-org            | UnsupportedCapabilityError | driver for network 'pubnetc' does not support event subscriptions
 pubchain subscribe  rule-any-org-any-object | UnsupportedCapabilityError | driver for network 'pubnetc' does not support event subscriptions
-pubchain lock       no-cert                 | AccessDeniedError          | asset command carries no certificate
-pubchain lock       org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-pubchain lock       cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-pubchain lock       self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-pubchain lock       org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-pubchain lock       network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-pubchain lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, LockAsset>: no matching rule
+pubchain lock       no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+pubchain lock       org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+pubchain lock       cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+pubchain lock       self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+pubchain lock       org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+pubchain lock       network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+pubchain lock       no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, LockAsset>: no matching access rule
 pubchain lock       rule-exact              | STATUS_OK                  | locked
 pubchain lock       rule-any-object         | STATUS_OK                  | locked
 pubchain lock       rule-any-org            | STATUS_OK                  | locked
 pubchain lock       rule-any-org-any-object | STATUS_OK                  | locked
-pubchain status     no-cert                 | AccessDeniedError          | asset command carries no certificate
-pubchain status     org-mismatch            | AccessDeniedError          | certificate org 'dest-org' does not match claimed org 'other-org'
-pubchain status     cn-mismatch             | AccessDeniedError          | certificate common name 'app' does not match claimed requestor 'counter'
-pubchain status     self-made-ca            | CertificateError           | certificate for 'app' carries an invalid signature from 'ca.dest-org'
-pubchain status     org-not-recorded        | ConfigurationError         | organization 'stranger-org' is not part of the recorded configuration for network 'destnet'
-pubchain status     network-not-recorded    | ConfigurationError         | no configuration recorded for foreign network 'ghost-net'
-pubchain status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, GetLock>: no matching rule
+pubchain status     no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+pubchain status     org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'dest-org', but the request claims org 'other-org'
+pubchain status     cn-mismatch             | AccessDeniedError          | creator certificate has common name 'app', but the request claims requestor 'counter'
+pubchain status     self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'dest-org': certificate for 'app' carries an invalid signature from 'ca.dest-org'
+pubchain status     org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'destnet'
+pubchain status     network-not-recorded    | AccessDeniedError          | no configuration recorded for requesting network 'ghost-net'
+pubchain status     no-rule                 | AccessDeniedError          | exposure control denied <norule-net, dest-org, asset-vault, GetLock>: no matching access rule
 pubchain status     rule-exact              | STATUS_OK                  | available
 pubchain status     rule-any-object         | STATUS_OK                  | available
 pubchain status     rule-any-org            | STATUS_OK                  | available
 pubchain status     rule-any-org-any-object | STATUS_OK                  | available
-pubchain local-lock no-cert                 | AccessDeniedError          | asset command carries no certificate
-pubchain local-lock org-mismatch            | AccessDeniedError          | certificate org 'pub-org-1' does not match claimed org 'other-org'
-pubchain local-lock cn-mismatch             | AccessDeniedError          | certificate common name 'gate-local' does not match claimed requestor 'counter'
-pubchain local-lock self-made-ca            | CertificateError           | certificate for 'gate-local' carries an invalid signature from 'ca.pub-org-1'
-pubchain local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not a member of network 'pubnetc'
+pubchain local-lock no-cert                 | AccessDeniedError          | interop request carries no creator certificate
+pubchain local-lock org-mismatch            | AccessDeniedError          | creator certificate belongs to org 'pub-org-1', but the request claims org 'other-org'
+pubchain local-lock cn-mismatch             | AccessDeniedError          | creator certificate has common name 'gate-local', but the request claims requestor 'counter'
+pubchain local-lock self-made-ca            | AccessDeniedError          | creator certificate does not chain to the recorded root of org 'pub-org-1': certificate for 'gate-local' carries an invalid signature from 'ca.pub-org-1'
+pubchain local-lock org-not-recorded        | AccessDeniedError          | org 'stranger-org' is not part of the recorded configuration of network 'pubnetc'
 pubchain local-lock member                  | STATUS_OK                  | locked
 """
 
@@ -579,15 +579,13 @@ def test_gate_cell(request, platform, verb, cause):
     assert run_cell(deployment_of(request, platform), verb, cause) == CELLS[(platform, verb, cause)]
 
 
-# -- the gaps the table shows, pinned as the behaviour wanted ----------------------
-
-GATE_GAP = "the access gate is spelled out per verb and the copies have drifted"
+# -- gaps the table once showed, pinned as the behaviour wanted --------------------
 
 
 @pytest.mark.parametrize(
     "platform, offers_events",
     [
-        pytest.param("fabric", True, marks=pytest.mark.xfail(strict=True, reason=GATE_GAP)),
+        ("fabric", True),
         ("quorum", False),
         ("corda", True),
         ("pubchain", False),
@@ -606,7 +604,7 @@ def test_claimed_org_subscription_is_refused(request, platform, offers_events, c
 
 @pytest.mark.parametrize(
     "platform",
-    ["fabric", pytest.param("corda", marks=pytest.mark.xfail(strict=True, reason=GATE_GAP))],
+    ["fabric", "corda"],
 )
 def test_object_wildcard_does_not_grant_events(request, platform):
     """``<net, org, c, *>`` exposes functions; events need ``event:*``."""
@@ -627,7 +625,6 @@ def test_object_wildcard_does_not_grant_events(request, platform):
     assert outcome == "AccessDeniedError"
 
 
-@pytest.mark.xfail(strict=True, reason=GATE_GAP)
 def test_quorum_query_binds_requestor_to_certificate(request):
     """The requestor a Quorum view sees as its sender is the certificate's."""
     outcome, text = run_cell(deployment_of(request, "quorum"), "query", "cn-mismatch")

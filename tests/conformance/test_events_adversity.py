@@ -31,7 +31,7 @@ def event_gateway(trade_scenario):
     """Trade scenario with relay-side events enabled on STL."""
     scenario = trade_scenario
     stl_admin = scenario.stl.org("seller-org").member("admin")
-    enable_relay_events(scenario.stl, scenario.stl_relay, stl_admin)
+    enable_relay_events(scenario.stl, scenario.stl_relay)
     scenario.stl.gateway.submit(
         stl_admin,
         "ecc",

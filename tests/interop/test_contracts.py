@@ -159,26 +159,6 @@ class TestCMDAC:
                 ["x", "zzzz"],
             )
 
-    def test_validate_foreign_certificate_paths(self, scenario):
-        admin = stl_admin(scenario)
-        seller_client = scenario.swt.org("seller-bank-org").member("seller")
-        ok = scenario.stl.gateway.evaluate(
-            admin,
-            CMDAC_NAME,
-            "ValidateForeignCertificate",
-            ["swt", seller_client.certificate.to_bytes().hex()],
-        )
-        assert ok == b"OK"
-        # A certificate from an org not in the recorded config fails.
-        stranger = scenario.stl.org("seller-org").member("admin")
-        with pytest.raises(EndorsementError, match="not part"):
-            scenario.stl.gateway.evaluate(
-                admin,
-                CMDAC_NAME,
-                "ValidateForeignCertificate",
-                ["swt", stranger.certificate.to_bytes().hex()],
-            )
-
     def test_validate_proof_full_path_via_use_case(self, shipped_scenario):
         """ValidateProof accepts a genuine proof and consumes the nonce."""
         scenario, po_ref = shipped_scenario

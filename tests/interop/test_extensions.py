@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import AccessDeniedError
-from repro.interop.events import EventBridge, EventBridgeRegistry, RemoteEventNotification
+from repro.interop.events import RemoteEventNotification
 from repro.interop.transactions import (
     RemoteTransactionClient,
     enable_remote_transactions,
@@ -99,65 +99,12 @@ class TestRemoteTransactions:
         assert json.loads(result.result)["po_ref"] == "PO-REMOTE-3"
 
 
-@pytest.fixture()
-def event_scenario(trade_scenario):
-    scenario = trade_scenario
-    admin = scenario.stl.org("seller-org").member("admin")
-    scenario.stl.gateway.submit(
-        admin,
-        "ecc",
-        "AddAccessRule",
-        ["swt", "seller-bank-org", "TradeLensCC", "event:BillOfLadingIssued"],
-    )
-    bridge = EventBridge(scenario.stl, admin)
-    registry = EventBridgeRegistry()
-    registry.register("stl", bridge)
-    return scenario, bridge, registry
-
-
-def _ship(scenario, po_ref):
-    scenario.stl_seller_app.create_shipment(po_ref, "goods")
-    scenario.carrier_app.accept_shipment(po_ref)
-    scenario.carrier_app.record_handover(po_ref)
-    scenario.carrier_app.issue_bill_of_lading(po_ref, "MV Ev")
-
-
 class TestRemoteEvents:
-    def test_subscription_receives_events(self, event_scenario):
-        scenario, bridge, _ = event_scenario
-        received: list[RemoteEventNotification] = []
-        subscription = bridge.subscribe(
-            "swt",
-            "seller-bank-org",
-            "TradeLensCC",
-            "BillOfLadingIssued",
-            callback=received.append,
-        )
-        _ship(scenario, "PO-EV-1")
-        assert len(received) == 1
-        assert received[0].payload == b"PO-EV-1"
-        assert received[0].source_network == "stl"
-        assert subscription.notifications == received
+    """Subscriptions ride relay envelopes; their delivery, refusal and
+    notify-then-verify upgrade are covered by ``tests/api/test_session.py``
+    and ``tests/conformance``. The wire form of a notification is here."""
 
-    def test_unsubscribed_bridge_stops_delivering(self, event_scenario):
-        scenario, bridge, _ = event_scenario
-        subscription = bridge.subscribe(
-            "swt", "seller-bank-org", "TradeLensCC", "BillOfLadingIssued"
-        )
-        _ship(scenario, "PO-EV-2")
-        assert len(subscription.notifications) == 1
-        bridge.unsubscribe(subscription)
-        _ship(scenario, "PO-EV-3")
-        assert len(subscription.notifications) == 1
-
-    def test_subscription_requires_event_rule(self, event_scenario):
-        scenario, bridge, _ = event_scenario
-        with pytest.raises(AccessDeniedError, match="event"):
-            bridge.subscribe("swt", "seller-bank-org", "TradeLensCC", "ShipmentCreated")
-        with pytest.raises(AccessDeniedError):
-            bridge.subscribe("swt", "buyer-bank-org", "TradeLensCC", "BillOfLadingIssued")
-
-    def test_notification_roundtrips_wire_form(self, event_scenario):
+    def test_notification_roundtrips_wire_form(self):
         notification = RemoteEventNotification(
             source_network="stl",
             chaincode="TradeLensCC",
@@ -167,30 +114,3 @@ class TestRemoteEvents:
             tx_id="tx-abc",
         )
         assert RemoteEventNotification.from_bytes(notification.to_bytes()) == notification
-
-    def test_notify_then_verify_pattern(self, event_scenario):
-        """The notification itself is untrusted; the follow-up query is
-        proof-backed — the module's core trust argument."""
-        scenario, bridge, _ = event_scenario
-        subscription = bridge.subscribe(
-            "swt", "seller-bank-org", "TradeLensCC", "BillOfLadingIssued"
-        )
-        _ship(scenario, "PO-EV-4")
-        notification = subscription.notifications[-1]
-        po_ref = notification.payload.decode()
-        result = subscription.verify_with_query(
-            scenario.swt_seller_client.interop_client,
-            "stl/trade-logistics/TradeLensCC/GetBillOfLading",
-            [po_ref],
-            policy=POLICY,
-        )
-        assert json.loads(result.data)["po_ref"] == po_ref
-        assert len(result.proof) == 2
-
-    def test_bridge_registry_lookup(self, event_scenario):
-        _, bridge, registry = event_scenario
-        assert registry.lookup("stl") is bridge
-        from repro.errors import DiscoveryError
-
-        with pytest.raises(DiscoveryError):
-            registry.lookup("atlantis")

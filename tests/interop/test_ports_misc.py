@@ -7,7 +7,7 @@ import pytest
 from repro.errors import AccessDeniedError, ConfigurationError, PolicyError
 from repro.fabric.identity import Organization
 from repro.interop.contracts.ports import InteropPort
-from repro.proto.messages import NetworkConfigMsg, OrganizationConfigMsg
+from repro.proto.messages import AuthInfo, NetworkConfigMsg, OrganizationConfigMsg
 
 
 @pytest.fixture()
@@ -27,6 +27,15 @@ def foreign_config(foreign_org):
                 root_certificate=foreign_org.msp.root_certificate.to_bytes(),
             )
         ],
+    )
+
+
+def requestor(member, network="foreign-net", org="foreign-org") -> AuthInfo:
+    return AuthInfo(
+        requesting_network=network,
+        requesting_org=org,
+        requestor=member.name if member else "",
+        certificate=member.certificate.to_bytes() if member else b"",
     )
 
 
@@ -61,13 +70,6 @@ class TestPortConfiguration:
         with pytest.raises(ConfigurationError):
             port.get_verification_policy("foreign-net")
 
-    def test_validate_foreign_certificate(self, port, foreign_org):
-        member = foreign_org.enroll("app", role="client")
-        port.validate_foreign_certificate("foreign-net", member.certificate)
-        stranger = Organization("stranger-org").enroll("x")
-        with pytest.raises(ConfigurationError):
-            port.validate_foreign_certificate("foreign-net", stranger.certificate)
-
 
 class TestPortExposureControl:
     def test_rule_lifecycle(self, port):
@@ -79,38 +81,38 @@ class TestPortExposureControl:
     def test_check_access_happy_path(self, port, foreign_org):
         member = foreign_org.enroll("app2", role="client")
         port.add_access_rule("foreign-net", "foreign-org", "cc", "fn")
-        port.check_access("foreign-net", "foreign-org", "cc", "fn", member.certificate)
+        port.check_access(requestor(member), "cc", "fn")
 
     def test_check_access_wildcard_org(self, port, foreign_org):
         member = foreign_org.enroll("app3", role="client")
         port.add_access_rule("foreign-net", "*", "cc", "fn")
-        port.check_access("foreign-net", "foreign-org", "cc", "fn", member.certificate)
+        port.check_access(requestor(member), "cc", "fn")
 
     def test_check_access_wildcard_function(self, port, foreign_org):
         member = foreign_org.enroll("app4", role="client")
         port.add_access_rule("foreign-net", "foreign-org", "cc", "*")
-        port.check_access("foreign-net", "foreign-org", "cc", "other", member.certificate)
+        port.check_access(requestor(member), "cc", "other")
 
     def test_no_rule_denied(self, port, foreign_org):
         member = foreign_org.enroll("app5", role="client")
-        with pytest.raises(AccessDeniedError, match="no matching rule"):
-            port.check_access("foreign-net", "foreign-org", "cc", "fn", member.certificate)
+        with pytest.raises(AccessDeniedError, match="no matching access rule"):
+            port.check_access(requestor(member), "cc", "fn")
 
     def test_missing_creator_denied(self, port):
         with pytest.raises(AccessDeniedError, match="no creator"):
-            port.check_access("foreign-net", "foreign-org", "cc", "fn", None)
+            port.check_access(requestor(None), "cc", "fn")
 
     def test_org_mismatch_denied(self, port, foreign_org):
         member = foreign_org.enroll("app6", role="client")
         port.add_access_rule("foreign-net", "other-org", "cc", "fn")
         with pytest.raises(AccessDeniedError, match="belongs to org"):
-            port.check_access("foreign-net", "other-org", "cc", "fn", member.certificate)
+            port.check_access(requestor(member, org="other-org"), "cc", "fn")
 
     def test_unknown_requesting_network_denied(self, port, foreign_org):
         member = foreign_org.enroll("app7", role="client")
         port.add_access_rule("ghost-net", "foreign-org", "cc", "fn")
-        with pytest.raises(ConfigurationError):
-            port.check_access("ghost-net", "foreign-org", "cc", "fn", member.certificate)
+        with pytest.raises(AccessDeniedError):
+            port.check_access(requestor(member, network="ghost-net"), "cc", "fn")
 
 
 class TestPortSealing:
