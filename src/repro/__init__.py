@@ -21,6 +21,8 @@ Package map:
 
 - :mod:`repro.crypto` -- ECDSA/P-256, ECIES, certificates, Merkle trees
 - :mod:`repro.wire` / :mod:`repro.proto` -- the network-neutral protocol
+- :mod:`repro.policy` -- the threshold-policy algebra endorsement and
+  verification policies share
 - :mod:`repro.fabric` -- Hyperledger Fabric-like substrate
 - :mod:`repro.corda`, :mod:`repro.quorum` -- alternative platforms
 - :mod:`repro.interop` -- relays, drivers, system contracts, proofs (the

@@ -19,6 +19,7 @@ Rules:
 - **REP301** wire-kind registry: unique, exported, classified, dispatched
 - **REP401** broad ``except`` without typed re-raise / error answer /
   rationale tag in the transport/relay/driver layers
+- **REP402** an ``except`` naming ``AttributeError`` in those layers
 - **REP501** capability flag granted without the full verb set
 - **REP601** a certificate bound to a claim, or a requestor's chain
   validated, outside the one access gate (``interop/access.py``)

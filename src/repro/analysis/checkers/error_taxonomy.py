@@ -1,4 +1,4 @@
-"""REP401 — typed-error taxonomy in the transport/relay/driver layers.
+"""REP401/REP402 — typed-error taxonomy in the transport/relay/driver layers.
 
 The failover loop (:meth:`RelayService._exchange`) and the capability
 gate both route on *exception type*: ``RelayUnavailableError`` engages
@@ -23,6 +23,12 @@ when it does one of:
 - **carry a tagged rationale** — ``# noqa: BLE001 <why>`` on the
   ``except`` line. The tag doubles as ruff's blind-except suppression,
   and the rationale is mandatory: a bare tag is itself a finding.
+
+REP402: in the same layers, an ``except`` naming ``AttributeError`` is a
+finding. A request with a missing wire field is a decision to answer with
+a typed error, not an attribute lookup to catch: five such catches once
+answered a request with no verification policy "malformed verification
+policy: 'NoneType' object has no attribute 'expression'".
 """
 
 from __future__ import annotations
@@ -46,16 +52,19 @@ from repro.analysis.invariants import ERROR_ANSWER_HELPERS, ERROR_TAXONOMY_LAYER
 _NOQA_RE = re.compile(r"#\s*noqa:\s*(?P<codes>[A-Z0-9, ]*BLE001[A-Z0-9, ]*)(?P<rest>.*)$")
 
 
-def _is_broad(handler: ast.ExceptHandler) -> bool:
+def _caught(handler: ast.ExceptHandler) -> list[str]:
+    """The class names an ``except`` clause lists (last dotted segment)."""
     node = handler.type
     if node is None:
+        return []
+    elements = node.elts if isinstance(node, ast.Tuple) else [node]
+    return [last_segment(dotted_name(element) or "") for element in elements]
+
+
+def _is_broad(handler: ast.ExceptHandler) -> bool:
+    if handler.type is None:
         return True  # bare `except:`
-    names = []
-    if isinstance(node, ast.Tuple):
-        names = [dotted_name(el) or "" for el in node.elts]
-    else:
-        names = [dotted_name(node) or ""]
-    return any(last_segment(n) in ("Exception", "BaseException") for n in names if n)
+    return any(name in ("Exception", "BaseException") for name in _caught(handler))
 
 
 def _noqa_rationale(line_text: str) -> tuple[bool, bool]:
@@ -105,10 +114,11 @@ class _HandlerBodyScan(ast.NodeVisitor):
 
 @register
 class ErrorTaxonomyChecker(Checker):
-    rule_ids = ("REP401",)
+    rule_ids = ("REP401", "REP402")
     invariant = (
         "broad except blocks in transport/relay/driver layers re-raise "
-        "typed, answer an error envelope, or carry a rationale tag"
+        "typed, answer an error envelope, or carry a rationale tag; no "
+        "handler there names AttributeError"
     )
 
     def __init__(self, layers: tuple[str, ...] | None = None) -> None:
@@ -126,9 +136,23 @@ class ErrorTaxonomyChecker(Checker):
                 for node in walk_frame(info.node):
                     if not isinstance(node, ast.ExceptHandler):
                         continue
-                    if not _is_broad(node):
-                        continue
-                    self._check_handler(module, info.qualname, node, findings)
+                    if "AttributeError" in _caught(node):
+                        findings.append(
+                            Finding(
+                                rule="REP402",
+                                path=module.path,
+                                line=node.lineno,
+                                col=node.col_offset,
+                                symbol=info.qualname,
+                                message=(
+                                    "handler names AttributeError — check the "
+                                    "missing field and raise a typed *Error "
+                                    "instead of catching the lookup"
+                                ),
+                            )
+                        )
+                    if _is_broad(node):
+                        self._check_handler(module, info.qualname, node, findings)
         return findings
 
     def _check_handler(

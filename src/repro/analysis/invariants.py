@@ -226,7 +226,8 @@ LOCK_NAME_HINTS = ("lock", "mutex")
 # ---------------------------------------------------------------------------
 # REP401 — typed-error taxonomy: layers where a broad `except Exception`
 # must either re-raise typed, answer an error envelope, or carry a
-# `# noqa: BLE001 <rationale>` tag.
+# `# noqa: BLE001 <rationale>` tag. REP402: no `except` there names
+# `AttributeError`.
 # ---------------------------------------------------------------------------
 
 ERROR_TAXONOMY_LAYERS = (

@@ -13,7 +13,8 @@ Public surface:
 - :class:`Chaincode` / :class:`ChaincodeStub` — smart-contract runtime
 - :class:`Gateway` — the client SDK (submit / evaluate transactions)
 - :func:`parse_endorsement_policy` — policy expressions like
-  ``AND('SellerOrg.peer', 'CarrierOrg.peer')``
+  ``AND('SellerOrg.peer', 'CarrierOrg.peer')``, the ``Org.role``
+  vocabulary of the shared algebra in :mod:`repro.policy`
 """
 
 from repro.fabric.identity import Identity, MembershipServiceProvider, Organization

@@ -1,68 +1,36 @@
-"""Endorsement policy language.
+"""Endorsement policies: the ``Org.role`` vocabulary of :mod:`repro.policy`.
 
-Fabric requires "a subset of endorsers, selected through a predetermined
-policy, to agree on the result" (§4.1). Policies here use Fabric's
-familiar expression syntax::
-
-    AND('SellerOrg.peer', 'CarrierOrg.peer')
-    OR('Org1.member', AND('Org2.peer', 'Org3.peer'))
-    OutOf(2, 'Org1.peer', 'Org2.peer', 'Org3.peer')
-
-A principal is ``Org.role`` where role is ``peer``, ``client``, ``admin``
-or ``member`` (any role). Evaluation takes the set of (org, role) pairs
-that produced valid signatures and returns whether the policy is
-satisfied; ``required_orgs`` supports minimal endorser selection.
+Policies use Fabric's expression syntax, e.g.
+``OR('Org1.member', AND('Org2.peer', 'Org3.peer'))``. A principal is
+``Org.role``, role one of ``peer``, ``client``, ``admin``, ``orderer`` or
+``member`` (any role); a policy is evaluated over the (org, role) pairs
+that signed, and ``minimal_satisfying_orgs`` picks the fewest endorsers.
 """
 
 from __future__ import annotations
 
-import re
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.errors import EndorsementPolicyError
+from repro.policy import Grammar, Policy, Threshold
 
 _ROLES = {"peer", "client", "admin", "orderer", "member"}
 
 Signer = tuple[str, str]  # (org_id, role)
 
 
-class EndorsementPolicy(ABC):
+class EndorsementPolicy(Policy):
     """A boolean predicate over sets of endorsement signers."""
 
-    @abstractmethod
-    def satisfied_by(self, signers: Iterable[Signer]) -> bool:
-        """True iff the signer set satisfies this policy."""
-
-    @abstractmethod
     def principals(self) -> set[str]:
         """All ``Org.role`` principals mentioned anywhere in the policy."""
+        return {leaf.expression().strip("'") for leaf in self.leaves()}
 
-    @abstractmethod
-    def expression(self) -> str:
-        """Canonical source-text form of the policy."""
-
-    def minimal_satisfying_orgs(self, available: Sequence[Signer]) -> list[Signer] | None:
-        """Smallest subset of ``available`` signers that satisfies the policy.
-
-        Used by gateways to pick the fewest endorsers to contact. Returns
-        ``None`` when no subset works. Exponential in the worst case but
-        policies and networks here are small.
-        """
-        pool = list(dict.fromkeys(available))
-        for size in range(1, len(pool) + 1):
-            for subset in combinations(pool, size):
-                if self.satisfied_by(subset):
-                    return list(subset)
-        return None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.expression()!r})"
+    minimal_satisfying_orgs = Policy.select
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedBy(EndorsementPolicy):
     """Leaf: a signature from a member of ``org`` with a matching role."""
 
@@ -76,190 +44,34 @@ class SignedBy(EndorsementPolicy):
             )
 
     def satisfied_by(self, signers: Iterable[Signer]) -> bool:
-        for org, role in signers:
-            if org != self.org:
-                continue
-            if self.role == "member" or self.role == role:
-                return True
-        return False
-
-    def principals(self) -> set[str]:
-        return {f"{self.org}.{self.role}"}
+        return any(
+            org == self.org and self.role in ("member", role) for org, role in signers
+        )
 
     def expression(self) -> str:
         return f"'{self.org}.{self.role}'"
 
 
-@dataclass(frozen=True)
-class OutOf(EndorsementPolicy):
-    """At least ``threshold`` of the sub-policies must be satisfied.
+class OutOf(Threshold, EndorsementPolicy):
+    """At least ``threshold`` of the endorsement sub-policies must be satisfied."""
 
-    ``AND`` is ``OutOf(len(children))``; ``OR`` is ``OutOf(1)``. Each
-    signer may satisfy multiple children (Fabric semantics are the same:
-    the policy is over principals, not signature counts).
-    """
-
-    threshold: int
-    children: tuple[EndorsementPolicy, ...]
-    label: str = "OutOf"
-
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise EndorsementPolicyError("policy combinator requires sub-policies")
-        if not (1 <= self.threshold <= len(self.children)):
-            raise EndorsementPolicyError(
-                f"threshold {self.threshold} out of range for "
-                f"{len(self.children)} sub-policies"
-            )
-
-    def satisfied_by(self, signers: Iterable[Signer]) -> bool:
-        signer_list = list(signers)
-        satisfied = sum(1 for child in self.children if child.satisfied_by(signer_list))
-        return satisfied >= self.threshold
-
-    def principals(self) -> set[str]:
-        result: set[str] = set()
-        for child in self.children:
-            result |= child.principals()
-        return result
-
-    def expression(self) -> str:
-        inner = ", ".join(child.expression() for child in self.children)
-        if self.label == "AND":
-            return f"AND({inner})"
-        if self.label == "OR":
-            return f"OR({inner})"
-        return f"OutOf({self.threshold}, {inner})"
+    error = EndorsementPolicyError
 
 
-def policy_and(*children: EndorsementPolicy) -> OutOf:
-    return OutOf(threshold=len(children), children=tuple(children), label="AND")
+policy_and = OutOf.all_of
+policy_or = OutOf.any_of
 
 
-def policy_or(*children: EndorsementPolicy) -> OutOf:
-    return OutOf(threshold=1, children=tuple(children), label="OR")
+def _signed_by(token: str) -> SignedBy:
+    org, dot, role = token.strip("'").rpartition(".")
+    if not dot:
+        raise EndorsementPolicyError(f"principal {token} must have the form 'Org.role'")
+    return SignedBy(org, role)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
-    r"|(?P<number>\d+)"
-    r"|(?P<principal>'[^']+')"
-    r"|(?P<word>AND|OR|OutOf))",
-    re.IGNORECASE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise EndorsementPolicyError(
-                f"unexpected character at position {position} in policy: {text!r}"
-            )
-        position = match.end()
-        for kind, value in match.groupdict().items():
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], source: str) -> None:
-        self._tokens = tokens
-        self._source = source
-        self._position = 0
-
-    def _peek(self) -> tuple[str, str] | None:
-        if self._position < len(self._tokens):
-            return self._tokens[self._position]
-        return None
-
-    def _next(self, expected: str | None = None) -> tuple[str, str]:
-        token = self._peek()
-        if token is None:
-            raise EndorsementPolicyError(f"unexpected end of policy: {self._source!r}")
-        if expected is not None and token[0] != expected:
-            raise EndorsementPolicyError(
-                f"expected {expected} but found {token[1]!r} in policy: {self._source!r}"
-            )
-        self._position += 1
-        return token
-
-    def parse(self) -> EndorsementPolicy:
-        policy = self._parse_node()
-        if self._peek() is not None:
-            raise EndorsementPolicyError(
-                f"trailing tokens after policy expression: {self._source!r}"
-            )
-        return policy
-
-    def _parse_node(self) -> EndorsementPolicy:
-        kind, value = self._next()
-        if kind == "principal":
-            return self._parse_principal(value)
-        if kind == "word":
-            return self._parse_combinator(value.upper())
-        raise EndorsementPolicyError(
-            f"expected a principal or combinator, found {value!r} in: {self._source!r}"
-        )
-
-    def _parse_principal(self, value: str) -> SignedBy:
-        body = value.strip("'")
-        if "." not in body:
-            raise EndorsementPolicyError(
-                f"principal {body!r} must have the form Org.role"
-            )
-        org, role = body.rsplit(".", 1)
-        return SignedBy(org=org, role=role)
-
-    def _parse_combinator(self, word: str) -> EndorsementPolicy:
-        self._next("lparen")
-        threshold: int | None = None
-        if word == "OUTOF":
-            number = self._next("number")
-            threshold = int(number[1])
-            self._next("comma")
-        children = [self._parse_node()]
-        while True:
-            token = self._peek()
-            if token is None:
-                raise EndorsementPolicyError(
-                    f"unterminated combinator in policy: {self._source!r}"
-                )
-            if token[0] == "comma":
-                self._next()
-                children.append(self._parse_node())
-            elif token[0] == "rparen":
-                self._next()
-                break
-            else:
-                raise EndorsementPolicyError(
-                    f"expected ',' or ')' but found {token[1]!r} in: {self._source!r}"
-                )
-        if word == "AND":
-            return policy_and(*children)
-        if word == "OR":
-            return policy_or(*children)
-        assert threshold is not None
-        return OutOf(threshold=threshold, children=tuple(children))
+_GRAMMAR = Grammar(r"'[^']+'", _signed_by, OutOf)
 
 
 def parse_endorsement_policy(text: str) -> EndorsementPolicy:
-    """Parse a Fabric-style endorsement policy expression.
-
-    Examples::
-
-        parse_endorsement_policy("AND('Org1.peer', 'Org2.peer')")
-        parse_endorsement_policy("OutOf(2, 'A.peer', 'B.peer', 'C.peer')")
-    """
-    tokens = _tokenize(text)
-    if not tokens:
-        raise EndorsementPolicyError("empty policy expression")
-    return _Parser(tokens, text).parse()
+    """Parse e.g. ``OutOf(2, 'A.peer', 'B.peer', 'C.peer')``."""
+    return _GRAMMAR.parse(text)

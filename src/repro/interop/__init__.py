@@ -13,7 +13,10 @@ Components (paper §3):
   (ECC) and Configuration Management & Data Acceptance (CMDAC).
 - :class:`~repro.interop.client.InteropClient` — the application-facing
   API: remote query, response decryption, proof unmarshalling.
-- :mod:`repro.interop.policy` — verification-policy algebra.
+- :mod:`repro.interop.policy` — verification policies (the ``org:`` /
+  ``peer:`` vocabulary of :mod:`repro.policy`) and
+  :func:`~repro.interop.policy.attesters_for`, the one attester selection
+  every driver runs.
 - :mod:`repro.interop.proofs` — attestation-based proof assembly and
   validation (pluggable proof schemes).
 - :mod:`repro.testing` — the threat-model harness used by the security

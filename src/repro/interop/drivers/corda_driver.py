@@ -44,7 +44,7 @@ from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.events import RemoteEventNotification
-from repro.interop.policy import parse_verification_policy
+from repro.interop.policy import Attester, attesters_for
 from repro.interop.proofs import AttestationProofScheme, seal_result
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
@@ -226,6 +226,13 @@ class CordaDriver(NetworkDriver):
             return self._network.notary.identity
         return self._network.node(peer_id.split(".", 1)[0]).identity
 
+    def _attesters(self, query: NetworkQuery) -> list[Attester]:
+        """Every node, then the notary, may attest (§5)."""
+        notary = self._network.notary.identity
+        available = [(node.org, node.identity.id) for node in self._network.nodes]
+        available.append((notary.org, notary.id))
+        return attesters_for(query.policy, available, self.network_id)
+
     def execute_query(self, query: NetworkQuery) -> QueryResponse:
         address_msg = query.address
         if address_msg is None:
@@ -244,23 +251,9 @@ class CordaDriver(NetworkDriver):
                 f"{address.contract}/{address.function}",
             )
         try:
-            policy = parse_verification_policy(query.policy.expression)
-        except (PolicyError, AttributeError) as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
-
-        available = [
-            (node.org, node.identity.id) for node in self._network.nodes
-        ]
-        available.append(
-            (self._network.notary.identity.org, self._network.notary.identity.id)
-        )
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query,
-                f"policy {policy.expression()} cannot be satisfied by corda "
-                f"network {self.network_id!r}",
-            )
+            selection = self._attesters(query)
+        except PolicyError as exc:
+            return self._error(query, str(exc))
 
         auth = query.auth
         try:
@@ -349,29 +342,15 @@ class CordaDriver(NetworkDriver):
                 f"{address.contract}/{address.function}",
             )
         try:
-            policy = parse_verification_policy(query.policy.expression)
-        except (PolicyError, AttributeError) as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
+            selection = self._attesters(query)
+        except PolicyError as exc:
+            return self._error(query, str(exc))
 
         auth = query.auth
         try:
             self._port.check_access(auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-
-        available = [
-            (node.org, node.identity.id) for node in self._network.nodes
-        ]
-        available.append(
-            (self._network.notary.identity.org, self._network.notary.identity.id)
-        )
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query,
-                f"policy {policy.expression()} cannot be satisfied by corda "
-                f"network {self.network_id!r}",
-            )
 
         invoker = self._network.node(self._invoker_node)
         try:

@@ -20,7 +20,7 @@ from repro.fabric.peer import Proposal
 from repro.interop.contracts.ecc import INTEROP_TRANSIENT_KEY, check_access
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.events import open_hub_tap
-from repro.interop.policy import parse_verification_policy
+from repro.interop.policy import Attester, attesters_for
 from repro.interop.proofs import AttestationProofScheme, seal_result
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
@@ -122,6 +122,10 @@ class FabricDriver(NetworkDriver):
     def close_event_tap(self, tap) -> None:
         tap.close()
 
+    def _attesters(self, query: NetworkQuery) -> list[Attester]:
+        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
+        return attesters_for(query.policy, available, self.network_id)
+
     def execute_query(self, query: NetworkQuery) -> QueryResponse:
         address = query.address
         if logger.isEnabledFor(logging.DEBUG):
@@ -140,21 +144,10 @@ class FabricDriver(NetworkDriver):
                 f"network {self.network_id!r} has no ledger "
                 f"{address.ledger if address else ''!r}",
             )
-        if query.policy is None or not query.policy.expression:
-            return self._error(query, "query carries no verification policy")
         try:
-            policy = parse_verification_policy(query.policy.expression)
+            selection = self._attesters(query)
         except PolicyError as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
-
-        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query,
-                f"verification policy {policy.expression()} cannot be satisfied "
-                f"by the peers of network {self.network_id!r}",
-            )
+            return self._error(query, str(exc))
 
         transient = {INTEROP_TRANSIENT_KEY: build_interop_context(query)}
         creator = query.auth.certificate if query.auth else b""
@@ -201,11 +194,12 @@ class FabricDriver(NetworkDriver):
     def execute_transaction(self, query: NetworkQuery) -> QueryResponse:
         """Submit one remote invocation and attest the committed outcome (§5).
 
-        The request passes the same ECC gate as remote queries, then runs
-        through the network's endorse-order-commit pipeline under the
-        invoker identity; each attesting peer confirms the transaction is
-        on *its* ledger replica before signing over the tx id, block
-        number and validation code.
+        The attesting peers are chosen first, so a policy no peer can
+        satisfy is refused before anything commits. The request passes the
+        same ECC gate as remote queries, then runs through the network's
+        endorse-order-commit pipeline under the invoker identity; each
+        attesting peer confirms the transaction is on *its* ledger replica
+        before signing over the tx id, block number and validation code.
         """
         if self._invoker is None:
             return super().execute_transaction(query)
@@ -219,9 +213,9 @@ class FabricDriver(NetworkDriver):
             function=address_msg.function,
         )
         try:
-            policy = parse_verification_policy(query.policy.expression)
-        except (ReproError, AttributeError) as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
+            selection = self._attesters(query)
+        except PolicyError as exc:
+            return self._error(query, str(exc))
         try:
             check_access(self._network, query.auth, address.contract, address.function)
         except AccessDeniedError as exc:
@@ -242,12 +236,6 @@ class FabricDriver(NetworkDriver):
             )
 
         # Attest the committed outcome under the verification policy.
-        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query, f"policy {policy.expression()} unsatisfiable on this network"
-            )
         client_key = (
             PublicKey.from_bytes(query.auth.public_key) if query.confidential else None
         )

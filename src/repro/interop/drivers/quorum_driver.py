@@ -12,7 +12,7 @@ from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
-from repro.interop.policy import parse_verification_policy
+from repro.interop.policy import attesters_for
 from repro.interop.proofs import AttestationProofScheme
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
@@ -63,19 +63,11 @@ class QuorumDriver(NetworkDriver):
             contract=address_msg.contract,
             function=address_msg.function,
         )
-        try:
-            policy = parse_verification_policy(query.policy.expression)
-        except (PolicyError, AttributeError) as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
-
         available = [(peer.org, peer.peer_id) for peer in self._network.peers]
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query,
-                f"policy {policy.expression()} cannot be satisfied by quorum "
-                f"network {self.network_id!r}",
-            )
+        try:
+            selection = attesters_for(query.policy, available, self.network_id)
+        except PolicyError as exc:
+            return self._error(query, str(exc))
 
         auth = query.auth
         try:

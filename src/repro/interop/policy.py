@@ -1,78 +1,34 @@
-"""Verification-policy algebra.
+"""Verification policies: the ``org:`` / ``peer:`` vocabulary of :mod:`repro.policy`.
 
-"The network requesting data must be able to specify a policy for proofs
-(termed as Verification Policy) that the source network will satisfy if
-possible" (§3.1). A verification policy names which source-network units
-must attest to a query result, e.g. the paper's use case requires "proof
-from a peer in both the Seller and Carrier organizations" (§4.3)::
-
-    AND(org:SellerOrg, org:CarrierOrg)
-
-Grammar::
-
-    policy  := leaf | AND(policy, ...) | OR(policy, ...) | OutOf(n, policy, ...)
-    leaf    := org:<org-id>        (any peer of the organization)
-             | peer:<peer-id>      (one specific peer)
-
-Policies both *select* the peers a source relay must query and *validate*
-the attestations a destination receives. The expression string is the
-network-neutral wire form (:class:`repro.proto.VerificationPolicyMsg`).
+A verification policy names which source-network units must attest to a
+result: ``org:<org-id>`` (any peer of the organization) or
+``peer:<peer-id>`` (one specific peer), e.g. the paper's
+``AND(org:SellerOrg, org:CarrierOrg)`` (§4.3). Policies both *select* the
+peers a source relay queries (:func:`attesters_for`) and *validate* the
+attestations a destination receives. The expression string is the wire
+form (:class:`repro.proto.VerificationPolicyMsg`).
 """
 
 from __future__ import annotations
 
-import re
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 from repro.errors import PolicyError
+from repro.policy import Grammar, Policy, Threshold
+from repro.proto.messages import VerificationPolicyMsg
 
-# An attester is identified by (org_id, peer_id).
-Attester = tuple[str, str]
+Attester = tuple[str, str]  # (org_id, peer_id)
 
 
-class VerificationPolicy(ABC):
+class VerificationPolicy(Policy):
     """A predicate over sets of attesting source-network peers."""
 
-    @abstractmethod
-    def satisfied_by(self, attesters: Iterable[Attester]) -> bool:
-        """True iff the attester set satisfies this policy."""
-
-    @abstractmethod
-    def expression(self) -> str:
-        """Canonical source-text form (round-trips through the parser)."""
-
-    @abstractmethod
     def mentioned_orgs(self) -> set[str]:
         """Every organization the policy references (directly or via peers)."""
+        return {org for leaf in self.leaves() for org in leaf.mentioned_orgs()}
 
-    def select_attesters(self, available: Sequence[Attester]) -> list[Attester] | None:
-        """Choose a minimal subset of ``available`` peers satisfying the policy.
-
-        This is how a source relay "orchestrates proof collection by
-        selecting a set of peers to query based on the verification policy
-        it receives" (§4.3). Returns ``None`` when the policy cannot be
-        satisfied by the available peers.
-        """
-        pool = list(dict.fromkeys(available))
-        for size in range(1, len(pool) + 1):
-            for subset in combinations(pool, size):
-                if self.satisfied_by(subset):
-                    return list(subset)
-        return None
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.expression()!r})"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, VerificationPolicy):
-            return NotImplemented
-        return self.expression() == other.expression()
-
-    def __hash__(self) -> int:
-        return hash(self.expression())
+    select_attesters = Policy.select
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,182 +61,61 @@ class PeerAttestation(VerificationPolicy):
 
     def mentioned_orgs(self) -> set[str]:
         # peer ids are qualified as name.org; tolerate unqualified ids.
-        if "." in self.peer_id:
-            return {self.peer_id.split(".", 1)[1]}
-        return set()
+        return {self.peer_id.split(".", 1)[1]} if "." in self.peer_id else set()
 
 
-@dataclass(frozen=True, eq=False)
-class ThresholdPolicy(VerificationPolicy):
+class ThresholdPolicy(Threshold, VerificationPolicy):
     """At least ``threshold`` of ``children`` must be satisfied."""
 
-    threshold: int
-    children: tuple[VerificationPolicy, ...]
-    label: str = "OutOf"
-
-    def __post_init__(self) -> None:
-        if not self.children:
-            raise PolicyError("policy combinator requires sub-policies")
-        if not (1 <= self.threshold <= len(self.children)):
-            raise PolicyError(
-                f"threshold {self.threshold} out of range for "
-                f"{len(self.children)} sub-policies"
-            )
-
-    def satisfied_by(self, attesters: Iterable[Attester]) -> bool:
-        pool = list(attesters)
-        return (
-            sum(1 for child in self.children if child.satisfied_by(pool))
-            >= self.threshold
-        )
-
-    def expression(self) -> str:
-        inner = ", ".join(child.expression() for child in self.children)
-        if self.label == "AND":
-            return f"AND({inner})"
-        if self.label == "OR":
-            return f"OR({inner})"
-        return f"OutOf({self.threshold}, {inner})"
-
-    def mentioned_orgs(self) -> set[str]:
-        orgs: set[str] = set()
-        for child in self.children:
-            orgs |= child.mentioned_orgs()
-        return orgs
+    error = PolicyError
 
 
-def policy_all_of(*children: VerificationPolicy) -> ThresholdPolicy:
-    return ThresholdPolicy(len(children), tuple(children), label="AND")
+policy_all_of = ThresholdPolicy.all_of
+policy_any_of = ThresholdPolicy.any_of
 
 
-def policy_any_of(*children: VerificationPolicy) -> ThresholdPolicy:
-    return ThresholdPolicy(1, tuple(children), label="OR")
+def _attestation(token: str) -> VerificationPolicy:
+    scheme, _, name = token.partition(":")
+    return OrgAttestation(name) if scheme.lower() == "org" else PeerAttestation(name)
 
 
-# ---------------------------------------------------------------------------
-# Parser
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,)"
-    r"|(?P<number>\d+)"
-    r"|(?P<leaf>(?:org|peer):[A-Za-z0-9_.\-]+)"
-    r"|(?P<word>AND|OR|OutOf))",
-    re.IGNORECASE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    position = 0
-    while position < len(text):
-        match = _TOKEN_RE.match(text, position)
-        if match is None:
-            raise PolicyError(
-                f"unexpected character at position {position} in policy {text!r}"
-            )
-        position = match.end()
-        for kind, value in match.groupdict().items():
-            if value is not None:
-                tokens.append((kind, value))
-                break
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], source: str) -> None:
-        self._tokens = tokens
-        self._source = source
-        self._position = 0
-
-    def _peek(self) -> tuple[str, str] | None:
-        return self._tokens[self._position] if self._position < len(self._tokens) else None
-
-    def _next(self, expected: str | None = None) -> tuple[str, str]:
-        token = self._peek()
-        if token is None:
-            raise PolicyError(f"unexpected end of policy {self._source!r}")
-        if expected is not None and token[0] != expected:
-            raise PolicyError(
-                f"expected {expected}, found {token[1]!r} in policy {self._source!r}"
-            )
-        self._position += 1
-        return token
-
-    def parse(self) -> VerificationPolicy:
-        node = self._parse_node()
-        if self._peek() is not None:
-            raise PolicyError(f"trailing tokens in policy {self._source!r}")
-        return node
-
-    def _parse_node(self) -> VerificationPolicy:
-        kind, value = self._next()
-        if kind == "leaf":
-            scheme, _, name = value.partition(":")
-            if scheme.lower() == "org":
-                return OrgAttestation(org=name)
-            return PeerAttestation(peer_id=name)
-        if kind == "word":
-            return self._parse_combinator(value.upper())
-        raise PolicyError(
-            f"expected a leaf or combinator, found {value!r} in {self._source!r}"
-        )
-
-    def _parse_combinator(self, word: str) -> VerificationPolicy:
-        self._next("lparen")
-        threshold: int | None = None
-        if word == "OUTOF":
-            threshold = int(self._next("number")[1])
-            self._next("comma")
-        children = [self._parse_node()]
-        while True:
-            token = self._peek()
-            if token is None:
-                raise PolicyError(f"unterminated combinator in policy {self._source!r}")
-            if token[0] == "comma":
-                self._next()
-                children.append(self._parse_node())
-            elif token[0] == "rparen":
-                self._next()
-                break
-            else:
-                raise PolicyError(
-                    f"expected ',' or ')', found {token[1]!r} in {self._source!r}"
-                )
-        if word == "AND":
-            return policy_all_of(*children)
-        if word == "OR":
-            return policy_any_of(*children)
-        assert threshold is not None
-        return ThresholdPolicy(threshold, tuple(children))
+_GRAMMAR = Grammar(r"(?:org|peer):[A-Za-z0-9_.\-]+", _attestation, ThresholdPolicy)
 
 
 def parse_verification_policy(text: str) -> VerificationPolicy:
-    """Parse a verification-policy expression string.
+    """Parse e.g. ``OutOf(2, org:A, org:B, peer:peer0.carrier-org)``."""
+    return _GRAMMAR.parse(text)
 
-    Examples::
 
-        parse_verification_policy("AND(org:SellerOrg, org:CarrierOrg)")
-        parse_verification_policy("OutOf(2, org:A, org:B, org:C)")
-        parse_verification_policy("peer:peer0.carrier-org")
+def attesters_for(
+    policy: VerificationPolicyMsg | None, available: Sequence[Attester], network_id: str
+) -> list[Attester]:
+    """The peers of ``available`` that attest to one request (§4.3).
+
+    Every driver calls this before any side effect. It raises
+    :class:`PolicyError` with one text per cause: the request carries no
+    policy, the policy is malformed, or it cannot be satisfied.
     """
-    if not text or not text.strip():
-        raise PolicyError("empty verification policy expression")
-    tokens = _tokenize(text)
-    return _Parser(tokens, text).parse()
+    if policy is None or not policy.expression:
+        raise PolicyError("request carries no verification policy")
+    try:
+        parsed = parse_verification_policy(policy.expression)
+    except PolicyError as exc:
+        raise PolicyError(f"malformed verification policy: {exc}") from exc
+    selection = parsed.select_attesters(available)
+    if selection is None:
+        raise PolicyError(
+            f"verification policy {parsed.expression()} cannot be satisfied by "
+            f"the attesters of network {network_id!r}"
+        )
+    return selection
 
 
 def all_orgs_policy(orgs: Iterable[str]) -> VerificationPolicy:
-    """Convenience: require an attestation from every listed organization.
-
-    This is the "optimal verification policy from a network's consensus
-    policy" starting point the paper leaves to future work (§7) — the
-    strictest attestation policy a fully-endorsed network supports.
-    """
-    org_list = sorted(set(orgs))
-    if not org_list:
+    """Require an attestation from every listed organization: the strictest
+    policy a fully-endorsed network supports, and the starting point for the
+    "optimal verification policy" the paper leaves to future work (§7)."""
+    leaves = [OrgAttestation(org) for org in sorted(set(orgs))]
+    if not leaves:
         raise PolicyError("cannot build a policy over zero organizations")
-    leaves = [OrgAttestation(org) for org in org_list]
-    if len(leaves) == 1:
-        return leaves[0]
-    return policy_all_of(*leaves)
+    return leaves[0] if len(leaves) == 1 else policy_all_of(*leaves)

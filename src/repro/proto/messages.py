@@ -156,8 +156,9 @@ class NetworkAddressMsg(Message):
 class VerificationPolicyMsg(Message):
     """A verification policy as a portable expression string.
 
-    ``expression`` uses the policy algebra of
-    :mod:`repro.interop.policy`, e.g. ``AND(org:SellerOrg, org:CarrierOrg)``
+    ``expression`` uses the verification vocabulary
+    (:mod:`repro.interop.policy`) of the policy algebra in
+    :mod:`repro.policy`, e.g. ``AND(org:SellerOrg, org:CarrierOrg)``
     — "proof from a peer in both the Seller and Carrier organizations"
     (§4.3). Carrying the expression rather than a platform-specific
     structure keeps the protocol network-neutral.

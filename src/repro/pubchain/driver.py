@@ -31,7 +31,7 @@ from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
-from repro.interop.policy import parse_verification_policy
+from repro.interop.policy import attesters_for
 from repro.interop.proofs import AttestationProofScheme
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
@@ -136,21 +136,11 @@ class PubChainDriver(NetworkDriver):
             contract=address_msg.contract,
             function=address_msg.function,
         )
+        available = [(identity.org, identity.id) for identity in self._chain.observers]
         try:
-            policy = parse_verification_policy(query.policy.expression)
-        except (PolicyError, AttributeError) as exc:
-            return self._error(query, f"malformed verification policy: {exc}")
-
-        available = [
-            (identity.org, identity.id) for identity in self._chain.observers
-        ]
-        selection = policy.select_attesters(available)
-        if selection is None:
-            return self._error(
-                query,
-                f"policy {policy.expression()} cannot be satisfied by public "
-                f"chain {self.network_id!r}",
-            )
+            selection = attesters_for(query.policy, available, self.network_id)
+        except PolicyError as exc:
+            return self._error(query, str(exc))
 
         auth = query.auth
         try:

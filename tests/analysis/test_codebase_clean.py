@@ -21,6 +21,7 @@ MESSAGES = ROOT / "src" / "repro" / "proto" / "messages.py"
 PROTO_INIT = ROOT / "src" / "repro" / "proto" / "__init__.py"
 RELAY = ROOT / "src" / "repro" / "interop" / "relay.py"
 ASSET_PORTS = ROOT / "src" / "repro" / "assets" / "ports.py"
+QUORUM_DRIVER = ROOT / "src" / "repro" / "interop" / "drivers" / "quorum_driver.py"
 
 
 def analyze_src():
@@ -135,3 +136,17 @@ def test_org_comparison_outside_the_gate_is_caught():
     ]
     assert len(regressions) == 1
     assert "subject.organization" in regressions[0].message
+
+
+def test_attribute_error_catch_in_a_driver_is_caught():
+    # Put back, in the real Quorum driver, the catch that once answered a
+    # request with no policy "'NoneType' object has no attribute ...".
+    path = "src/repro/interop/drivers/quorum_driver.py"
+    source = QUORUM_DRIVER.read_text(encoding="utf-8")
+    assert [f for f in run_analysis(Project.from_sources({path: source})) if f.rule == "REP402"] == []
+    guarded = "        except PolicyError as exc:\n"
+    assert source.count(guarded) == 1
+    mutated = source.replace(guarded, "        except (PolicyError, AttributeError) as exc:\n")
+    findings = run_analysis(Project.from_sources({path: mutated}))
+    regressions = [f for f in findings if f.rule == "REP402"]
+    assert [f.symbol for f in regressions] == ["QuorumDriver.execute_query"]

@@ -162,3 +162,62 @@ def test_nested_handler_in_closure_is_scanned():
         """
     )
     assert [f.symbol for f in findings] == ["serve.worker"]
+
+
+# -- REP402: no AttributeError catches in the protocol layers ---------------------
+
+
+def test_attribute_error_in_a_tuple_fires():
+    findings = run(
+        """
+        def select(query):
+            try:
+                return parse(query.policy.expression)
+            except (PolicyError, AttributeError) as exc:
+                return error(f"malformed verification policy: {exc}")
+        """
+    )
+    assert [(f.rule, f.symbol, f.line) for f in findings] == [("REP402", "select", 5)]
+    assert "AttributeError" in findings[0].message
+
+
+def test_attribute_error_alone_fires():
+    findings = run(
+        """
+        def network_of(query):
+            try:
+                return query.address.network
+            except builtins.AttributeError:
+                return ""
+        """
+    )
+    assert [f.rule for f in findings] == ["REP402"]
+
+
+def test_checking_the_missing_field_is_allowed():
+    findings = run(
+        """
+        def select(query):
+            if query.policy is None:
+                raise PolicyError("request carries no verification policy")
+            try:
+                return parse(query.policy.expression)
+            except PolicyError as exc:
+                raise PolicyError(f"malformed verification policy: {exc}") from exc
+        """
+    )
+    assert findings == []
+
+
+def test_attribute_error_outside_the_layers_is_out_of_scope():
+    findings = run(
+        """
+        def role_of(identity):
+            try:
+                return identity.role
+            except AttributeError:
+                return "member"
+        """,
+        path="src/repro/fabric/fixture.py",
+    )
+    assert findings == []

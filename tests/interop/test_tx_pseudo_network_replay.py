@@ -30,7 +30,10 @@ from repro.proto.messages import (
     MSG_KIND_TRANSACT_REQUEST,
     MSG_KIND_TRANSACT_RESPONSE,
     PROTOCOL_VERSION,
+    STATUS_ERROR,
+    QueryResponse,
     RelayEnvelope,
+    VerificationPolicyMsg,
 )
 
 PUT = "source-net/main/docs/Put"
@@ -131,3 +134,19 @@ def test_transact_request_replay_commits_once(deployment):
     assert relay.handle_request(request) == first
     assert source.peers[0].ledger.height == height + 1
     assert relay.stats.duplicates_suppressed == 1
+
+
+def test_unsatisfiable_policy_is_refused_before_commit(deployment):
+    """No peer can attest under ``org:nobody-org``: the write must not land
+    before the driver finds that out."""
+    source, relay, query = deployment
+    query.policy = VerificationPolicyMsg(expression="org:nobody-org")
+    height = source.peers[0].ledger.height
+    reply = RelayEnvelope.decode(
+        relay.handle_request(envelope(MSG_KIND_TRANSACT_REQUEST, "source-net", query))
+    )
+    assert reply.kind == MSG_KIND_TRANSACT_RESPONSE
+    response = QueryResponse.decode(reply.payload)
+    assert response.status == STATUS_ERROR
+    assert "cannot be satisfied" in response.error
+    assert source.peers[0].ledger.height == height
