@@ -8,18 +8,42 @@ This module reproduces those semantics with a canonical-JSON certificate
 encoding instead of ASN.1 DER: a certificate binds a subject (name, org,
 role, network) to a P-256 public key, carries a validity window, and is
 signed by its issuer. Chains validate up to a trusted, self-signed root.
+
+Each identity is verified once per process. The one expensive step of
+:func:`validate_chain` is an ECDSA verify of a signature over a
+certificate's to-be-signed (TBS) bytes: the issuer's over the member
+certificate, and the root's over itself. Every request repeats both on the
+same few long-lived org, peer and client certificates. The verdict is a pure
+function of (signer public key, TBS bytes, signature), so it is kept in a
+process-wide ``functools.lru_cache`` keyed on exactly those three values and
+bounded at ``_SIGNATURE_MEMO_SIZE`` (1024) entries, least recently used out.
+A hit returns what a fresh verify would, so the memo is no trust shortcut.
+:meth:`Certificate.verify_signed_by` is that memoised check and the only
+signature check here. The validity window against the caller's ``at_time``
+and the name matches are not memoised; they run on every call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from repro.crypto.ecdsa import Signature, sign, verify
 from repro.crypto.keys import KeyPair, PrivateKey, PublicKey, generate_keypair
-from repro.errors import CertificateError
+from repro.errors import CertificateError, ReproError
 from repro.utils.encoding import canonical_json, from_canonical_json
+
+# A deployment holds a handful of CAs and a few members per org, so 1024
+# verdicts is ample; an entry is ~0.65 KB (mostly its TBS bytes), so a
+# full memo stays under 1 MB.
+_SIGNATURE_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_SIGNATURE_MEMO_SIZE)
+def _issuer_signed(issuer_key: PublicKey, tbs: bytes, signature: Signature) -> bool:
+    # Keyed by value: two keys or signatures are equal iff their encodings are.
+    return verify(issuer_key, tbs, signature)
 
 
 @dataclass(frozen=True)
@@ -41,12 +65,15 @@ class Subject:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Subject":
-        return cls(
+        subject = cls(
             common_name=data["common_name"],
             organization=data["organization"],
             role=data.get("role", "client"),
             network=data.get("network", ""),
         )
+        if not all(isinstance(value, str) for value in subject.to_dict().values()):
+            raise CertificateError("subject fields must be strings")
+        return subject
 
 
 @dataclass(frozen=True)
@@ -74,8 +101,12 @@ class Certificate:
             "not_after": self.not_after,
         }
 
-    def tbs_bytes(self) -> bytes:
+    @cached_property
+    def _tbs(self) -> bytes:
         return canonical_json(self._tbs_dict())
+
+    def tbs_bytes(self) -> bytes:
+        return self._tbs
 
     def to_dict(self) -> dict:
         data = self._tbs_dict()
@@ -93,6 +124,12 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Certificate":
+        """Build a certificate from :meth:`to_dict` output.
+
+        Raises :class:`CertificateError`, and nothing else, on any other
+        input: a non-object, a missing field, or a field of the wrong type
+        or out of range (including a key off the curve).
+        """
         try:
             return cls(
                 subject=Subject.from_dict(data["subject"]),
@@ -103,14 +140,15 @@ class Certificate:
                 not_after=float(data["not_after"]),
                 signature=Signature.from_bytes(bytes.fromhex(data["signature"])),
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ReproError) as exc:
             raise CertificateError(f"malformed certificate: {exc}") from exc
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Certificate":
+        """Parse :meth:`to_bytes` output; raises only :class:`CertificateError`."""
         try:
             decoded = from_canonical_json(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise CertificateError(f"certificate is not valid JSON: {exc}") from exc
         return cls.from_dict(decoded)
 
@@ -118,14 +156,15 @@ class Certificate:
 
     @property
     def is_self_signed(self) -> bool:
+        """Whether subject and issuer name match (the signature is not read)."""
         return self.subject == self.issuer
 
     def is_within_validity(self, at_time: float) -> bool:
         return self.not_before <= at_time <= self.not_after
 
     def verify_signed_by(self, issuer_key: PublicKey) -> bool:
-        """Check this certificate's signature under ``issuer_key``."""
-        return verify(issuer_key, self.tbs_bytes(), self.signature)
+        """Check this certificate's signature under ``issuer_key`` (memoised)."""
+        return _issuer_signed(issuer_key, self.tbs_bytes(), self.signature)
 
 
 class CertificateAuthority:
@@ -217,9 +256,18 @@ def validate_chain(
     """Validate ``certificate`` against a set of trusted self-signed roots.
 
     Returns the root that anchored trust. Raises :class:`CertificateError`
-    when the certificate is expired, its issuer is unknown, or the issuer's
-    signature does not verify. (Chains here are depth-2: root -> member,
-    matching Fabric's common single-intermediate-free deployment.)
+    when the certificate is expired, a trusted root is not self-signed (by
+    name and by signature), its issuer is unknown, or the issuer's signature
+    does not verify. (Chains here are depth-2: root -> member, matching
+    Fabric's common single-intermediate-free deployment.)
+
+    The two signature checks, each root's own and the issuer's over the
+    certificate, go through :meth:`Certificate.verify_signed_by` and so
+    through the module's bounded memo, keyed on (signer key, TBS bytes,
+    signature): one verify per distinct certificate and root per process,
+    none in steady state. The validity window against ``at_time``, the
+    root's subject-equals-issuer names and ``root.subject ==
+    certificate.issuer`` are re-checked on every call.
     """
     if not certificate.is_within_validity(at_time):
         raise CertificateError(
@@ -227,7 +275,7 @@ def validate_chain(
             f"its validity window at t={at_time}"
         )
     for root in trusted_roots:
-        if not root.is_self_signed:
+        if not (root.is_self_signed and root.verify_signed_by(root.public_key)):
             raise CertificateError(
                 f"trusted root for {root.subject.organization!r} is not self-signed"
             )

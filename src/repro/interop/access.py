@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 from repro.crypto.certs import Certificate, validate_chain
-from repro.errors import AccessDeniedError, ReproError
+from repro.errors import AccessDeniedError, CertificateError, ReproError
 from repro.proto.messages import AuthInfo
 
 
@@ -60,7 +60,7 @@ def authorise(
         raise AccessDeniedError("interop request carries no creator certificate")
     try:
         certificate = Certificate.from_bytes(auth.certificate)
-    except (ReproError, TypeError) as exc:
+    except CertificateError as exc:
         raise AccessDeniedError(f"creator certificate is malformed: {exc}") from exc
     network, org = auth.requesting_network, auth.requesting_org
     if certificate.subject.organization != org:

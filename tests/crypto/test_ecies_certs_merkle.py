@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +17,7 @@ from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
 from repro.crypto.keys import generate_keypair
 from repro.crypto.merkle import AuditStep, MerkleTree, verify_audit_path
 from repro.errors import CertificateError, DecryptionError
+from repro.utils.encoding import canonical_json
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +148,105 @@ class TestCertificates:
         _, member = ca.enroll("member-as-root")
         with pytest.raises(CertificateError, match="not self-signed"):
             validate_chain(member, [member])
+
+    def test_validation_rejects_root_with_copied_signature(self, ca):
+        # Subject and issuer names match, but the signature is another CA's.
+        _, member = ca.enroll("member-under-copied-root")
+        other = CertificateAuthority("other-org", network="acme-net").root_certificate
+        root = dataclasses.replace(ca.root_certificate, signature=other.signature)
+        assert root.is_self_signed
+        with pytest.raises(CertificateError, match="not self-signed"):
+            validate_chain(member, [root])
+
+
+def _parses_or_refuses(data: bytes) -> None:
+    """``Certificate.from_bytes`` may return, or raise CertificateError."""
+    try:
+        Certificate.from_bytes(data)
+    except CertificateError:
+        pass
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestCertificateDecoding:
+    """Wrong-shape input becomes a CertificateError, never a stray exception."""
+
+    @pytest.fixture(scope="class")
+    def encoded(self):
+        _, cert = CertificateAuthority("decode-org").enroll("member")
+        return cert.to_dict()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"null",
+            b"[1]",
+            b"1",
+            b'"x"',
+            b"{}",
+            pytest.param(b"[" * 100_000, id="nested-100000-deep"),
+        ],
+    )
+    def test_wrong_shape_bytes(self, data):
+        with pytest.raises(CertificateError):
+            Certificate.from_bytes(data)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("subject", "x"),
+            ("subject", {"common_name": "x"}),
+            ("subject", {"common_name": 1, "organization": "org"}),
+            ("issuer", None),
+            ("serial", [1]),
+            ("serial", float("inf")),
+            ("not_after", None),
+            ("not_before", {}),
+            ("public_key", 1),
+            ("public_key", "04" + "00" * 64),  # off the curve
+            ("signature", "00" * 63),  # wrong length
+        ],
+    )
+    def test_wrong_field(self, encoded, field, value):
+        with pytest.raises(CertificateError):
+            Certificate.from_dict({**encoded, field: value})
+        with pytest.raises(CertificateError):
+            Certificate.from_bytes(canonical_json({**encoded, field: value}))
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=json_values)
+    def test_arbitrary_json(self, value):
+        _parses_or_refuses(canonical_json(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        field=st.sampled_from(
+            ["subject", "issuer", "public_key", "serial", "not_before", "not_after", "signature"]
+        ),
+        value=json_values,
+    )
+    def test_arbitrary_json_in_one_field(self, encoded, field, value):
+        _parses_or_refuses(canonical_json({**encoded, field: value}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        field=st.sampled_from(["common_name", "organization", "role", "network"]),
+        value=json_values,
+    )
+    def test_arbitrary_json_in_one_subject_field(self, encoded, field, value):
+        _parses_or_refuses(canonical_json({**encoded, "subject": {**encoded["subject"], field: value}}))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.binary(max_size=64))
+    def test_arbitrary_bytes(self, data):
+        _parses_or_refuses(data)
 
 
 class TestMerkle:
