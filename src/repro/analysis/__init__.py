@@ -23,6 +23,9 @@ Rules:
 - **REP501** capability flag granted without the full verb set
 - **REP601** a certificate bound to a claim, or a requestor's chain
   validated, outside the one access gate (``interop/access.py``)
+- **REP602** ``ecies_encrypt`` / ``ecies_decrypt`` / ``Encapsulation``
+  called outside ``repro.crypto`` and the one reply sealer
+  (``interop/proofs.py``)
 
 Intentional violations live in ``analysis-baseline.json`` at the repo
 root, each with a mandatory rationale; the checkers/registries are in

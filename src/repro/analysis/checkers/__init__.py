@@ -6,5 +6,6 @@ from repro.analysis.checkers import (  # noqa: F401 - registration imports
     capabilities,
     error_taxonomy,
     locks,
+    reply_sealing,
     wire_kinds,
 )

@@ -23,10 +23,9 @@ import ast
 from repro.analysis.core import (
     Checker,
     Finding,
-    ModuleSource,
     Project,
     dotted_name,
-    iter_functions,
+    enclosing_function,
     last_segment,
     register,
 )
@@ -49,17 +48,6 @@ def _subject_field(node: ast.expr) -> str | None:
     ):
         return node.attr
     return None
-
-
-def _enclosing(module: ModuleSource, line: int) -> str:
-    """Qualname of the innermost function spanning ``line`` ("" at module level)."""
-    best: str = ""
-    best_span: int | None = None
-    for info in iter_functions(module):
-        start, end = info.node.lineno, info.node.end_lineno or info.node.lineno
-        if start <= line <= end and (best_span is None or end - start < best_span):
-            best, best_span = info.qualname, end - start
-    return best
 
 
 @register
@@ -107,7 +95,7 @@ class AccessGateChecker(Checker):
                             path=module.path,
                             line=node.lineno,
                             col=node.col_offset,
-                            symbol=_enclosing(module, node.lineno),
+                            symbol=enclosing_function(module, node.lineno),
                             message=message,
                         )
                     )

@@ -245,3 +245,14 @@ def iter_functions(module: ModuleSource) -> Iterator[FunctionInfo]:
                 yield from walk(node.body, f"{prefix}{node.name}.", node.name)
 
     yield from walk(module.tree.body, "", None)
+
+
+def enclosing_function(module: ModuleSource, line: int) -> str:
+    """Qualname of the innermost function spanning ``line`` ("" at module level)."""
+    best: str = ""
+    best_span: int | None = None
+    for info in iter_functions(module):
+        start, end = info.node.lineno, info.node.end_lineno or info.node.lineno
+        if start <= line <= end and (best_span is None or end - start < best_span):
+            best, best_span = info.qualname, end - start
+    return best

@@ -312,3 +312,15 @@ ACCESS_GATE_MODULE = "repro/interop/access.py"
 #: Modules that may call ``validate_chain`` outside the gate: proof
 #: validation authenticates the attesting *peers* against recorded roots.
 CHAIN_VALIDATION_EXEMPT = ("repro/interop/proofs.py",)
+
+# ---------------------------------------------------------------------------
+# REP602 — one module seals replies: where ECIES may be called.
+# ---------------------------------------------------------------------------
+
+#: The public-key encryption API: one box each way, and the key agreement
+#: several boxes of one peer reply share.
+SEALING_CALLS = frozenset({"ecies_encrypt", "ecies_decrypt", "Encapsulation"})
+
+#: Modules that may call it: the primitives themselves, and the one owner
+#: of how a reply is sealed and opened.
+SEALING_MODULES = ("repro/crypto/", "repro/interop/proofs.py")

@@ -26,10 +26,9 @@ from repro.interop.contracts.cmdac import CMDAC_NAME
 from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import (
     ProofBundle,
+    ReplyOpener,
     attested_data_hash,
     check_attested_query,
-    decrypt_attestation,
-    unseal_result,
 )
 from repro.interop.relay import RelayService
 from repro.crypto.hashing import sha256
@@ -255,11 +254,12 @@ class InteropClient:
         )
         if not envelope:
             raise ProofError("response carries no result envelope")
-        private_key = self._identity.keypair.private if prepared.confidential else None
-        data = unseal_result(envelope, private_key)
+        opener = ReplyOpener(
+            self._identity.keypair.private if prepared.confidential else None
+        )
+        data = opener.unseal(envelope)
         attestations = tuple(
-            decrypt_attestation(attestation, self._identity.keypair.private)
-            for attestation in response.attestations
+            opener.attestation(attestation) for attestation in response.attestations
         )
         bundle = ProofBundle(attestations=attestations)
         if prepared.verify_locally:

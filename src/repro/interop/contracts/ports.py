@@ -7,23 +7,22 @@ contracts will remain the same" (§5).
 
 :class:`InteropPort` re-implements the ECC + CMDAC *functions* (access
 rules over ``<network, org, contract, function>`` tuples, foreign-config
-records, verification policies, response sealing) as a node-attached
-service, which is how a platform without Fabric-style chaincode would host
-them. What it holds is platform-specific; the access decision is not:
+records, verification policies) as a node-attached service, which is how
+a platform without Fabric-style chaincode would host them. What it holds
+is platform-specific; the access decision is not:
 :meth:`InteropPort.check_access` hands its recorded roots and rule set to the
-same :func:`repro.interop.access.authorise` the Fabric ECC runs. The
-Fabric implementation lives in :mod:`repro.interop.contracts.ecc` /
-``cmdac`` as real chaincode.
+same :func:`repro.interop.access.authorise` the Fabric ECC runs. Response
+sealing (ECC ``SealResponse`` on Fabric) is
+:func:`repro.interop.proofs.attest_reply` here. The Fabric implementation
+lives in :mod:`repro.interop.contracts.ecc` / ``cmdac`` as real chaincode.
 """
 
 from __future__ import annotations
 
-from repro.crypto.keys import PublicKey
 from repro.errors import ConfigurationError
 from repro.interop.access import authorise
 from repro.interop.contracts.cmdac import org_roots_from_config
 from repro.interop.policy import parse_verification_policy
-from repro.interop.proofs import seal_result
 from repro.proto.messages import AuthInfo, NetworkConfigMsg
 
 
@@ -95,10 +94,3 @@ class InteropPort:
             contract,
             obj,
         )
-
-    # -- response sealing (ECC SealResponse) --------------------------------------------
-
-    def seal(
-        self, plaintext: bytes, client_key: PublicKey | None, confidential: bool
-    ) -> bytes:
-        return seal_result(plaintext, client_key, confidential)

@@ -12,6 +12,8 @@ from repro.proto.messages import (
     PROTOCOL_VERSION,
     STATUS_ACCESS_DENIED,
     STATUS_ERROR,
+    STATUS_OK,
+    Attestation,
     EventSubscribeRequest,
     NetworkQuery,
     QueryResponse,
@@ -177,7 +179,23 @@ class NetworkDriver(ABC):
         except Exception as exc:  # noqa: BLE001 - a batch member must not escape
             return self._error(query, f"driver failed to execute the query: {exc}")
 
-    # -- shared error helpers ---------------------------------------------------
+    # -- shared reply helpers ---------------------------------------------------
+
+    def _attested(
+        self, query: NetworkQuery, attestations: list[Attestation], envelope: bytes
+    ) -> QueryResponse:
+        """The OK reply: the attestations and the one result envelope."""
+        response = QueryResponse(
+            version=PROTOCOL_VERSION,
+            nonce=query.nonce,
+            status=STATUS_OK,
+            attestations=attestations,
+        )
+        if query.confidential:
+            response.result_cipher = envelope
+        else:
+            response.result_plain = envelope
+        return response
 
     def _denied(self, query: NetworkQuery, message: str) -> QueryResponse:
         return QueryResponse(

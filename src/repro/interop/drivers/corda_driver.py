@@ -39,21 +39,14 @@ from repro.corda.network import CordaNetwork
 from repro.corda.node import CordaNode
 from repro.corda.states import LinearState
 from repro.corda.transactions import CordaTransaction
-from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.events import RemoteEventNotification
 from repro.interop.policy import Attester, attesters_for
-from repro.interop.proofs import AttestationProofScheme, seal_result
+from repro.interop.proofs import AttestationProofScheme, attest_reply
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import (
-    PROTOCOL_VERSION,
-    STATUS_OK,
-    Attestation,
-    NetworkQuery,
-    QueryResponse,
-)
+from repro.proto.messages import Attestation, NetworkQuery, QueryResponse
 from repro.utils.encoding import canonical_json
 
 # A query handler resolves (node, args) -> plaintext result bytes.
@@ -255,15 +248,10 @@ class CordaDriver(NetworkDriver):
         except PolicyError as exc:
             return self._error(query, str(exc))
 
-        auth = query.auth
         try:
-            self._port.check_access(auth, address.contract, address.function)
+            self._port.check_access(query.auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-
-        client_key = None
-        if query.confidential:
-            client_key = PublicKey.from_bytes(auth.public_key)
 
         attestations: list[Attestation] = []
         result_envelope = b""
@@ -278,34 +266,19 @@ class CordaDriver(NetworkDriver):
                 plaintext = handler(source_node, list(query.args))
             except ReproError as exc:
                 return self._error(query, f"node {peer_id!r} query failed: {exc}")
-            envelope = self._port.seal(plaintext, client_key, query.confidential)
-            attestations.append(
-                self._scheme.generate_attestation(
-                    peer_identity=identity,
-                    network=self.network_id,
-                    address=address,
-                    args=list(query.args),
-                    nonce=query.nonce,
-                    result_envelope=envelope,
-                    client_key=client_key,
-                    confidential=query.confidential,
-                    timestamp=self._network.clock.now(),
-                )
+            envelope, attestation = attest_reply(
+                self._scheme,
+                identity,
+                self.network_id,
+                address,
+                query,
+                plaintext,
+                self._network.clock.now(),
             )
-            if not result_envelope:
-                result_envelope = envelope
+            attestations.append(attestation)
+            result_envelope = result_envelope or envelope
 
-        response = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response.result_cipher = result_envelope
-        else:
-            response.result_plain = result_envelope
-        return response
+        return self._attested(query, attestations, result_envelope)
 
     # -- transaction capability ---------------------------------------------------
 
@@ -346,9 +319,8 @@ class CordaDriver(NetworkDriver):
         except PolicyError as exc:
             return self._error(query, str(exc))
 
-        auth = query.auth
         try:
-            self._port.check_access(auth, address.contract, address.function)
+            self._port.check_access(query.auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
 
@@ -358,9 +330,6 @@ class CordaDriver(NetworkDriver):
         except ReproError as exc:
             return self._error(query, f"source transaction failed: {exc}")
 
-        client_key = None
-        if query.confidential:
-            client_key = PublicKey.from_bytes(auth.public_key)
         outcome = canonical_json(
             {
                 "result": result.hex(),
@@ -369,8 +338,8 @@ class CordaDriver(NetworkDriver):
                 "validation_code": "VALID",
             }
         )
-        envelope = seal_result(outcome, client_key, query.confidential)
         attestations: list[Attestation] = []
+        envelope = b""
         for org, peer_id in selection:
             identity = self._attesting_identity(peer_id)
             if peer_id == self._network.notary.identity.id:
@@ -387,30 +356,19 @@ class CordaDriver(NetworkDriver):
                     query,
                     f"node {peer_id!r} has not finalized {transaction.tx_id!r}",
                 )
-            attestations.append(
-                self._scheme.generate_attestation(
-                    peer_identity=identity,
-                    network=self.network_id,
-                    address=address,
-                    args=list(query.args),
-                    nonce=query.nonce,
-                    result_envelope=envelope,
-                    client_key=client_key,
-                    confidential=query.confidential,
-                    timestamp=self._network.clock.now(),
-                )
+            # The first attesting node seals the outcome; the rest attest it.
+            envelope, attestation = attest_reply(
+                self._scheme,
+                identity,
+                self.network_id,
+                address,
+                query,
+                outcome,
+                self._network.clock.now(),
+                envelope,
             )
-        response = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response.result_cipher = envelope
-        else:
-            response.result_plain = envelope
-        return response
+            attestations.append(attestation)
+        return self._attested(query, attestations, envelope)
 
     # -- event capability ---------------------------------------------------------
 

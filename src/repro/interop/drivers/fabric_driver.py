@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 
-from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
@@ -21,15 +20,9 @@ from repro.interop.contracts.ecc import INTEROP_TRANSIENT_KEY, check_access
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.events import open_hub_tap
 from repro.interop.policy import Attester, attesters_for
-from repro.interop.proofs import AttestationProofScheme, seal_result
+from repro.interop.proofs import AttestationProofScheme, attest_reply, peer_reply
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import (
-    PROTOCOL_VERSION,
-    STATUS_OK,
-    Attestation,
-    NetworkQuery,
-    QueryResponse,
-)
+from repro.proto.messages import Attestation, NetworkQuery, QueryResponse
 from repro.utils.encoding import canonical_json
 from repro.utils.ids import random_id
 
@@ -165,7 +158,9 @@ class FabricDriver(NetworkDriver):
                 transient=transient,
                 timestamp=self._network.clock.now(),
             )
-            response = peer.endorse(proposal, plugin=INTEROP_PLUGIN)
+            # ECC SealResponse and the endorsement plugin seal one reply.
+            with peer_reply():
+                response = peer.endorse(proposal, plugin=INTEROP_PLUGIN)
             if not response.success:
                 if response.message.startswith(_ACCESS_DENIED_MARKER):
                     return self._denied(query, response.message)
@@ -176,20 +171,9 @@ class FabricDriver(NetworkDriver):
                 )
             assert response.endorsement is not None
             attestations.append(Attestation.decode(response.endorsement.signature))
-            if not result_envelope:
-                result_envelope = response.result
+            result_envelope = result_envelope or response.result
 
-        response_msg = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response_msg.result_cipher = result_envelope
-        else:
-            response_msg.result_plain = result_envelope
-        return response_msg
+        return self._attested(query, attestations, result_envelope)
 
     def execute_transaction(self, query: NetworkQuery) -> QueryResponse:
         """Submit one remote invocation and attest the committed outcome (§5).
@@ -236,9 +220,6 @@ class FabricDriver(NetworkDriver):
             )
 
         # Attest the committed outcome under the verification policy.
-        client_key = (
-            PublicKey.from_bytes(query.auth.public_key) if query.confidential else None
-        )
         outcome = canonical_json(
             {
                 "result": submit.result.hex(),
@@ -247,8 +228,8 @@ class FabricDriver(NetworkDriver):
                 "validation_code": submit.validation_code.value,
             }
         )
-        envelope = seal_result(outcome, client_key, query.confidential)
         attestations: list[Attestation] = []
+        envelope = b""
         for org, peer_id in selection:
             peer = self._network.peer(peer_id)
             # Each attesting peer confirms the tx is on ITS ledger replica.
@@ -256,27 +237,16 @@ class FabricDriver(NetworkDriver):
                 return self._error(
                     query, f"peer {peer_id!r} has not committed {submit.tx_id!r}"
                 )
-            attestations.append(
-                self._scheme.generate_attestation(
-                    peer_identity=peer.identity,
-                    network=self._network.name,
-                    address=address,
-                    args=list(query.args),
-                    nonce=query.nonce,
-                    result_envelope=envelope,
-                    client_key=client_key,
-                    confidential=query.confidential,
-                    timestamp=self._network.clock.now(),
-                )
+            # The first attesting peer seals the outcome; the rest attest it.
+            envelope, attestation = attest_reply(
+                self._scheme,
+                peer.identity,
+                self._network.name,
+                address,
+                query,
+                outcome,
+                self._network.clock.now(),
+                envelope,
             )
-        response = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response.result_cipher = envelope
-        else:
-            response.result_plain = envelope
-        return response
+            attestations.append(attestation)
+        return self._attested(query, attestations, envelope)

@@ -8,20 +8,13 @@ for Fabric.
 
 from __future__ import annotations
 
-from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.policy import attesters_for
-from repro.interop.proofs import AttestationProofScheme
+from repro.interop.proofs import AttestationProofScheme, attest_reply
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import (
-    PROTOCOL_VERSION,
-    STATUS_OK,
-    Attestation,
-    NetworkQuery,
-    QueryResponse,
-)
+from repro.proto.messages import Attestation, NetworkQuery, QueryResponse
 from repro.quorum.contracts import CallContext
 from repro.quorum.network import QuorumNetwork
 
@@ -75,10 +68,6 @@ class QuorumDriver(NetworkDriver):
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
 
-        client_key = None
-        if query.confidential:
-            client_key = PublicKey.from_bytes(auth.public_key)
-
         attestations: list[Attestation] = []
         result_envelope = b""
         for org, peer_id in selection:
@@ -94,31 +83,16 @@ class QuorumDriver(NetworkDriver):
                 )
             except ReproError as exc:
                 return self._error(query, f"peer {peer_id!r} query failed: {exc}")
-            envelope = self._port.seal(plaintext, client_key, query.confidential)
-            attestations.append(
-                self._scheme.generate_attestation(
-                    peer_identity=peer.identity,
-                    network=self.network_id,
-                    address=address,
-                    args=list(query.args),
-                    nonce=query.nonce,
-                    result_envelope=envelope,
-                    client_key=client_key,
-                    confidential=query.confidential,
-                    timestamp=self._network.clock.now(),
-                )
+            envelope, attestation = attest_reply(
+                self._scheme,
+                peer.identity,
+                self.network_id,
+                address,
+                query,
+                plaintext,
+                self._network.clock.now(),
             )
-            if not result_envelope:
-                result_envelope = envelope
+            attestations.append(attestation)
+            result_envelope = result_envelope or envelope
 
-        response = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response.result_cipher = result_envelope
-        else:
-            response.result_plain = result_envelope
-        return response
+        return self._attested(query, attestations, result_envelope)

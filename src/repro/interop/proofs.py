@@ -29,7 +29,15 @@ attestation, which the opened plaintext must equal.
 encrypted result. Here each selected peer still seals the result (the
 chaincode calls ECC ``SealResponse`` on every endorser), but the reply
 carries one envelope: all peers attest to the same digest, so one copy
-lets the client check every attestation.
+lets the client check every attestation. And where the paper encrypts
+the result and the metadata separately, a peer here seals both boxes
+under one key agreement with the client (:func:`peer_reply`): one fresh
+ephemeral key and one ECDH per peer reply, with a fresh random nonce per
+box. Each box is still a standard single-recipient ECIES box, and the
+client derives each distinct key once per reply (:class:`ReplyOpener`).
+Static-static ECDH between the peer's and the client's long-lived keys
+would save the ephemeral key too, but a leaked peer key would then open
+every past reply, so every reply keeps its own ephemeral key.
 
 **Format 1,** written before this one, embedded a JSON seal envelope
 (ciphertext in hex) in each peer's metadata as ``result`` beside its
@@ -47,20 +55,129 @@ from __future__ import annotations
 
 import json
 from abc import ABC, abstractmethod
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from repro.crypto.certs import Certificate, validate_chain
 from repro.crypto.ecdsa import Signature, verify
-from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
+from repro.crypto.ecies import Encapsulation, KeyMemo, ecies_decrypt, ecies_encrypt
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import PrivateKey, PublicKey
 from repro.errors import DecodeError, DecryptionError, InvalidSignatureError, ProofError
 from repro.fabric.identity import Identity
 from repro.interop.policy import Attester, VerificationPolicy
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import Attestation, NetworkAddressMsg, ProofMetadata
+from repro.proto.messages import (
+    Attestation,
+    NetworkAddressMsg,
+    NetworkQuery,
+    ProofMetadata,
+)
 from repro.utils.encoding import from_canonical_json
+
+
+# ---------------------------------------------------------------------------
+# One key agreement per peer reply
+# ---------------------------------------------------------------------------
+
+#: The encapsulations of the peer reply being sealed in this context, by
+#: recipient; ``None`` outside :func:`peer_reply`. A context variable and
+#: not a parameter because on Fabric the result is sealed inside chaincode
+#: (ECC ``SealResponse``), which receives nothing from its caller but the
+#: proposal; each thread sees only its own value.
+_REPLY: ContextVar[dict[PublicKey, Encapsulation] | None] = ContextVar(
+    "repro_peer_reply", default=None
+)
+
+
+@contextmanager
+def peer_reply() -> Iterator[None]:
+    """Scope one peer's reply to one request.
+
+    Every box sealed inside the block to one recipient (the result by
+    :func:`seal_result`, the metadata by
+    :meth:`AttestationProofScheme.generate_attestation`) shares one
+    :class:`~repro.crypto.ecies.Encapsulation`; the block's end drops it.
+    On Fabric the block spans one ``Peer.endorse``, which covers ECC
+    ``SealResponse`` inside the chaincode and the interop endorsement
+    plugin after it. A nested block starts a reply of its own.
+    """
+    token = _REPLY.set({})
+    try:
+        yield
+    finally:
+        _REPLY.reset(token)
+
+
+def _encrypt(recipient: PublicKey, plaintext: bytes) -> bytes:
+    """Seal one box, under the current peer reply's key agreement if any."""
+    encapsulations = _REPLY.get()
+    if encapsulations is None:
+        return ecies_encrypt(recipient, plaintext)
+    encapsulation = encapsulations.get(recipient)
+    if encapsulation is None:
+        encapsulation = encapsulations[recipient] = Encapsulation(recipient)
+    return ecies_encrypt(recipient, plaintext, encapsulation=encapsulation)
+
+
+class ReplyOpener:
+    """Opens the boxes of one reply for one client.
+
+    It derives one key per distinct ``(private key, ephemeral key bytes)``,
+    so a peer's result box and metadata box cost one ECDH between them.
+    Create one per finalize call and drop it after; every box is still
+    authenticated on its own.
+    """
+
+    def __init__(self, private_key: PrivateKey | None) -> None:
+        self._private_key = private_key
+        self._keys: KeyMemo = {}
+
+    def unseal(self, envelope_bytes: bytes) -> bytes:
+        """:func:`unseal_result` through this reply's key memo."""
+        return unseal_result(envelope_bytes, self._private_key, self._keys)
+
+    def attestation(self, attestation: Attestation) -> SignedAttestation:
+        """:func:`decrypt_attestation` through this reply's key memo."""
+        return decrypt_attestation(attestation, self._private_key, self._keys)
+
+
+def attest_reply(
+    scheme: ProofScheme,
+    peer_identity: Identity,
+    network: str,
+    address: CrossNetworkAddress,
+    query: NetworkQuery,
+    plaintext: bytes,
+    timestamp: float,
+    envelope: bytes = b"",
+) -> tuple[bytes, Attestation]:
+    """One peer's reply to ``query``: seal ``plaintext``, then attest the seal.
+
+    Both boxes share one key agreement (:func:`peer_reply`). A peer that
+    attests an ``envelope`` another peer already sealed seals nothing and
+    passes it through. Returns the envelope and the attestation.
+    """
+    client_key = (
+        PublicKey.from_bytes(query.auth.public_key) if query.confidential else None
+    )
+    with peer_reply():
+        if not envelope:
+            envelope = seal_result(plaintext, client_key, query.confidential)
+        attestation = scheme.generate_attestation(
+            peer_identity=peer_identity,
+            network=network,
+            address=address,
+            args=list(query.args),
+            nonce=query.nonce,
+            result_envelope=envelope,
+            client_key=client_key,
+            confidential=query.confidential,
+            timestamp=timestamp,
+        )
+    return envelope, attestation
 
 
 # ---------------------------------------------------------------------------
@@ -100,13 +217,17 @@ def seal_result(
     if confidential:
         if client_key is None:
             raise ProofError("confidential responses require the client public key")
-        mode, payload = _MODE_CIPHER, ecies_encrypt(client_key, plaintext)
+        mode, payload = _MODE_CIPHER, _encrypt(client_key, plaintext)
     else:
         mode, payload = _MODE_PLAIN, plaintext
     return b"".join((bytes((ENVELOPE_VERSION, mode)), sha256(plaintext), payload))
 
 
-def unseal_result(envelope_bytes: bytes, client_key: PrivateKey | None = None) -> bytes:
+def unseal_result(
+    envelope_bytes: bytes,
+    client_key: PrivateKey | None = None,
+    key_memo: KeyMemo | None = None,
+) -> bytes:
     """Recover and integrity-check the plaintext from a seal envelope of
     either version. Raises :class:`ProofError` and nothing else."""
     sealed = _read_envelope(envelope_bytes)
@@ -114,7 +235,7 @@ def unseal_result(envelope_bytes: bytes, client_key: PrivateKey | None = None) -
         if client_key is None:
             raise ProofError("envelope is confidential but no private key was supplied")
         try:
-            plaintext = ecies_decrypt(client_key, sealed.payload)
+            plaintext = ecies_decrypt(client_key, sealed.payload, key_memo=key_memo)
         except (ValueError, DecryptionError) as exc:
             raise ProofError(
                 f"seal envelope payload is corrupt or undecryptable: {exc}"
@@ -415,7 +536,7 @@ class AttestationProofScheme(ProofScheme):
         if confidential:
             if client_key is None:
                 raise ProofError("confidential attestations require the client key")
-            attestation.metadata_cipher = ecies_encrypt(client_key, metadata_bytes)
+            attestation.metadata_cipher = _encrypt(client_key, metadata_bytes)
         else:
             attestation.metadata_plain = metadata_bytes
         return attestation
@@ -521,7 +642,9 @@ class AttestationProofScheme(ProofScheme):
 
 
 def decrypt_attestation(
-    attestation: Attestation, client_key: PrivateKey | None
+    attestation: Attestation,
+    client_key: PrivateKey | None,
+    key_memo: KeyMemo | None = None,
 ) -> SignedAttestation:
     """Client-side: decrypt one wire attestation into its signed plaintext.
 
@@ -533,7 +656,9 @@ def decrypt_attestation(
         if client_key is None:
             raise ProofError("attestation metadata is encrypted; private key required")
         try:
-            metadata_bytes = ecies_decrypt(client_key, attestation.metadata_cipher)
+            metadata_bytes = ecies_decrypt(
+                client_key, attestation.metadata_cipher, key_memo=key_memo
+            )
         except DecryptionError as exc:
             raise ProofError(
                 f"attestation metadata is corrupt or undecryptable: {exc}"

@@ -37,12 +37,7 @@ from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
 from repro.interop.client import InteropClient
 from repro.interop.policy import parse_verification_policy
-from repro.interop.proofs import (
-    attested_data_hash,
-    check_attested_query,
-    decrypt_attestation,
-    unseal_result,
-)
+from repro.interop.proofs import ReplyOpener, attested_data_hash, check_attested_query
 from repro.crypto.hashing import sha256
 from repro.proto.address import CrossNetworkAddress, parse_address
 from repro.proto.messages import (
@@ -181,9 +176,8 @@ class RemoteTransactionClient:
         if response.status != STATUS_OK:
             raise RelayError(f"remote transaction failed: {response.error}")
         envelope = response.result_cipher if confidential else response.result_plain
-        outcome_bytes = unseal_result(
-            envelope, identity.keypair.private if confidential else None
-        )
+        opener = ReplyOpener(identity.keypair.private if confidential else None)
+        outcome_bytes = opener.unseal(envelope)
         outcome = from_canonical_json(outcome_bytes)
         if outcome.get("validation_code") != "VALID":
             raise ProofError(
@@ -194,9 +188,7 @@ class RemoteTransactionClient:
         attesting_orgs = []
         for position, attestation in enumerate(response.attestations):
             label = f"transaction attestation[{position}]"
-            signed = decrypt_attestation(
-                attestation, identity.keypair.private if confidential else None
-            )
+            signed = opener.attestation(attestation)
             metadata = signed.metadata()
             check_attested_query(
                 label,

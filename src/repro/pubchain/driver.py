@@ -27,16 +27,14 @@ give a foreign relay a commit pipeline or an ordered event hub for free.
 
 from __future__ import annotations
 
-from repro.crypto.keys import PublicKey
 from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
 from repro.interop.policy import attesters_for
-from repro.interop.proofs import AttestationProofScheme
+from repro.interop.proofs import AttestationProofScheme, attest_reply
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
     PROTOCOL_VERSION,
-    STATUS_OK,
     STATUS_PENDING_FINALITY,
     STATUS_REORG,
     Attestation,
@@ -142,15 +140,10 @@ class PubChainDriver(NetworkDriver):
         except PolicyError as exc:
             return self._error(query, str(exc))
 
-        auth = query.auth
         try:
-            self._port.check_access(auth, address.contract, address.function)
+            self._port.check_access(query.auth, address.contract, address.function)
         except AccessDeniedError as exc:
             return self._denied(query, str(exc))
-
-        client_key = None
-        if query.confidential:
-            client_key = PublicKey.from_bytes(auth.public_key)
 
         attestations: list[Attestation] = []
         result_envelope = b""
@@ -172,31 +165,16 @@ class PubChainDriver(NetworkDriver):
                 if problem is not None:
                     return problem
                 finality_checked = True
-            envelope = self._port.seal(plaintext, client_key, query.confidential)
-            attestations.append(
-                self._scheme.generate_attestation(
-                    peer_identity=observer,
-                    network=self.network_id,
-                    address=address,
-                    args=list(query.args),
-                    nonce=query.nonce,
-                    result_envelope=envelope,
-                    client_key=client_key,
-                    confidential=query.confidential,
-                    timestamp=self._chain.clock.now(),
-                )
+            envelope, attestation = attest_reply(
+                self._scheme,
+                observer,
+                self.network_id,
+                address,
+                query,
+                plaintext,
+                self._chain.clock.now(),
             )
-            if not result_envelope:
-                result_envelope = envelope
+            attestations.append(attestation)
+            result_envelope = result_envelope or envelope
 
-        response = QueryResponse(
-            version=PROTOCOL_VERSION,
-            nonce=query.nonce,
-            status=STATUS_OK,
-            attestations=attestations,
-        )
-        if query.confidential:
-            response.result_cipher = result_envelope
-        else:
-            response.result_plain = result_envelope
-        return response
+        return self._attested(query, attestations, result_envelope)

@@ -411,10 +411,15 @@ class MapField(Field):
                 raise DecodeError(f"truncated map entry in field {self.name!r}")
             chunk = payload[offset : offset + length]
             offset += length
-            if number == 1:
-                key = chunk.decode("utf-8")
-            elif number == 2:
-                item = chunk.decode("utf-8")
+            try:
+                if number == 1:
+                    key = chunk.decode("utf-8")
+                elif number == 2:
+                    item = chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DecodeError(
+                    f"map entry in field {self.name!r} is not valid UTF-8"
+                ) from exc
         merged = dict(current)
         merged[key] = item
         return merged

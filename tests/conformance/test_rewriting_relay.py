@@ -5,6 +5,12 @@ asked. A client must hold every attestation to the query it prepared —
 network, address, arguments and nonce — and to the digest of the data it
 opened, as the destination contract does.
 
+A relay that rewrites the *reply* is refused too. A peer seals its
+result box and its metadata box under one key agreement, and the client
+derives that key once per reply, so moving boxes between the slots of
+one reply, grafting one peer's ephemeral key onto another's box, or
+replaying a box from an earlier reply must each end in ``ProofError``.
+
 The transaction half is still open: ``finalize_transaction`` binds the
 reply to the request and to the sealed outcome, but verifies no
 signature, so a relay that re-makes every attestation over a commit that
@@ -14,6 +20,7 @@ until ROADMAP item 1 lands.
 
 from __future__ import annotations
 
+import copy
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -104,6 +111,166 @@ class TestClientBindsTheRequest:
             with pytest.raises(ProofError, match="address"):
                 target.client.remote_query(asked, list(target.query_args), policy=target.policy)
         assert relay.rewritten == 1
+
+
+EPHEMERAL = 65  # the ECIES box's ephemeral public key prefix
+ENVELOPE_HEADER = 2 + 32  # seal envelope: version, mode, SHA-256
+
+
+class ReplyRewritingRelay:
+    """Rewrites each query or transaction reply in flight.
+
+    ``rewrite(response, earlier)`` edits the reply; ``earlier`` holds the
+    honest replies this relay carried before it.
+    """
+
+    def __init__(self, inner, rewrite) -> None:
+        self._inner = inner
+        self._rewrite = rewrite
+        self.honest: list[QueryResponse] = []
+        self.rewritten = 0
+
+    def handle_request(self, data: bytes) -> bytes:
+        reply_bytes = self._inner.handle_request(data)
+        if RelayEnvelope.decode(data).kind not in (
+            MSG_KIND_QUERY_REQUEST,
+            MSG_KIND_TRANSACT_REQUEST,
+        ):
+            return reply_bytes
+        reply = RelayEnvelope.decode(reply_bytes)
+        response = QueryResponse.decode(reply.payload)
+        earlier = list(self.honest)
+        self.honest.append(copy.deepcopy(response))
+        if self._rewrite(response, earlier):
+            self.rewritten += 1
+        reply.payload = response.encode()
+        return reply.encode()
+
+
+def swap_result_and_metadata(response, earlier) -> bool:
+    """The first peer's result box and metadata box trade places."""
+    first = response.attestations[0]
+    header = response.result_cipher[:ENVELOPE_HEADER]
+    result_box = response.result_cipher[ENVELOPE_HEADER:]
+    assert result_box[:EPHEMERAL] == first.metadata_cipher[:EPHEMERAL]
+    response.result_cipher = header + first.metadata_cipher
+    first.metadata_cipher = result_box
+    return True
+
+
+def result_box_as_metadata(response, earlier) -> bool:
+    """The first peer's metadata slot carries its result box."""
+    first = response.attestations[0]
+    first.metadata_cipher = response.result_cipher[ENVELOPE_HEADER:]
+    return True
+
+
+def graft_ephemeral_key(response, earlier) -> bool:
+    """Peer A's ephemeral key on peer B's metadata box."""
+    a, b = response.attestations[:2]
+    assert a.metadata_cipher[:EPHEMERAL] != b.metadata_cipher[:EPHEMERAL]
+    b.metadata_cipher = a.metadata_cipher[:EPHEMERAL] + b.metadata_cipher[EPHEMERAL:]
+    return True
+
+
+def earlier_metadata_box(response, earlier) -> bool:
+    """The first peer's metadata box from this relay's previous reply."""
+    if not earlier:
+        return False
+    response.attestations[0].metadata_cipher = earlier[-1].attestations[0].metadata_cipher
+    return True
+
+
+def earlier_result_box(response, earlier) -> bool:
+    """The result box from this relay's previous reply."""
+    if not earlier:
+        return False
+    header = response.result_cipher[:ENVELOPE_HEADER]
+    response.result_cipher = header + earlier[-1].result_cipher[ENVELOPE_HEADER:]
+    return True
+
+
+QUERY_REWRITES = [
+    swap_result_and_metadata,
+    result_box_as_metadata,
+    graft_ephemeral_key,
+    earlier_metadata_box,
+]
+# A repeated query's earlier result box holds the same data this reply's
+# peers attest, so only a transaction, whose outcome names its own commit,
+# can tell an earlier result box from the current one.
+TRANSACTION_REWRITES = QUERY_REWRITES + [earlier_result_box]
+
+
+def _warm_up(rewrite, send) -> None:
+    """One honest exchange first, for rewrites that replay an earlier box."""
+    if rewrite in (earlier_metadata_box, earlier_result_box):
+        send()
+
+
+@pytest.mark.parametrize("rewrite", QUERY_REWRITES, ids=lambda rewrite: rewrite.__name__)
+@pytest.mark.parametrize("conformance_target", PLATFORMS, indirect=True)
+def test_rewritten_query_reply_is_refused(conformance_target, rewrite):
+    target = conformance_target
+
+    def send():
+        return target.client.remote_query(
+            target.query_address, list(target.query_args), policy=target.policy
+        )
+
+    with interposed(target, lambda inner: ReplyRewritingRelay(inner, rewrite)) as relay:
+        _warm_up(rewrite, send)
+        with pytest.raises(ProofError):
+            send()
+    assert relay.rewritten == 1
+
+
+@pytest.mark.parametrize(
+    "rewrite", TRANSACTION_REWRITES, ids=lambda rewrite: rewrite.__name__
+)
+@pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
+def test_rewritten_transaction_reply_is_refused(conformance_target, rewrite):
+    target = conformance_target
+    transactions = RemoteTransactionClient(target.client)
+    sent = []
+
+    def send():
+        sent.append(f"REWRITE-{rewrite.__name__}-{len(sent)}")
+        return transactions.remote_transact(
+            target.transact_address,
+            target.transact_args(sent[-1]),
+            policy=target.policy,
+        )
+
+    with interposed(target, lambda inner: ReplyRewritingRelay(inner, rewrite)) as relay:
+        _warm_up(rewrite, send)
+        with pytest.raises(ProofError):
+            send()
+    assert relay.rewritten == 1
+
+
+@pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
+def test_reply_boxes_share_a_key_only_within_one_peer_reply(conformance_target):
+    """Per reply, the result box shares the first peer's ephemeral key;
+    no two peers' replies, and no two requests, share one."""
+    target = conformance_target
+    transactions = RemoteTransactionClient(target.client)
+    with interposed(target, lambda inner: ReplyRewritingRelay(inner, lambda *_: False)) as relay:
+        for _ in range(2):
+            target.client.remote_query(
+                target.query_address, list(target.query_args), policy=target.policy
+            )
+        transactions.remote_transact(
+            target.transact_address, target.transact_args("SHARED-KEY-CHECK"), policy=target.policy
+        )
+    assert len(relay.honest) == 3
+    metadata_keys = []
+    for response in relay.honest:
+        result_key = response.result_cipher[ENVELOPE_HEADER:][:EPHEMERAL]
+        keys = [attestation.metadata_cipher[:EPHEMERAL] for attestation in response.attestations]
+        assert keys[0] == result_key
+        metadata_keys.extend(keys)
+    assert len(set(metadata_keys)) == len(metadata_keys)
 
 
 class TransactionReplyForgingRelay:

@@ -13,7 +13,7 @@ from repro.crypto.certs import (
     Subject,
     validate_chain,
 )
-from repro.crypto.ecies import ecies_decrypt, ecies_encrypt
+from repro.crypto.ecies import Encapsulation, ecies_decrypt, ecies_encrypt
 from repro.crypto.keys import generate_keypair
 from repro.crypto.merkle import AuditStep, MerkleTree, verify_audit_path
 from repro.errors import CertificateError, DecryptionError
@@ -85,6 +85,69 @@ class TestECIES:
     @given(data=st.binary(max_size=256))
     def test_roundtrip_property(self, recipient, data):
         assert ecies_decrypt(recipient.private, ecies_encrypt(recipient.public, data)) == data
+
+
+class TestEncapsulation:
+    def test_boxes_share_the_ephemeral_key_not_the_nonce(self, recipient):
+        encapsulation = Encapsulation(recipient.public)
+        a = ecies_encrypt(recipient.public, b"result", encapsulation=encapsulation)
+        b = ecies_encrypt(recipient.public, b"metadata", encapsulation=encapsulation)
+        assert a[:65] == b[:65] == encapsulation.ephemeral_pub
+        assert a[65:77] != b[65:77]
+        assert ecies_decrypt(recipient.private, a) == b"result"
+        assert ecies_decrypt(recipient.private, b) == b"metadata"
+
+    def test_matches_a_one_shot_box_under_the_same_ephemeral_key(self, recipient):
+        ephemeral = generate_keypair(seed=b"ecies-ephemeral")
+        shared = ecies_encrypt(
+            recipient.public, b"x", encapsulation=Encapsulation(recipient.public, ephemeral)
+        )
+        one_shot = ecies_encrypt(recipient.public, b"x", ephemeral=ephemeral)
+        assert shared[:65] == one_shot[:65]
+        assert len(shared) == len(one_shot)
+
+    def test_seals_only_to_its_recipient(self, recipient):
+        other = generate_keypair(seed=b"interloper")
+        encapsulation = Encapsulation(recipient.public)
+        with pytest.raises(ValueError):
+            ecies_encrypt(other.public, b"x", encapsulation=encapsulation)
+        with pytest.raises(ValueError):
+            ecies_encrypt(
+                recipient.public, b"x", ephemeral=other, encapsulation=encapsulation
+            )
+
+    def test_key_memo_derives_each_key_once(self, recipient, monkeypatch):
+        from repro.crypto import ec
+
+        encapsulation = Encapsulation(recipient.public)
+        boxes = [
+            ecies_encrypt(recipient.public, bytes([i]), encapsulation=encapsulation)
+            for i in range(3)
+        ] + [ecies_encrypt(recipient.public, b"other")]
+        calls = []
+        original = ec.scalar_mult
+        monkeypatch.setattr(
+            ec, "scalar_mult", lambda *args: calls.append(args) or original(*args)
+        )
+        memo: dict = {}
+        opened = [ecies_decrypt(recipient.private, box, key_memo=memo) for box in boxes]
+        assert opened == [b"\x00", b"\x01", b"\x02", b"other"]
+        assert len(calls) == 2 == len(memo)
+
+    def test_key_memo_is_keyed_by_private_key(self, recipient):
+        other = generate_keypair(seed=b"interloper")
+        encapsulation = Encapsulation(recipient.public)
+        box = ecies_encrypt(recipient.public, b"x", encapsulation=encapsulation)
+        memo: dict = {}
+        assert ecies_decrypt(recipient.private, box, key_memo=memo) == b"x"
+        with pytest.raises(DecryptionError):
+            ecies_decrypt(other.private, box, key_memo=memo)
+
+    def test_an_invalid_ephemeral_key_is_not_remembered(self, recipient):
+        memo: dict = {}
+        with pytest.raises(DecryptionError):
+            ecies_decrypt(recipient.private, b"\x04" + b"\x00" * 100, key_memo=memo)
+        assert memo == {}
 
 
 class TestCertificates:

@@ -115,18 +115,6 @@ class TestPortExposureControl:
             port.check_access(requestor(member, network="ghost-net"), "cc", "fn")
 
 
-class TestPortSealing:
-    def test_seal_plain_and_confidential(self, port, foreign_org):
-        member = foreign_org.enroll("sealer", role="client")
-        from repro.interop.proofs import unseal_result
-
-        plain = port.seal(b"data", None, False)
-        assert unseal_result(plain) == b"data"
-        sealed = port.seal(b"data", member.keypair.public, True)
-        assert unseal_result(sealed, member.keypair.private) == b"data"
-        assert b"data".hex().encode() not in sealed
-
-
 class TestEncodingUtils:
     def test_canonical_json_is_sorted_and_compact(self):
         from repro.utils.encoding import canonical_json, from_canonical_json

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.crypto.ecies import ecies_encrypt
@@ -12,12 +15,16 @@ from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import (
     AttestationProofScheme,
     ProofBundle,
+    ReplyOpener,
     SignedAttestation,
+    attest_reply,
     decrypt_attestation,
     envelope_plaintext_hash,
+    peer_reply,
     seal_result,
     unseal_result,
 )
+from repro.proto.messages import AuthInfo, NetworkAddressMsg, NetworkQuery
 from repro.proto.address import CrossNetworkAddress
 
 ADDRESS = CrossNetworkAddress("stl", "main", "TradeLensCC", "GetBillOfLading")
@@ -304,3 +311,165 @@ class TestValidation:
         wire = Attestation(metadata_cipher=bytes(box), signature=b"s")
         with pytest.raises(ProofError, match="corrupt or undecryptable"):
             decrypt_attestation(wire, client.keypair.private)
+
+
+EPHEMERAL = 65  # uncompressed P-256 point that opens every ECIES box
+NONCE_BYTES = 12
+
+
+def ephemeral_of(box: bytes) -> bytes:
+    return box[:EPHEMERAL]
+
+
+def nonce_of(box: bytes) -> bytes:
+    return box[EPHEMERAL : EPHEMERAL + NONCE_BYTES]
+
+
+def network_query(world, nonce=NONCE, confidential=True) -> NetworkQuery:
+    return NetworkQuery(
+        address=NetworkAddressMsg(
+            network=ADDRESS.network,
+            ledger=ADDRESS.ledger,
+            contract=ADDRESS.contract,
+            function=ADDRESS.function,
+        ),
+        args=list(ARGS),
+        nonce=nonce,
+        auth=AuthInfo(public_key=world["client"].keypair.public.to_bytes()),
+        confidential=confidential,
+    )
+
+
+def peer_replies(world, query, envelope=b""):
+    """Each source peer's reply to ``query``: [(envelope, attestation)]."""
+    return [
+        attest_reply(
+            AttestationProofScheme(), peer, "stl", ADDRESS, query, DATA, 1.0, envelope
+        )
+        for peer in (world["seller_peer"], world["carrier_peer"])
+    ]
+
+
+class TestOneKeyAgreementPerPeerReply:
+    def test_a_peers_two_boxes_share_one_ephemeral_key(self, world):
+        (envelope, attestation), _ = peer_replies(world, network_query(world))
+        result_box = envelope[ENVELOPE_HEADER:]
+        metadata_box = attestation.metadata_cipher
+        assert ephemeral_of(result_box) == ephemeral_of(metadata_box)
+        assert nonce_of(result_box) != nonce_of(metadata_box)
+
+    def test_two_peers_never_share_an_ephemeral_key(self, world):
+        replies = peer_replies(world, network_query(world))
+        keys = {
+            ephemeral_of(box)
+            for envelope, attestation in replies
+            for box in (envelope[ENVELOPE_HEADER:], attestation.metadata_cipher)
+        }
+        assert len(keys) == len(replies)
+
+    def test_two_requests_never_share_an_ephemeral_key(self, world):
+        first = peer_replies(world, network_query(world, nonce="n-1"))
+        second = peer_replies(world, network_query(world, nonce="n-2"))
+        keys = [ephemeral_of(att.metadata_cipher) for _, att in first + second]
+        assert len(set(keys)) == len(keys)
+
+    def test_a_forwarded_envelope_is_not_resealed(self, world):
+        """A transaction's later peers attest the first peer's envelope."""
+        query = network_query(world)
+        envelope, first = peer_replies(world, query)[0]
+        replies = peer_replies(world, query, envelope)
+        assert all(forwarded == envelope for forwarded, _ in replies)
+        assert ephemeral_of(first.metadata_cipher) == ephemeral_of(
+            envelope[ENVELOPE_HEADER:]
+        )
+        assert all(
+            ephemeral_of(att.metadata_cipher) != ephemeral_of(envelope[ENVELOPE_HEADER:])
+            for _, att in replies
+        )
+
+    def test_plain_replies_seal_nothing(self, world):
+        envelope, attestation = peer_replies(world, network_query(world, confidential=False))[0]
+        assert unseal_result(envelope) == DATA
+        assert attestation.metadata_plain and not attestation.metadata_cipher
+
+    def test_each_recipient_gets_its_own_key_agreement(self, world):
+        other = world["seller_org"].enroll("other-client", role="client")
+        with peer_reply():
+            mine = seal_result(DATA, world["client"].keypair.public, True)
+            theirs = seal_result(DATA, other.keypair.public, True)
+            mine_again = seal_result(DATA, world["client"].keypair.public, True)
+        assert ephemeral_of(mine[ENVELOPE_HEADER:]) == ephemeral_of(
+            mine_again[ENVELOPE_HEADER:]
+        )
+        assert ephemeral_of(mine[ENVELOPE_HEADER:]) != ephemeral_of(
+            theirs[ENVELOPE_HEADER:]
+        )
+        assert unseal_result(theirs, other.keypair.private) == DATA
+
+    def test_the_scope_ends_with_the_block(self, world):
+        key = world["client"].keypair.public
+        with peer_reply():
+            inside = seal_result(DATA, key, True)
+            with peer_reply():
+                nested = seal_result(DATA, key, True)
+        after = seal_result(DATA, key, True)
+        boxes = [envelope[ENVELOPE_HEADER:] for envelope in (inside, nested, after)]
+        assert len({ephemeral_of(box) for box in boxes}) == 3
+
+    def test_every_box_opens_on_its_own(self, world):
+        """A shared key agreement is invisible to a plain opener."""
+        private = world["client"].keypair.private
+        for envelope, attestation in peer_replies(world, network_query(world)):
+            assert unseal_result(envelope, private) == DATA
+            assert decrypt_attestation(attestation, private).metadata().nonce == NONCE
+
+    def test_the_opener_derives_each_key_once(self, world, monkeypatch):
+        from repro.crypto import ec
+
+        replies = peer_replies(world, network_query(world))
+        private = world["client"].keypair.private
+        derivations = []
+        original = ec.scalar_mult
+
+        def counted(scalar, *rest):
+            derivations.append(scalar)
+            return original(scalar, *rest)
+
+        monkeypatch.setattr(ec, "scalar_mult", counted)
+        opener = ReplyOpener(private)
+        assert opener.unseal(replies[0][0]) == DATA
+        for _, attestation in replies:
+            opener.attestation(attestation)
+        assert derivations == [private.d] * len(replies)
+
+    def test_concurrent_replies_never_share_a_key_agreement(self, world):
+        """Threads sealing replies at once (a driver serving a batch) each
+        get their own key agreement, and share it only within a reply."""
+        key = world["client"].keypair.public
+        replies: list[tuple[bytes, bytes]] = []
+        lock = threading.Lock()
+        start = threading.Barrier(6)
+
+        def seal_two_replies():
+            start.wait(timeout=10)
+            for _ in range(2):
+                with peer_reply():
+                    result = seal_result(DATA, key, True)[ENVELOPE_HEADER:]
+                    metadata = seal_result(NONCE.encode(), key, True)[ENVELOPE_HEADER:]
+                with lock:
+                    replies.append((ephemeral_of(result), ephemeral_of(metadata)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=seal_two_replies) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(replies) == 12
+        assert all(result == metadata for result, metadata in replies)
+        assert len({result for result, _ in replies}) == 12

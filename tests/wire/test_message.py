@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import DecodeError, EncodeError
+from repro.proto.messages import RelayEnvelope
 from repro.wire import (
     BoolField,
     BytesField,
@@ -184,6 +185,15 @@ class TestForwardCompatibility:
         with pytest.raises(DecodeError):
             Everything.decode(payload)
 
+    def test_invalid_utf8_map_key_rejected(self):
+        # RelayEnvelope field 7 (headers): one entry whose key is 0xFF
+        with pytest.raises(DecodeError):
+            RelayEnvelope.decode(b"\x3a\x03\x0a\x01\xff")
+
+    def test_invalid_utf8_map_value_rejected(self):
+        with pytest.raises(DecodeError):
+            RelayEnvelope.decode(b"\x3a\x05\x0a\x00\x12\x01\xff")
+
 
 simple_messages = st.builds(
     Everything,
@@ -197,6 +207,24 @@ simple_messages = st.builds(
     labels=st.dictionaries(st.text(max_size=8), st.text(max_size=8), max_size=6),
 )
 
+def _delimited(tag: int, payload: bytes) -> bytes:
+    return bytes([tag, len(payload)]) + payload
+
+
+# RelayEnvelope-shaped byte strings: length-delimited fields under the
+# envelope's tags, header entries whose key and value are arbitrary bytes
+# (often not UTF-8), and stray bytes, so fuzzing reaches nested decoders.
+_header_entries = st.tuples(st.binary(max_size=4), st.binary(max_size=4)).map(
+    lambda kv: _delimited(0x3A, _delimited(0x0A, kv[0]) + _delimited(0x12, kv[1]))
+)
+_delimited_fields = st.tuples(
+    st.sampled_from([0x1A, 0x22, 0x2A, 0x32, 0x3A]), st.binary(max_size=8)
+).map(lambda field: _delimited(*field))
+envelope_like_bytes = st.lists(
+    st.one_of(_header_entries, _delimited_fields, st.binary(max_size=3)),
+    max_size=6,
+).map(b"".join)
+
 
 class TestProperties:
     @settings(max_examples=100, deadline=None)
@@ -209,3 +237,11 @@ class TestProperties:
     def test_double_encode_stable(self, message):
         once = message.encode()
         assert Everything.decode(once).encode() == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.one_of(st.binary(max_size=256), envelope_like_bytes))
+    def test_relay_envelope_decode_raises_only_decode_error(self, data):
+        try:
+            RelayEnvelope.decode(data)
+        except DecodeError:
+            pass
