@@ -26,6 +26,9 @@ Rules:
 - **REP602** ``ecies_encrypt`` / ``ecies_decrypt`` / ``Encapsulation``
   called outside ``repro.crypto`` and the one reply sealer
   (``interop/proofs.py``)
+- **REP603** ``attesters_for`` / ``attest_reply`` called outside the one
+  driver template (``interop/drivers/base.py``), or a ``NetworkDriver``
+  subclass overriding ``execute_query`` / ``execute_transaction``
 
 Intentional violations live in ``analysis-baseline.json`` at the repo
 root, each with a mandatory rationale; the checkers/registries are in

@@ -4,6 +4,7 @@ from repro.analysis.checkers import (  # noqa: F401 - registration imports
     access_gate,
     async_safety,
     capabilities,
+    driver_template,
     error_taxonomy,
     locks,
     reply_sealing,

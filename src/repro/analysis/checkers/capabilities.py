@@ -14,6 +14,9 @@ The check is MRO-aware across the analyzed project: a grant is satisfied
 by a verb defined in the class itself or any project-local ancestor —
 except the declining defaults registered in
 :data:`repro.analysis.invariants.DECLINING_DEFAULTS`, which never count.
+A verb the abstract driver runs as a template
+(:data:`repro.analysis.invariants.TEMPLATE_HOOKS`) is also implemented by
+defining every hook the template calls.
 Grants are detected both as class attributes (``supports_x = True``) and
 as instance flips anywhere in a method body (``self.supports_x = <expr>``
 with any possibly-truthy expression — conditional grants like
@@ -31,7 +34,7 @@ from repro.analysis.core import (
     Project,
     register,
 )
-from repro.analysis.invariants import CAPABILITY_VERBS, DECLINING_DEFAULTS
+from repro.analysis.invariants import CAPABILITY_VERBS, DECLINING_DEFAULTS, TEMPLATE_HOOKS
 
 
 @dataclass
@@ -95,6 +98,14 @@ def _is_false(node: ast.expr) -> bool:
 def _implements(
     classes: dict[str, _ClassInfo], class_name: str, verb: str
 ) -> bool:
+    """Does ``class_name``'s MRO implement ``verb``, or all its template hooks?"""
+    hooks = TEMPLATE_HOOKS.get(verb, ())
+    if hooks and all(_defines(classes, class_name, hook) for hook in hooks):
+        return True
+    return _defines(classes, class_name, verb)
+
+
+def _defines(classes: dict[str, _ClassInfo], class_name: str, verb: str) -> bool:
     """Does ``class_name``'s project-local MRO define ``verb`` for real?"""
     seen: set[str] = set()
     stack = [class_name]

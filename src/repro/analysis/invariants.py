@@ -277,8 +277,21 @@ CAPABILITY_VERBS: dict[str, tuple[str, ...]] = {
 #: attached AssetLedgerPort), hence their absence here.
 DECLINING_DEFAULTS: dict[str, frozenset[str]] = {
     "NetworkDriver": frozenset(
-        {"execute_transaction", "open_event_tap", "close_event_tap"}
+        {
+            "execute_transaction",
+            "_submit",
+            "_committed_at",
+            "open_event_tap",
+            "close_event_tap",
+        }
     ),
+}
+
+#: Verbs the abstract driver runs as a template: a class implements one by
+#: defining every hook the template calls (REP603 forbids a platform
+#: driver to override the template itself).
+TEMPLATE_HOOKS: dict[str, tuple[str, ...]] = {
+    "execute_transaction": ("_submit", "_committed_at"),
 }
 
 # ---------------------------------------------------------------------------
@@ -324,3 +337,20 @@ SEALING_CALLS = frozenset({"ecies_encrypt", "ecies_decrypt", "Encapsulation"})
 #: Modules that may call it: the primitives themselves, and the one owner
 #: of how a reply is sealed and opened.
 SEALING_MODULES = ("repro/crypto/", "repro/interop/proofs.py")
+
+# ---------------------------------------------------------------------------
+# REP603 — one driver template: where attesters are selected and replies
+# attested, and which methods a platform driver may not override.
+# ---------------------------------------------------------------------------
+
+DRIVER_TEMPLATE_MODULE = "repro/interop/drivers/base.py"
+DRIVER_TEMPLATE_CLASS = "NetworkDriver"
+
+#: The calls only the template makes, and the modules defining them.
+DRIVER_TEMPLATE_CALLS: dict[str, str] = {
+    "attesters_for": "repro/interop/policy.py",
+    "attest_reply": "repro/interop/proofs.py",
+}
+
+#: The template methods no subclass of the driver class overrides.
+DRIVER_TEMPLATE_METHODS = frozenset({"execute_query", "execute_transaction"})

@@ -39,15 +39,13 @@ from repro.corda.network import CordaNetwork
 from repro.corda.node import CordaNode
 from repro.corda.states import LinearState
 from repro.corda.transactions import CordaTransaction
-from repro.errors import AccessDeniedError, PolicyError, ReproError
+from repro.errors import ReproError
 from repro.interop.contracts.ports import InteropPort
-from repro.interop.drivers.base import NetworkDriver
+from repro.interop.drivers.base import NetworkDriver, _Refusal
 from repro.interop.events import RemoteEventNotification
-from repro.interop.policy import Attester, attesters_for
-from repro.interop.proofs import AttestationProofScheme, attest_reply
+from repro.interop.policy import Attester
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import Attestation, NetworkQuery, QueryResponse
-from repro.utils.encoding import canonical_json
+from repro.proto.messages import NetworkQuery
 
 # A query handler resolves (node, args) -> plaintext result bytes.
 QueryHandler = Callable[[CordaNode, list[str]], bytes]
@@ -131,12 +129,13 @@ class CordaDriver(NetworkDriver):
     """Drives queries against an in-process :class:`CordaNetwork`."""
 
     platform = "corda"
+    _noun = "node"
+    _no_transactions = "corda network {!r} has no transaction capability enabled"
 
     def __init__(self, network: CordaNetwork, port: InteropPort) -> None:
-        super().__init__(network.name)
+        super().__init__(network.name, network.clock)
         self._network = network
         self._port = port
-        self._scheme = AttestationProofScheme()
         self._handlers: dict[tuple[str, str], QueryHandler] = {
             ("vault", "GetState"): default_vault_query,
         }
@@ -219,156 +218,53 @@ class CordaDriver(NetworkDriver):
             return self._network.notary.identity
         return self._network.node(peer_id.split(".", 1)[0]).identity
 
-    def _attesters(self, query: NetworkQuery) -> list[Attester]:
+    def _attester_pool(self) -> list[Attester]:
         """Every node, then the notary, may attest (§5)."""
         notary = self._network.notary.identity
-        available = [(node.org, node.identity.id) for node in self._network.nodes]
-        available.append((notary.org, notary.id))
-        return attesters_for(query.policy, available, self.network_id)
+        nodes = [(node.org, node.identity.id) for node in self._network.nodes]
+        return nodes + [(notary.org, notary.id)]
 
-    def execute_query(self, query: NetworkQuery) -> QueryResponse:
-        address_msg = query.address
-        if address_msg is None:
-            return self._error(query, "query has no address")
-        address = CrossNetworkAddress(
-            network=address_msg.network,
-            ledger=address_msg.ledger,
-            contract=address_msg.contract,
-            function=address_msg.function,
-        )
-        handler = self._handlers.get((address.contract, address.function))
-        if handler is None:
-            return self._error(
-                query,
-                f"corda network {self.network_id!r} serves no query "
-                f"{address.contract}/{address.function}",
+    def _lookup(self, address: CrossNetworkAddress, verb: str) -> None:
+        """A query runs a registered handler; a transaction, a registered flow."""
+        served, noun = (self._handlers, "query") if verb == "query" else (self._flows, "flow")
+        if (address.contract, address.function) not in served:
+            raise _Refusal(
+                f"corda network {self.network_id!r} serves no {noun} "
+                f"{address.contract}/{address.function}"
             )
-        try:
-            selection = self._attesters(query)
-        except PolicyError as exc:
-            return self._error(query, str(exc))
 
-        try:
-            self._port.check_access(query.auth, address.contract, address.function)
-        except AccessDeniedError as exc:
-            return self._denied(query, str(exc))
-
-        attestations: list[Attestation] = []
-        result_envelope = b""
-        for org, peer_id in selection:
-            identity = self._attesting_identity(peer_id)
-            if peer_id == self._network.notary.identity.id:
-                # The notary attests over the proposing node's view.
-                source_node = self._network.nodes[0]
-            else:
-                source_node = self._network.node(identity.name)
-            try:
-                plaintext = handler(source_node, list(query.args))
-            except ReproError as exc:
-                return self._error(query, f"node {peer_id!r} query failed: {exc}")
-            envelope, attestation = attest_reply(
-                self._scheme,
-                identity,
-                self.network_id,
-                address,
-                query,
-                plaintext,
-                self._network.clock.now(),
-            )
-            attestations.append(attestation)
-            result_envelope = result_envelope or envelope
-
-        return self._attested(query, attestations, result_envelope)
+    def _read(self, peer_id: str, address: CrossNetworkAddress, query: NetworkQuery):
+        identity = self._attesting_identity(peer_id)
+        if peer_id == self._network.notary.identity.id:
+            # The notary attests over the proposing node's view.
+            source_node = self._network.nodes[0]
+        else:
+            source_node = self._network.node(identity.name)
+        handler = self._handlers[(address.contract, address.function)]
+        plaintext = handler(source_node, list(query.args))
+        return identity, plaintext, None
 
     # -- transaction capability ---------------------------------------------------
 
-    def execute_transaction(self, query: NetworkQuery) -> QueryResponse:
-        """Run one remote invocation through a registered flow (§5).
-
-        The flow executes on the designated invoker node after the same
-        exposure/authentication gate as queries; the attestations cover
-        the finalized outcome — transaction id plus notarization order —
-        and every attesting node (or the notary) confirms the transaction
-        is in its *own* history before signing, mirroring the Fabric
-        driver's per-replica commit check.
-        """
-        if not self.supports_transactions or self._invoker_node is None:
-            return self._error(
-                query,
-                f"corda network {self.network_id!r} has no transaction "
-                f"capability enabled",
-            )
-        address_msg = query.address
-        if address_msg is None:
-            return self._error(query, "transaction request has no address")
-        address = CrossNetworkAddress(
-            network=address_msg.network,
-            ledger=address_msg.ledger,
-            contract=address_msg.contract,
-            function=address_msg.function,
-        )
-        flow = self._flows.get((address.contract, address.function))
-        if flow is None:
-            return self._error(
-                query,
-                f"corda network {self.network_id!r} serves no flow "
-                f"{address.contract}/{address.function}",
-            )
-        try:
-            selection = self._attesters(query)
-        except PolicyError as exc:
-            return self._error(query, str(exc))
-
-        try:
-            self._port.check_access(query.auth, address.contract, address.function)
-        except AccessDeniedError as exc:
-            return self._denied(query, str(exc))
-
+    def _submit(self, address: CrossNetworkAddress, query: NetworkQuery):
+        """Run the registered flow on the designated invoker node; the
+        outcome is the finalized transaction and its notarization order."""
+        flow = self._flows[(address.contract, address.function)]
         invoker = self._network.node(self._invoker_node)
-        try:
-            result, transaction = flow(self._network, invoker, list(query.args))
-        except ReproError as exc:
-            return self._error(query, f"source transaction failed: {exc}")
+        result, transaction = flow(self._network, invoker, list(query.args))
+        return result, transaction.tx_id, self._network.sequence_of(transaction.tx_id), "VALID"
 
-        outcome = canonical_json(
-            {
-                "result": result.hex(),
-                "tx_id": transaction.tx_id,
-                "block_number": self._network.sequence_of(transaction.tx_id),
-                "validation_code": "VALID",
-            }
-        )
-        attestations: list[Attestation] = []
-        envelope = b""
-        for org, peer_id in selection:
-            identity = self._attesting_identity(peer_id)
-            if peer_id == self._network.notary.identity.id:
-                # The notary attests over the network-wide record it
-                # itself imposed the finality order on.
-                committed = transaction.tx_id in self._network.transactions
-            else:
-                committed = (
-                    transaction.tx_id
-                    in self._network.node(identity.name).transactions
-                )
-            if not committed:
-                return self._error(
-                    query,
-                    f"node {peer_id!r} has not finalized {transaction.tx_id!r}",
-                )
-            # The first attesting node seals the outcome; the rest attest it.
-            envelope, attestation = attest_reply(
-                self._scheme,
-                identity,
-                self.network_id,
-                address,
-                query,
-                outcome,
-                self._network.clock.now(),
-                envelope,
-            )
-            attestations.append(attestation)
-        return self._attested(query, attestations, envelope)
+    def _committed_at(self, peer_id: str, tx_id: str):
+        identity = self._attesting_identity(peer_id)
+        if peer_id == self._network.notary.identity.id:
+            # The notary attests over the network-wide record it itself
+            # imposed the finality order on.
+            history = self._network.transactions
+        else:
+            history = self._network.node(identity.name).transactions
+        if tx_id not in history:
+            raise _Refusal(f"node {peer_id!r} has not finalized {tx_id!r}")
+        return identity
 
     # -- event capability ---------------------------------------------------------
 

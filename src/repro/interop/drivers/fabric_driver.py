@@ -10,27 +10,20 @@ satisfying the verification policy."
 
 from __future__ import annotations
 
-import logging
-
-from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.fabric.identity import Identity
 from repro.fabric.network import FabricNetwork
 from repro.fabric.peer import Proposal
 from repro.interop.contracts.ecc import INTEROP_TRANSIENT_KEY, check_access
-from repro.interop.drivers.base import NetworkDriver
+from repro.interop.drivers.base import NetworkDriver, _Refusal
 from repro.interop.events import open_hub_tap
-from repro.interop.policy import Attester, attesters_for
-from repro.interop.proofs import AttestationProofScheme, attest_reply, peer_reply
+from repro.interop.policy import Attester
+from repro.interop.proofs import peer_reply
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import Attestation, NetworkQuery, QueryResponse
+from repro.proto.messages import STATUS_ACCESS_DENIED, Attestation, AuthInfo, NetworkQuery
 from repro.utils.encoding import canonical_json
 from repro.utils.ids import random_id
 
 INTEROP_PLUGIN = "interop"
-
-#: Driver-layer structured logging; records carry the serving relay's
-#: active trace (driver code runs on the relay's serve thread).
-logger = logging.getLogger("repro.driver")
 
 _ACCESS_DENIED_MARKER = "AccessDeniedError"
 
@@ -71,10 +64,10 @@ class FabricDriver(NetworkDriver):
     platform = "fabric"
 
     def __init__(self, network: FabricNetwork) -> None:
-        super().__init__(network.name)
+        super().__init__(network.name, network.clock)
         self._network = network
+        self._ledger = network.channel
         self._invoker: Identity | None = None
-        self._scheme = AttestationProofScheme()
 
     def enable_transactions(self, invoker: Identity) -> None:
         """Grant the transaction capability: remote invocations submit
@@ -115,138 +108,55 @@ class FabricDriver(NetworkDriver):
     def close_event_tap(self, tap) -> None:
         tap.close()
 
-    def _attesters(self, query: NetworkQuery) -> list[Attester]:
-        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
-        return attesters_for(query.policy, available, self.network_id)
+    def _attester_pool(self) -> list[Attester]:
+        return [(peer.org, peer.peer_id) for peer in self._network.peers]
 
-    def execute_query(self, query: NetworkQuery) -> QueryResponse:
-        address = query.address
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug(
-                "driver executing query",
-                extra={
-                    "network_id": self.network_id,
-                    "contract": address.contract if address else "",
-                    "function": address.function if address else "",
-                    "nonce": query.nonce,
-                },
-            )
-        if address is None or address.ledger != self._network.channel:
-            return self._error(
-                query,
-                f"network {self.network_id!r} has no ledger "
-                f"{address.ledger if address else ''!r}",
-            )
-        try:
-            selection = self._attesters(query)
-        except PolicyError as exc:
-            return self._error(query, str(exc))
+    def _gate(self, auth: AuthInfo | None, address: CrossNetworkAddress, verb: str) -> None:
+        """ECC gates a transaction here; a query's ECC check runs inside
+        the chaincode, during each peer's endorsement."""
+        if verb == "transaction":
+            check_access(self._network, auth, address.contract, address.function)
 
-        transient = {INTEROP_TRANSIENT_KEY: build_interop_context(query)}
-        creator = query.auth.certificate if query.auth else b""
-        attestations: list[Attestation] = []
-        result_envelope = b""
-        for org, peer_id in selection:
-            peer = self._network.peer(peer_id)
-            proposal = Proposal(
-                tx_id=random_id("interop-"),
-                channel=self._network.channel,
-                chaincode=address.contract,
-                function=address.function,
-                args=tuple(query.args),
-                creator=creator,
-                transient=transient,
-                timestamp=self._network.clock.now(),
-            )
-            # ECC SealResponse and the endorsement plugin seal one reply.
-            with peer_reply():
-                response = peer.endorse(proposal, plugin=INTEROP_PLUGIN)
-            if not response.success:
-                if response.message.startswith(_ACCESS_DENIED_MARKER):
-                    return self._denied(query, response.message)
-                return self._error(
-                    query,
-                    f"peer {peer_id!r} failed to execute the query: "
-                    f"{response.message}",
-                )
-            assert response.endorsement is not None
-            attestations.append(Attestation.decode(response.endorsement.signature))
-            result_envelope = result_envelope or response.result
-
-        return self._attested(query, attestations, result_envelope)
-
-    def execute_transaction(self, query: NetworkQuery) -> QueryResponse:
-        """Submit one remote invocation and attest the committed outcome (§5).
-
-        The attesting peers are chosen first, so a policy no peer can
-        satisfy is refused before anything commits. The request passes the
-        same ECC gate as remote queries, then runs through the network's
-        endorse-order-commit pipeline under the invoker identity; each
-        attesting peer confirms the transaction is on *its* ledger replica
-        before signing over the tx id, block number and validation code.
-        """
-        if self._invoker is None:
-            return super().execute_transaction(query)
-        address_msg = query.address
-        if address_msg is None:
-            return self._error(query, "transaction request has no address")
-        address = CrossNetworkAddress(
-            network=address_msg.network,
-            ledger=address_msg.ledger,
-            contract=address_msg.contract,
-            function=address_msg.function,
+    def _peer_reply(
+        self, peer_id: str, address: CrossNetworkAddress, query: NetworkQuery, first: bool
+    ) -> tuple[bytes, Attestation]:
+        """One interop endorsement: ECC ``SealResponse`` and the endorsement
+        plugin seal one reply, and the endorsement is the attestation."""
+        peer = self._network.peer(peer_id)
+        proposal = Proposal(
+            tx_id=random_id("interop-"),
+            channel=self._network.channel,
+            chaincode=address.contract,
+            function=address.function,
+            args=tuple(query.args),
+            creator=query.auth.certificate if query.auth else b"",
+            transient={INTEROP_TRANSIENT_KEY: build_interop_context(query)},
+            timestamp=self._clock.now(),
         )
-        try:
-            selection = self._attesters(query)
-        except PolicyError as exc:
-            return self._error(query, str(exc))
-        try:
-            check_access(self._network, query.auth, address.contract, address.function)
-        except AccessDeniedError as exc:
-            return self._denied(query, str(exc))
-        except ReproError as exc:
-            return self._error(query, str(exc))
-
-        try:
-            submit = self._network.gateway.submit(
-                self._invoker, address.contract, address.function, list(query.args)
+        with peer_reply():
+            response = peer.endorse(proposal, plugin=INTEROP_PLUGIN)
+        if not response.success:
+            if response.message.startswith(_ACCESS_DENIED_MARKER):
+                raise _Refusal(response.message, STATUS_ACCESS_DENIED)
+            raise _Refusal(
+                f"peer {peer_id!r} failed to execute the query: {response.message}"
             )
-        except ReproError as exc:
-            return self._error(query, f"source transaction failed: {exc}")
+        assert response.endorsement is not None
+        return response.result, Attestation.decode(response.endorsement.signature)
+
+    def _submit(self, address: CrossNetworkAddress, query: NetworkQuery):
+        """Endorse, order and commit under the invoker identity."""
+        submit = self._network.gateway.submit(
+            self._invoker, address.contract, address.function, list(query.args)
+        )
         if not submit.committed:
-            return self._error(
-                query,
-                f"source transaction invalidated: {submit.validation_code.value}",
+            raise _Refusal(
+                f"source transaction invalidated: {submit.validation_code.value}"
             )
+        return submit.result, submit.tx_id, submit.block_number, submit.validation_code.value
 
-        # Attest the committed outcome under the verification policy.
-        outcome = canonical_json(
-            {
-                "result": submit.result.hex(),
-                "tx_id": submit.tx_id,
-                "block_number": submit.block_number,
-                "validation_code": submit.validation_code.value,
-            }
-        )
-        attestations: list[Attestation] = []
-        envelope = b""
-        for org, peer_id in selection:
-            peer = self._network.peer(peer_id)
-            # Each attesting peer confirms the tx is on ITS ledger replica.
-            if not peer.ledger.contains_tx(submit.tx_id):
-                return self._error(
-                    query, f"peer {peer_id!r} has not committed {submit.tx_id!r}"
-                )
-            # The first attesting peer seals the outcome; the rest attest it.
-            envelope, attestation = attest_reply(
-                self._scheme,
-                peer.identity,
-                self._network.name,
-                address,
-                query,
-                outcome,
-                self._network.clock.now(),
-                envelope,
-            )
-            attestations.append(attestation)
-        return self._attested(query, attestations, envelope)
+    def _committed_at(self, peer_id: str, tx_id: str) -> Identity:
+        peer = self._network.peer(peer_id)
+        if not peer.ledger.contains_tx(tx_id):
+            raise _Refusal(f"peer {peer_id!r} has not committed {tx_id!r}")
+        return peer.identity

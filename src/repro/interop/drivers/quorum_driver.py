@@ -3,18 +3,17 @@
 Queries address contract view functions; each selected peer executes the
 view against its replica and returns a *signed query response* — the §5
 peer augmentation — which the attestation proof scheme packages exactly as
-for Fabric.
+for Fabric. The driver supplies its peers and one peer's view; the query
+procedure is :class:`NetworkDriver`'s.
 """
 
 from __future__ import annotations
 
-from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
 from repro.interop.drivers.base import NetworkDriver
-from repro.interop.policy import attesters_for
-from repro.interop.proofs import AttestationProofScheme, attest_reply
+from repro.interop.policy import Attester
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import Attestation, NetworkQuery, QueryResponse
+from repro.proto.messages import NetworkQuery
 from repro.quorum.contracts import CallContext
 from repro.quorum.network import QuorumNetwork
 
@@ -25,10 +24,9 @@ class QuorumDriver(NetworkDriver):
     platform = "quorum"
 
     def __init__(self, network: QuorumNetwork, port: InteropPort) -> None:
-        super().__init__(network.name)
+        super().__init__(network.name, network.clock)
         self._network = network
         self._port = port
-        self._scheme = AttestationProofScheme()
 
     def enable_assets(self, invoker, contract: str | None = None) -> None:
         """Grant the asset capability: HTLC commands submit under ``invoker``.
@@ -46,53 +44,15 @@ class QuorumDriver(NetworkDriver):
             )
         )
 
-    def execute_query(self, query: NetworkQuery) -> QueryResponse:
-        address_msg = query.address
-        if address_msg is None:
-            return self._error(query, "query has no address")
-        address = CrossNetworkAddress(
-            network=address_msg.network,
-            ledger=address_msg.ledger,
-            contract=address_msg.contract,
-            function=address_msg.function,
+    def _attester_pool(self) -> list[Attester]:
+        return [(peer.org, peer.peer_id) for peer in self._network.peers]
+
+    def _read(self, peer_id: str, address: CrossNetworkAddress, query: NetworkQuery):
+        peer = self._network.peer(peer_id)
+        ctx = CallContext(
+            sender=query.auth.requestor,
+            sender_org=query.auth.requesting_org,
+            timestamp=self._clock.now(),
         )
-        available = [(peer.org, peer.peer_id) for peer in self._network.peers]
-        try:
-            selection = attesters_for(query.policy, available, self.network_id)
-        except PolicyError as exc:
-            return self._error(query, str(exc))
-
-        auth = query.auth
-        try:
-            self._port.check_access(auth, address.contract, address.function)
-        except AccessDeniedError as exc:
-            return self._denied(query, str(exc))
-
-        attestations: list[Attestation] = []
-        result_envelope = b""
-        for org, peer_id in selection:
-            peer = self._network.peer(peer_id)
-            ctx = CallContext(
-                sender=auth.requestor,
-                sender_org=auth.requesting_org,
-                timestamp=self._network.clock.now(),
-            )
-            try:
-                plaintext = peer.view(
-                    address.contract, address.function, list(query.args), ctx
-                )
-            except ReproError as exc:
-                return self._error(query, f"peer {peer_id!r} query failed: {exc}")
-            envelope, attestation = attest_reply(
-                self._scheme,
-                peer.identity,
-                self.network_id,
-                address,
-                query,
-                plaintext,
-                self._network.clock.now(),
-            )
-            attestations.append(attestation)
-            result_envelope = result_envelope or envelope
-
-        return self._attested(query, attestations, result_envelope)
+        plaintext = peer.view(address.contract, address.function, list(query.args), ctx)
+        return peer.identity, plaintext, None

@@ -761,7 +761,9 @@ class RelayService:
         )
 
     def _serve_query(self, envelope: RelayEnvelope, query: NetworkQuery) -> QueryResponse:
-        response = self._driver(query.address).execute_query(query)
+        """Serve one forwarded query; a driver failure is answered with a
+        ``STATUS_ERROR`` response, as for a batch member."""
+        response = self._driver(query.address)._execute_guarded(query)
         self.stats.bump("requests_served")
         return response
 

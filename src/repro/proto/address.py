@@ -10,8 +10,12 @@ client API and what exposure-control rules are matched against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.errors import AddressError
+
+if TYPE_CHECKING:
+    from repro.proto.messages import NetworkAddressMsg
 
 _SEPARATOR = "/"
 _SEGMENTS = 4
@@ -39,6 +43,17 @@ class CrossNetworkAddress:
                 raise AddressError(
                     f"address segment {label!r} must not contain {_SEPARATOR!r}: {value!r}"
                 )
+
+    @classmethod
+    def from_msg(cls, msg: NetworkAddressMsg | None) -> CrossNetworkAddress:
+        """The address a wire message carries.
+
+        Raises :class:`AddressError` when there is none, or on an empty or
+        ``'/'``-bearing segment.
+        """
+        if msg is None:
+            raise AddressError("no address")
+        return cls(network=msg.network, ledger=msg.ledger, contract=msg.contract, function=msg.function)
 
     def __str__(self) -> str:
         return _SEPARATOR.join((self.network, self.ledger, self.contract, self.function))

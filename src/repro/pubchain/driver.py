@@ -1,10 +1,10 @@
 """Public-chain driver: proof generation gated by a finality policy.
 
-Query orchestration mirrors :class:`repro.interop.drivers.QuorumDriver` —
-policy-selected observers evaluate the view, seal the result, and sign
-attestations — with one addition unique to probabilistic chains: before a
-single attestation is produced, the driver assesses the finality of every
-ledger key the view read.
+Queries run :class:`repro.interop.drivers.NetworkDriver`'s one query
+procedure — policy-selected observers evaluate the view, seal the result,
+and sign attestations — with one addition unique to probabilistic chains:
+before a single attestation is produced, the driver assesses the finality
+of every ledger key the first view read.
 
 - A read key whose latest write was **orphaned by a reorg** answers
   ``STATUS_REORG`` (typed client-side as
@@ -27,20 +27,11 @@ give a foreign relay a commit pipeline or an ordered event hub for free.
 
 from __future__ import annotations
 
-from repro.errors import AccessDeniedError, PolicyError, ReproError
 from repro.interop.contracts.ports import InteropPort
-from repro.interop.drivers.base import NetworkDriver
-from repro.interop.policy import attesters_for
-from repro.interop.proofs import AttestationProofScheme, attest_reply
+from repro.interop.drivers.base import NetworkDriver, _Refusal
+from repro.interop.policy import Attester
 from repro.proto.address import CrossNetworkAddress
-from repro.proto.messages import (
-    PROTOCOL_VERSION,
-    STATUS_PENDING_FINALITY,
-    STATUS_REORG,
-    Attestation,
-    NetworkQuery,
-    QueryResponse,
-)
+from repro.proto.messages import STATUS_PENDING_FINALITY, STATUS_REORG, NetworkQuery
 from repro.pubchain.chain import SimulatedPublicChain
 from repro.pubchain.finality import VERB_ASSETS, VERB_QUERY, FinalityPolicy
 
@@ -49,6 +40,7 @@ class PubChainDriver(NetworkDriver):
     """Drives queries against an in-process :class:`SimulatedPublicChain`."""
 
     platform = "pubchain"
+    _noun = "observer"
 
     def __init__(
         self,
@@ -56,11 +48,10 @@ class PubChainDriver(NetworkDriver):
         port: InteropPort,
         finality: FinalityPolicy | None = None,
     ) -> None:
-        super().__init__(chain.name)
+        super().__init__(chain.name, chain.clock)
         self._chain = chain
         self._port = port
         self._finality = finality or FinalityPolicy()
-        self._scheme = AttestationProofScheme()
         self._asset_contract = ""
 
     @property
@@ -92,89 +83,37 @@ class PubChainDriver(NetworkDriver):
             return VERB_ASSETS
         return VERB_QUERY
 
-    def _finality_problem(
-        self, query: NetworkQuery, address: CrossNetworkAddress, read_keys
-    ) -> QueryResponse | None:
-        """The typed non-OK response finality demands, or ``None`` if final."""
+    def _attester_pool(self) -> list[Attester]:
+        return [(identity.org, identity.id) for identity in self._chain.observers]
+
+    def _read(self, observer_id: str, address: CrossNetworkAddress, query: NetworkQuery):
+        observer = self._chain.observer(observer_id)
+        plaintext, read_keys = self._chain.view(
+            observer, address.contract, address.function, list(query.args)
+        )
+        return observer, plaintext, read_keys
+
+    def _check_read(self, address: CrossNetworkAddress, read_keys) -> None:
+        """Refuse a read that is not final.
+
+        One assessment covers the whole selection: every observer serves
+        the same canonical state under the chain lock.
+        """
         reorged = self._chain.reorged_keys(address.contract, read_keys)
         if reorged:
             culprits = ", ".join(
                 f"{key!r} (tx {tx_id})" for key, tx_id in sorted(reorged.items())
             )
-            return QueryResponse(
-                version=PROTOCOL_VERSION,
-                nonce=query.nonce,
-                status=STATUS_REORG,
-                error=(
-                    f"chain reorg on {self.network_id!r} orphaned the latest "
-                    f"write of {culprits}; re-verify before acting"
-                ),
+            raise _Refusal(
+                f"chain reorg on {self.network_id!r} orphaned the latest "
+                f"write of {culprits}; re-verify before acting",
+                STATUS_REORG,
             )
         depth = self._chain.confirmation_depth(address.contract, read_keys)
         required = self._finality.required(self._verb_class(address))
         if depth is not None and depth < required:
-            return QueryResponse(
-                version=PROTOCOL_VERSION,
-                nonce=query.nonce,
-                status=STATUS_PENDING_FINALITY,
-                error=(
-                    f"record on {self.network_id!r} has {depth} of {required} "
-                    f"required confirmation(s); pending, not verified"
-                ),
+            raise _Refusal(
+                f"record on {self.network_id!r} has {depth} of {required} "
+                f"required confirmation(s); pending, not verified",
+                STATUS_PENDING_FINALITY,
             )
-        return None
-
-    def execute_query(self, query: NetworkQuery) -> QueryResponse:
-        address_msg = query.address
-        if address_msg is None:
-            return self._error(query, "query has no address")
-        address = CrossNetworkAddress(
-            network=address_msg.network,
-            ledger=address_msg.ledger,
-            contract=address_msg.contract,
-            function=address_msg.function,
-        )
-        available = [(identity.org, identity.id) for identity in self._chain.observers]
-        try:
-            selection = attesters_for(query.policy, available, self.network_id)
-        except PolicyError as exc:
-            return self._error(query, str(exc))
-
-        try:
-            self._port.check_access(query.auth, address.contract, address.function)
-        except AccessDeniedError as exc:
-            return self._denied(query, str(exc))
-
-        attestations: list[Attestation] = []
-        result_envelope = b""
-        finality_checked = False
-        for _org, observer_id in selection:
-            observer = self._chain.observer(observer_id)
-            try:
-                plaintext, read_keys = self._chain.view(
-                    observer, address.contract, address.function, list(query.args)
-                )
-            except ReproError as exc:
-                return self._error(
-                    query, f"observer {observer_id!r} query failed: {exc}"
-                )
-            if not finality_checked:
-                # One assessment covers the whole selection: every observer
-                # serves the same canonical state under the chain lock.
-                problem = self._finality_problem(query, address, read_keys)
-                if problem is not None:
-                    return problem
-                finality_checked = True
-            envelope, attestation = attest_reply(
-                self._scheme,
-                observer,
-                self.network_id,
-                address,
-                query,
-                plaintext,
-                self._chain.clock.now(),
-            )
-            attestations.append(attestation)
-            result_envelope = result_envelope or envelope
-
-        return self._attested(query, attestations, result_envelope)

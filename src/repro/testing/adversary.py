@@ -39,6 +39,7 @@ from repro.interop.proofs import (
     attested_data_hash,
     decrypt_attestation,
 )
+from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
     MSG_KIND_QUERY_RESPONSE,
     QueryResponse,
@@ -188,19 +189,10 @@ class EavesdroppingRelay:
                     continue
                 bundle = ProofBundle(attestations=attestations)
                 metadata = attestations[0].metadata()
-                address_msg = metadata.address
-                from repro.proto.address import CrossNetworkAddress
-
-                address = CrossNetworkAddress(
-                    network=address_msg.network,
-                    ledger=address_msg.ledger,
-                    contract=address_msg.contract,
-                    function=address_msg.function,
-                )
                 scheme.validate_bundle(
                     bundle,
                     expected_network=metadata.network,
-                    expected_address=address,
+                    expected_address=CrossNetworkAddress.from_msg(metadata.address),
                     expected_args=list(metadata.args),
                     expected_nonce=metadata.nonce,
                     expected_data_hash=attested_data_hash(metadata),

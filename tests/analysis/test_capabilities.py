@@ -151,3 +151,32 @@ def test_verb_inherited_from_intermediate_base_counts():
         """
     )
     assert findings == []
+
+
+def test_template_hooks_satisfy_the_transaction_grant():
+    # NetworkDriver runs execute_transaction as a template over _submit and
+    # _committed_at: a driver defining both implements the verb; one that
+    # defines only one of them does not.
+    findings = run(
+        """
+        from repro.interop.drivers.base import NetworkDriver
+
+        class HookDriver(NetworkDriver):
+            def enable_transactions(self, invoker):
+                self.supports_transactions = True
+
+            def _submit(self, address, query):
+                return b"", "tx-1", 1, "VALID"
+
+            def _committed_at(self, attester_id, tx_id):
+                return self._identity(attester_id)
+
+        class HalfHookDriver(NetworkDriver):
+            supports_transactions = True
+
+            def _submit(self, address, query):
+                return b"", "tx-1", 1, "VALID"
+        """
+    )
+    assert [(f.rule, f.symbol) for f in findings] == [("REP501", "HalfHookDriver")]
+    assert "execute_transaction" in findings[0].message

@@ -21,7 +21,7 @@ MESSAGES = ROOT / "src" / "repro" / "proto" / "messages.py"
 PROTO_INIT = ROOT / "src" / "repro" / "proto" / "__init__.py"
 RELAY = ROOT / "src" / "repro" / "interop" / "relay.py"
 ASSET_PORTS = ROOT / "src" / "repro" / "assets" / "ports.py"
-QUORUM_DRIVER = ROOT / "src" / "repro" / "interop" / "drivers" / "quorum_driver.py"
+DRIVER_BASE = ROOT / "src" / "repro" / "interop" / "drivers" / "base.py"
 
 
 def analyze_src():
@@ -139,14 +139,15 @@ def test_org_comparison_outside_the_gate_is_caught():
 
 
 def test_attribute_error_catch_in_a_driver_is_caught():
-    # Put back, in the real Quorum driver, the catch that once answered a
-    # request with no policy "'NoneType' object has no attribute ...".
-    path = "src/repro/interop/drivers/quorum_driver.py"
-    source = QUORUM_DRIVER.read_text(encoding="utf-8")
+    # Put back, in the real driver template (the Quorum driver's query
+    # procedure), the catch that once answered a request with no policy
+    # "'NoneType' object has no attribute ...".
+    path = "src/repro/interop/drivers/base.py"
+    source = DRIVER_BASE.read_text(encoding="utf-8")
     assert [f for f in run_analysis(Project.from_sources({path: source})) if f.rule == "REP402"] == []
     guarded = "        except PolicyError as exc:\n"
     assert source.count(guarded) == 1
     mutated = source.replace(guarded, "        except (PolicyError, AttributeError) as exc:\n")
     findings = run_analysis(Project.from_sources({path: mutated}))
     regressions = [f for f in findings if f.rule == "REP402"]
-    assert [f.symbol for f in regressions] == ["QuorumDriver.execute_query"]
+    assert [f.symbol for f in regressions] == ["NetworkDriver._admit"]

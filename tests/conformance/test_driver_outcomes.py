@@ -56,40 +56,40 @@ STATUS_NAMES = {
 TABLE = """
 fabric   query    no-address       | STATUS_ERROR            | network 'fabnetc' has no ledger ''
 fabric   query    empty-ledger     | STATUS_ERROR            | network 'fabnetc' has no ledger ''
-fabric   query    empty-function   | STATUS_ERROR            | peer 'peer0.conf-org-a' failed to execute the query: ChaincodeError: confcc has no function ''
+fabric   query    empty-function   | STATUS_ERROR            | query has an invalid address: address segment 'function' must be non-empty
 fabric   query    wrong-ledger     | STATUS_ERROR            | network 'fabnetc' has no ledger 'no-such-ledger'
 fabric   query    unknown-function | STATUS_ERROR            | peer 'peer0.conf-org-a' failed to execute the query: ChaincodeError: confcc has no function 'NoSuchFunction'
 fabric   query    read-failure     | STATUS_ERROR            | peer 'peer0.conf-org-a' failed to execute the query: ChaincodeError: no record 'MISSING'
 fabric   transact no-address       | STATUS_ERROR            | transaction request has no address
-fabric   transact empty-ledger     | AddressError            | address segment 'ledger' must be non-empty
-fabric   transact empty-function   | AddressError            | address segment 'function' must be non-empty
+fabric   transact empty-ledger     | STATUS_ERROR            | transaction request has an invalid address: address segment 'ledger' must be non-empty
+fabric   transact empty-function   | STATUS_ERROR            | transaction request has an invalid address: address segment 'function' must be non-empty
 fabric   transact wrong-ledger     | STATUS_OK               |
 fabric   transact unknown-function | STATUS_ACCESS_DENIED    | exposure control denied <destnet, dest-org, confcc, NoSuchFunction>: no matching access rule
 fabric   transact submit-failure   | STATUS_ERROR            | source transaction failed: confcc.Put endorsement failed on peer0.conf-org-a: ChaincodeError: record 'SEED' already exists
 fabric   transact uncommitted      | STATUS_ERROR            | peer 'peer0.conf-org-b' has not committed '<tx>'
 quorum   query    no-address       | STATUS_ERROR            | query has no address
-quorum   query    empty-ledger     | AddressError            | address segment 'ledger' must be non-empty
-quorum   query    empty-function   | AddressError            | address segment 'function' must be non-empty
+quorum   query    empty-ledger     | STATUS_ERROR            | query has an invalid address: address segment 'ledger' must be non-empty
+quorum   query    empty-function   | STATUS_ERROR            | query has an invalid address: address segment 'function' must be non-empty
 quorum   query    wrong-ledger     | STATUS_OK               |
 quorum   query    unknown-function | STATUS_ACCESS_DENIED    | exposure control denied <destnet, dest-org, document-registry, NoSuchFunction>: no matching access rule
 quorum   query    read-failure     | STATUS_ERROR            | peer 'peer1.op-org-1' query failed: no document 'MISSING'
 quorum   transact no-capability    | STATUS_ERROR            | driver for network 'quornetc' does not support cross-network transactions
 corda    query    no-address       | STATUS_ERROR            | query has no address
-corda    query    empty-ledger     | AddressError            | address segment 'ledger' must be non-empty
-corda    query    empty-function   | AddressError            | address segment 'function' must be non-empty
+corda    query    empty-ledger     | STATUS_ERROR            | query has an invalid address: address segment 'ledger' must be non-empty
+corda    query    empty-function   | STATUS_ERROR            | query has an invalid address: address segment 'function' must be non-empty
 corda    query    wrong-ledger     | STATUS_OK               |
 corda    query    unknown-function | STATUS_ERROR            | corda network 'cordanetc' serves no query vault/NoSuchFunction
 corda    query    read-failure     | STATUS_ERROR            | node 'nodeA.nodeA' query failed: node 'nodeA' holds no unconsumed state 'MISSING'
 corda    transact no-address       | STATUS_ERROR            | transaction request has no address
-corda    transact empty-ledger     | AddressError            | address segment 'ledger' must be non-empty
-corda    transact empty-function   | AddressError            | address segment 'function' must be non-empty
+corda    transact empty-ledger     | STATUS_ERROR            | transaction request has an invalid address: address segment 'ledger' must be non-empty
+corda    transact empty-function   | STATUS_ERROR            | transaction request has an invalid address: address segment 'function' must be non-empty
 corda    transact wrong-ledger     | STATUS_OK               |
 corda    transact unknown-function | STATUS_ERROR            | corda network 'cordanetc' serves no flow vault/NoSuchFunction
 corda    transact submit-failure   | STATUS_ERROR            | source transaction failed: RecordState expects linear_id, kind, data_json[, participants]
 corda    transact uncommitted      | STATUS_ERROR            | node 'nodeB.nodeB' has not finalized '<tx>'
 pubchain query    no-address       | STATUS_ERROR            | query has no address
-pubchain query    empty-ledger     | AddressError            | address segment 'ledger' must be non-empty
-pubchain query    empty-function   | AddressError            | address segment 'function' must be non-empty
+pubchain query    empty-ledger     | STATUS_ERROR            | query has an invalid address: address segment 'ledger' must be non-empty
+pubchain query    empty-function   | STATUS_ERROR            | query has an invalid address: address segment 'function' must be non-empty
 pubchain query    wrong-ledger     | STATUS_OK               |
 pubchain query    unknown-function | STATUS_ACCESS_DENIED    | exposure control denied <destnet, dest-org, document-registry, NoSuchFunction>: no matching access rule
 pubchain query    read-failure     | STATUS_ERROR            | observer 'obs1.pub-org-1' query failed: no document 'MISSING'

@@ -57,6 +57,25 @@ class TestAddress:
         address = CrossNetworkAddress(n, l, c, f)
         assert parse_address(str(address)) == address
 
+    def test_from_msg(self):
+        msg = NetworkAddressMsg(
+            network="stl", ledger="main", contract="TradeLensCC", function="GetBillOfLading"
+        )
+        assert CrossNetworkAddress.from_msg(msg) == parse_address(
+            "stl/main/TradeLensCC/GetBillOfLading"
+        )
+
+    def test_from_msg_rejects_no_address(self):
+        with pytest.raises(AddressError, match="no address"):
+            CrossNetworkAddress.from_msg(None)
+
+    @pytest.mark.parametrize("field", ["network", "ledger", "contract", "function"])
+    def test_from_msg_rejects_an_empty_segment(self, field):
+        msg = NetworkAddressMsg(network="n", ledger="l", contract="c", function="f")
+        setattr(msg, field, "")
+        with pytest.raises(AddressError, match=f"segment '{field}' must be non-empty"):
+            CrossNetworkAddress.from_msg(msg)
+
 
 class TestInteropMessages:
     def _query(self) -> NetworkQuery:
