@@ -250,7 +250,6 @@ ERROR_ANSWER_HELPERS = frozenset(
         "error_reply",
         "_event_ack",
         "_error",
-        "_denied",
     }
 )
 

@@ -23,8 +23,8 @@ Exposure control is the same gate, over the same
 must whitelist each remotely-invokable function, exactly as for queries.
 
 This module holds the client half; on Fabric the source half is the
-network's own driver
-(:meth:`~repro.interop.drivers.fabric_driver.FabricDriver.execute_transaction`),
+network's own driver (:meth:`~repro.interop.drivers.base.NetworkDriver.execute_transaction`
+over :class:`~repro.interop.drivers.fabric_driver.FabricDriver`'s hooks),
 granted the capability by :func:`enable_remote_transactions`.
 """
 
