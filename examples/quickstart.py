@@ -345,8 +345,8 @@ def main() -> None:
     # on the same directory, and replay the captured envelope.
     import tempfile
 
-    from repro.interop.transactions import RemoteTransactionClient
     from repro.proto.messages import (
+        INVOCATION_TRANSACTION,
         MSG_KIND_TRANSACT_REQUEST,
         PROTOCOL_VERSION,
         RelayEnvelope,
@@ -358,9 +358,10 @@ def main() -> None:
     durable_relay = create_fabric_relay(source, registry, state_dir=state_dir)
     enable_remote_transactions(source, durable_relay, invoker)
 
-    prepared = RemoteTransactionClient(client).prepare_transaction(
+    prepared = client.prepare_query(
         "source-net/main/docs/Put",
         ["invoice-11", '{"amount": 12, "currency": "USD"}'],
+        invocation=INVOCATION_TRANSACTION,
     )
     raw = RelayEnvelope(
         version=PROTOCOL_VERSION,

@@ -83,6 +83,7 @@ def serve(
     from repro.fabric import NetworkBuilder
     from repro.interop.bootstrap import create_fabric_relay, enable_fabric_interop
     from repro.interop.discovery import InMemoryRegistry
+    from repro.interop.transactions import enable_remote_transactions
     from repro.net import RelayServer
     from repro.proto.messages import NetworkConfigMsg
 
@@ -131,6 +132,7 @@ def serve(
     source.gateway.submit(
         admin, "ecc", "AddAccessRule", [DEST_NETWORK, DEST_ORG, "docs", "Put"]
     )
+    invoker = source.org("producer-org").enroll("interop-invoker", role="client")
 
     # ``--state-dir`` makes the relay durable: its exactly-once record
     # and served subscriptions live in a SqliteStore that a respawned
@@ -150,6 +152,7 @@ def serve(
             state_dir=replica_state,
             middleware=middleware,
         )
+        enable_remote_transactions(source, relay, invoker)
         probe_port = metrics_port if (replicas == 1 and index == 0) else (
             0 if want_ops else None
         )
@@ -387,16 +390,18 @@ def main(
 
         # --- act two (--state-dir): crash the relay, replay the past -------
         if state_dir and len(addresses) == 1:
-            from repro.interop.transactions import RemoteTransactionClient
             from repro.proto.messages import (
+                INVOCATION_TRANSACTION,
                 MSG_KIND_TRANSACT_REQUEST,
                 PROTOCOL_VERSION,
+                QueryResponse,
                 RelayEnvelope,
             )
 
-            prepared = RemoteTransactionClient(client).prepare_transaction(
+            prepared = client.prepare_query(
                 "source-net/main/docs/Put",
                 ["receipt-9", '{"paid": true}'],
+                invocation=INVOCATION_TRANSACTION,
             )
             raw = RelayEnvelope(
                 version=PROTOCOL_VERSION,
@@ -407,8 +412,12 @@ def main(
                 payload=prepared.query.encode(),
             ).encode()
             first = resolver.resolve(address).handle_request(raw)
-            print(f"\ncommitted receipt-9 via request_id=demo-receipt-9 "
-                  f"({len(first)}-byte reply)")
+            outcome = client.finalize_response(
+                prepared, QueryResponse.decode(RelayEnvelope.decode(first).payload)
+            )
+            print(f"\ncommitted receipt-9 via request_id=demo-receipt-9 as "
+                  f"{outcome.tx_id} in block {outcome.block_number}, attested by "
+                  f"{outcome.attesting_orgs} ({len(first)}-byte reply)")
 
             child.kill()
             child.wait(timeout=10)

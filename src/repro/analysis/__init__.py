@@ -29,6 +29,9 @@ Rules:
 - **REP603** ``attesters_for`` / ``attest_reply`` called outside the one
   driver template (``interop/drivers/base.py``), or a ``NetworkDriver``
   subclass overriding ``execute_query`` / ``execute_transaction``
+- **REP604** ``ReplyOpener`` / ``check_attested_query`` called outside
+  ``interop/proofs.py`` and the one finalizer
+  (``InteropClient.finalize_response``)
 
 Intentional violations live in ``analysis-baseline.json`` at the repo
 root, each with a mandatory rationale; the checkers/registries are in

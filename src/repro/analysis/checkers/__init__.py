@@ -6,6 +6,7 @@ from repro.analysis.checkers import (  # noqa: F401 - registration imports
     capabilities,
     driver_template,
     error_taxonomy,
+    finalizer,
     locks,
     reply_sealing,
     wire_kinds,

@@ -353,3 +353,16 @@ DRIVER_TEMPLATE_CALLS: dict[str, str] = {
 
 #: The template methods no subclass of the driver class overrides.
 DRIVER_TEMPLATE_METHODS = frozenset({"execute_query", "execute_transaction"})
+
+# ---------------------------------------------------------------------------
+# REP604 — one finalizer: where a reply is opened and bound to its request.
+# ---------------------------------------------------------------------------
+
+#: The module defining the reply opener and the request binding check.
+FINALIZER_MODULE = "repro/interop/proofs.py"
+
+#: The calls only the one finalizer makes.
+FINALIZER_CALLS = frozenset({"ReplyOpener", "check_attested_query"})
+
+#: The one finalizer: its module and qualified name.
+FINALIZER = ("repro/interop/client.py", "InteropClient.finalize_response")

@@ -6,24 +6,20 @@ interoperability primitives — query, transact, and publish/subscribe —
 with fluent building, batched pipelined execution, verified event
 streaming, and a composable relay middleware chain.
 
-- :class:`InteropGateway` — the façade: ``gateway.query(addr)...`` and
-  ``gateway.transact(addr)...`` for fluent singles, ``batch()`` /
-  ``transaction_batch()`` / ``submit()`` handles for pipelined batches
-  that share one envelope round-trip per target network, and
-  ``gateway.subscribe(...)`` for relay-envelope event delivery.
-- :class:`GatewaySession` — multiplexes the three primitives over one
-  relay connection state: per-session auth, shared interceptor chain,
-  shared CMDAC policy cache, subscription lifecycle.
-- :class:`AsyncGateway` — the async-native entry point for asyncio
-  services fronting socket relays (:mod:`repro.net`): ``await
-  aquery(...)`` / ``atransact(...)`` plus ``agather(...)`` batch
-  flushes, layered over the same session machinery via the loop's
-  executor (the async path can never drift from the sync protocol).
-- :class:`QueryBuilder` / :class:`TransactionBuilder` and their specs —
-  fluent request description.
-- :class:`QuerySet` / :class:`QueryHandle`, :class:`TransactionSet` /
-  :class:`TransactionHandle` — future-style pipelining with
-  partial-failure semantics (one bad member never poisons the rest).
+- :class:`GatewaySession` — multiplexes the primitives over one relay
+  connection state: per-session auth, shared interceptor chain, shared
+  CMDAC policy cache, one ambient set, subscription lifecycle.
+- :class:`InteropGateway` — the façade, itself a session:
+  ``gateway.query(addr)...`` and ``gateway.transact(addr)...`` for
+  fluent singles, ``batch()`` / ``submit()`` handles for pipelined
+  batches that share one envelope round-trip per target network and
+  verb, and ``gateway.subscribe(...)`` for relay-envelope event delivery.
+- :class:`QueryBuilder` and :class:`QuerySpec` — fluent description of
+  one request; the spec carries its verb (the wire's ``invocation``),
+  and ``TransactionBuilder`` names the same builder.
+- :class:`QuerySet` / :class:`QueryHandle` / :class:`BatchExecutor` —
+  future-style pipelining of either verb with partial-failure semantics
+  (one bad member never poisons the rest).
 - :class:`VerifiedEventStream` / :class:`EventVerifier` — notify-then-
   verify: every unauthenticated notification is upgraded to trusted data
   via a proof-carrying query before it reaches the application iterator.
@@ -38,22 +34,14 @@ streaming, and a composable relay middleware chain.
   caching (which never serves side-effecting envelopes). Install with
   ``relay.use(...)``.
 
-The legacy entry points (``InteropClient.remote_query``,
-``RemoteTransactionClient.remote_transact``) keep working unchanged; they
-are thin shims over this layer's machinery.
+Underneath sits one request pipeline: every query and transaction is
+built by :meth:`repro.interop.InteropClient.prepare_query` and checked by
+:meth:`repro.interop.InteropClient.finalize_response`, whether it runs
+alone (``InteropClient.remote_query``, ``builder.execute()``) or in a
+set.
 """
 
-from repro.api.batch import (
-    BatchExecutor,
-    QueryHandle,
-    QuerySet,
-    QuerySpec,
-    TransactionExecutor,
-    TransactionHandle,
-    TransactionSet,
-    TransactionSpec,
-)
-from repro.api.async_gateway import AsyncGateway
+from repro.api.batch import BatchExecutor, QueryHandle, QuerySet, QuerySpec
 from repro.api.builder import (
     CycleBuilder,
     ExchangeBuilder,
@@ -79,7 +67,6 @@ from repro.api.middleware import (
 )
 
 __all__ = [
-    "AsyncGateway",
     "InteropGateway",
     "GatewaySession",
     "QueryBuilder",
@@ -88,10 +75,6 @@ __all__ = [
     "QueryHandle",
     "BatchExecutor",
     "TransactionBuilder",
-    "TransactionSpec",
-    "TransactionSet",
-    "TransactionHandle",
-    "TransactionExecutor",
     "ExchangeBuilder",
     "CycleBuilder",
     "EventVerifier",

@@ -1,13 +1,15 @@
-"""Pipelined execution: specs, handles, sets, and batch executors.
+"""Pipelined execution: specs, handles, sets, and the batch executor.
 
-The pipeline model: applications *submit* any number of queries or
+The pipeline model: applications *submit* any number of queries and
 transactions (getting a future-style handle each), and the whole set is
-*flushed* in one go — members sharing a target network travel in a single
-``MSG_KIND_BATCH_REQUEST`` envelope, so N requests cost one discovery
-lookup, one round-trip, and one failover loop per target instead of N.
-Transaction members are marked with the wire-level ``invocation``
-discriminator and served sequentially by the source's transaction driver
-(commit ordering); query members fan concurrently.
+*flushed* in one go — members sharing a target network and a verb travel
+in a single ``MSG_KIND_BATCH_REQUEST`` envelope, so N requests cost one
+discovery lookup, one round-trip, and one failover loop per target and
+verb instead of N. Queries go first. Transaction members are marked with
+the wire-level ``invocation`` discriminator and served sequentially by
+the source's transaction driver (commit ordering); query members fan
+concurrently. No envelope mixes the two, so read-only envelopes stay
+cacheable.
 
 Partial-failure semantics hold end to end: one failed member (bad address,
 denied access, unsatisfiable policy, driver error, invalidated commit)
@@ -24,49 +26,56 @@ from typing import TYPE_CHECKING
 
 from repro.errors import InteropError
 from repro.ops.trace import ensure_trace
-from repro.interop.client import InteropClient, RemoteQueryResult
-from repro.interop.transactions import (
-    RemoteTransactionClient,
+from repro.interop.client import (
+    InteropClient,
+    RemoteQueryResult,
     RemoteTransactionResult,
 )
 from repro.proto.address import parse_address
+from repro.proto.messages import INVOCATION_QUERY, INVOCATION_TRANSACTION
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.api.builder import QueryBuilder, TransactionBuilder
+    from repro.api.builder import QueryBuilder
 
 logger = logging.getLogger("repro.api")
 
 
 @dataclass
 class QuerySpec:
-    """One fully-specified member of a batch (what a builder produces)."""
+    """One fully-specified member of a batch (what a builder produces).
+
+    ``invocation`` is the wire's verb: a query by default, or
+    :data:`~repro.proto.messages.INVOCATION_TRANSACTION`.
+    """
 
     address: str
     args: list[str] = field(default_factory=list)
     policy: str | None = None
     confidential: bool = True
-    verify_locally: bool = True
+    invocation: str = INVOCATION_QUERY
 
 
 class QueryHandle:
-    """Future-style handle for one submitted query.
+    """Future-style handle for one submitted query or transaction.
 
     ``result()`` flushes the owning :class:`QuerySet` on first use, then
-    returns the :class:`RemoteQueryResult` or re-raises the member's
-    failure. ``exception()`` inspects the failure without raising.
+    returns the :class:`RemoteQueryResult` (or, for a transaction, the
+    :class:`RemoteTransactionResult` whose attestations cover the
+    committed tx id and block) or re-raises the member's failure.
+    ``exception()`` inspects the failure without raising.
     """
 
     def __init__(self, queryset: "QuerySet", spec: QuerySpec) -> None:
         self._queryset = queryset
         self.spec = spec
         self._done = False
-        self._result: RemoteQueryResult | None = None
+        self._result: RemoteQueryResult | RemoteTransactionResult | None = None
         self._exception: BaseException | None = None
 
     def done(self) -> bool:
         return self._done
 
-    def result(self) -> RemoteQueryResult:
+    def result(self) -> RemoteQueryResult | RemoteTransactionResult:
         if not self._done:
             self._queryset.flush()
         if self._exception is not None:
@@ -79,18 +88,23 @@ class QueryHandle:
             self._queryset.flush()
         return self._exception
 
-    def _resolve(self, result: RemoteQueryResult | None, exception: BaseException | None) -> None:
+    def _resolve(
+        self,
+        result: RemoteQueryResult | RemoteTransactionResult | None,
+        exception: BaseException | None,
+    ) -> None:
         self._result = result
         self._exception = exception
         self._done = True
 
 
 class QuerySet:
-    """A set of queries flushed together as per-target batch envelopes.
+    """Queries and transactions flushed together as batch envelopes.
 
-    ``policy_cache`` (optional) shares resolved CMDAC verification
-    policies across sets — a :class:`~repro.api.GatewaySession` passes its
-    own so queries, transactions, and re-flushes all amortize the lookup.
+    Waiting on any member flushes the whole set. ``policy_cache``
+    (optional) shares resolved CMDAC verification policies across sets —
+    a :class:`~repro.api.GatewaySession` passes its own so every flush
+    amortizes the lookup.
     """
 
     def __init__(
@@ -107,10 +121,19 @@ class QuerySet:
         return self._flushed
 
     def query(self, address: str) -> "QueryBuilder":
-        """Start a fluent builder whose ``submit()`` lands in this set."""
+        """Start a fluent query builder whose ``submit()`` lands in this set."""
         from repro.api.builder import QueryBuilder
 
         return QueryBuilder(self._client, address, queryset=self)
+
+    def transact(self, address: str) -> "QueryBuilder":
+        """Start a fluent transaction builder whose ``submit()`` lands in
+        this set."""
+        from repro.api.builder import QueryBuilder
+
+        return QueryBuilder(
+            self._client, address, queryset=self, invocation=INVOCATION_TRANSACTION
+        )
 
     def add(self, spec: QuerySpec) -> QueryHandle:
         """Enqueue one spec; returns its handle (resolved on flush)."""
@@ -140,7 +163,7 @@ class QuerySet:
             )
         return handles
 
-    def results(self) -> list[RemoteQueryResult]:
+    def results(self) -> list[RemoteQueryResult | RemoteTransactionResult]:
         """Flush and return every result, raising on the first failure."""
         return [handle.result() for handle in self.flush()]
 
@@ -150,8 +173,8 @@ class BatchExecutor:
 
     Amortizes per-target costs: the CMDAC verification-policy lookup is
     resolved once per target network (members with an explicit policy skip
-    it), and the relay groups members per target into single batch
-    envelopes (:meth:`RelayService.remote_query_batch`).
+    it), and members group per verb and target into single batch
+    envelopes (:meth:`RelayService.remote_query_batch`), queries first.
     """
 
     def __init__(
@@ -170,7 +193,7 @@ class BatchExecutor:
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("flushing query set", extra={"members": len(handles)})
         policy_cache = self._policy_cache if self._policy_cache is not None else {}
-        by_target: dict[str, list[tuple[QueryHandle, object]]] = {}
+        groups: dict[tuple[bool, str], list[tuple[QueryHandle, object]]] = {}
         for handle in handles:
             spec = handle.spec
             try:
@@ -185,13 +208,16 @@ class BatchExecutor:
                     list(spec.args),
                     policy=policy,
                     confidential=spec.confidential,
-                    verify_locally=spec.verify_locally,
+                    invocation=spec.invocation,
                 )
             except Exception as exc:  # noqa: BLE001 - resolves onto the handle
                 handle._resolve(None, exc)
                 continue
-            by_target.setdefault(prepared.target_network, []).append((handle, prepared))
-        for target, members in by_target.items():
+            key = (prepared.is_transaction, prepared.target_network)
+            groups.setdefault(key, []).append((handle, prepared))
+        # False sorts first: every query envelope leaves before any transaction.
+        for key in sorted(groups, key=lambda key: key[0]):
+            members = groups[key]
             try:
                 responses = self._client.relay.remote_query_batch(
                     [prepared.query for _, prepared in members]
@@ -204,180 +230,6 @@ class BatchExecutor:
                 try:
                     handle._resolve(
                         self._client.finalize_response(prepared, response), None
-                    )
-                except Exception as exc:  # noqa: BLE001 - resolves onto the handle
-                    handle._resolve(None, exc)
-
-
-@dataclass
-class TransactionSpec:
-    """One fully-specified cross-network transaction (builder output)."""
-
-    address: str
-    args: list[str] = field(default_factory=list)
-    policy: str | None = None
-    confidential: bool = True
-
-
-class TransactionHandle:
-    """Future-style handle for one submitted cross-network transaction.
-
-    Same contract as :class:`QueryHandle`: ``result()`` flushes the owning
-    :class:`TransactionSet` on first use, then returns the
-    :class:`RemoteTransactionResult` — whose attestations cover the
-    committed tx id/block — or re-raises the member's failure.
-    """
-
-    def __init__(self, txset: "TransactionSet", spec: TransactionSpec) -> None:
-        self._txset = txset
-        self.spec = spec
-        self._done = False
-        self._result: RemoteTransactionResult | None = None
-        self._exception: BaseException | None = None
-
-    def done(self) -> bool:
-        return self._done
-
-    def result(self) -> RemoteTransactionResult:
-        if not self._done:
-            self._txset.flush()
-        if self._exception is not None:
-            raise self._exception
-        assert self._result is not None
-        return self._result
-
-    def exception(self) -> BaseException | None:
-        if not self._done:
-            self._txset.flush()
-        return self._exception
-
-    def _resolve(
-        self,
-        result: RemoteTransactionResult | None,
-        exception: BaseException | None,
-    ) -> None:
-        self._result = result
-        self._exception = exception
-        self._done = True
-
-
-class TransactionSet:
-    """Transactions flushed together as per-target batch envelopes.
-
-    Members sharing a target travel in one ``MSG_KIND_BATCH_REQUEST``
-    envelope marked side-effecting; the source commits them sequentially
-    in submission order and each member's attestations cover its own
-    committed outcome.
-    """
-
-    def __init__(
-        self,
-        transaction_client: RemoteTransactionClient,
-        policy_cache: dict[str, str] | None = None,
-    ) -> None:
-        self._tx_client = transaction_client
-        self._policy_cache = policy_cache
-        self._pending: list[TransactionHandle] = []
-        self._flushed = False
-
-    @property
-    def flushed(self) -> bool:
-        return self._flushed
-
-    def transact(self, address: str) -> "TransactionBuilder":
-        """Start a fluent builder whose ``submit()`` lands in this set."""
-        from repro.api.builder import TransactionBuilder
-
-        return TransactionBuilder(self._tx_client, address, txset=self)
-
-    def add(self, spec: TransactionSpec) -> TransactionHandle:
-        handle = TransactionHandle(self, spec)
-        self._pending.append(handle)
-        self._flushed = False
-        return handle
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    @property
-    def pending(self) -> tuple[TransactionHandle, ...]:
-        return tuple(self._pending)
-
-    def flush(self) -> list[TransactionHandle]:
-        handles, self._pending = self._pending, []
-        self._flushed = True
-        if handles:
-            TransactionExecutor(
-                self._tx_client, policy_cache=self._policy_cache
-            ).execute(handles)
-        return handles
-
-    def results(self) -> list[RemoteTransactionResult]:
-        """Flush and return every result, raising on the first failure."""
-        return [handle.result() for handle in self.flush()]
-
-
-class TransactionExecutor:
-    """Prepares, ships, and finalizes a set of transaction handles.
-
-    Mirrors :class:`BatchExecutor`: CMDAC policy lookups resolve once per
-    target, and members group into per-target batch envelopes through
-    :meth:`RelayService.remote_query_batch` (whose members are marked with
-    the transaction ``invocation`` so the serving relay routes them to its
-    transaction driver and never serves them from cache).
-    """
-
-    def __init__(
-        self,
-        transaction_client: RemoteTransactionClient,
-        policy_cache: dict[str, str] | None = None,
-    ) -> None:
-        self._tx_client = transaction_client
-        self._policy_cache = policy_cache
-
-    def execute(self, handles: list[TransactionHandle]) -> None:
-        with ensure_trace():
-            self._execute_traced(handles)
-
-    def _execute_traced(self, handles: list[TransactionHandle]) -> None:
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("flushing transaction set", extra={"members": len(handles)})
-        policy_cache = self._policy_cache if self._policy_cache is not None else {}
-        client = self._tx_client.client
-        by_target: dict[str, list[tuple[TransactionHandle, object]]] = {}
-        for handle in handles:
-            spec = handle.spec
-            try:
-                policy = spec.policy
-                if policy is None:
-                    target = parse_address(spec.address).network
-                    if target not in policy_cache:
-                        policy_cache[target] = client.lookup_policy(target)
-                    policy = policy_cache[target]
-                prepared = self._tx_client.prepare_transaction(
-                    spec.address,
-                    list(spec.args),
-                    policy=policy,
-                    confidential=spec.confidential,
-                )
-            except Exception as exc:  # noqa: BLE001 - resolves onto the handle
-                handle._resolve(None, exc)
-                continue
-            by_target.setdefault(prepared.target_network, []).append((handle, prepared))
-        for target, members in by_target.items():
-            try:
-                responses = self._tx_client.relay.remote_query_batch(
-                    [prepared.query for _, prepared in members]
-                )
-            except InteropError as exc:
-                for handle, _ in members:
-                    handle._resolve(None, exc)
-                continue
-            for (handle, prepared), response in zip(members, responses):
-                try:
-                    handle._resolve(
-                        self._tx_client.finalize_transaction(prepared, response),
-                        None,
                     )
                 except Exception as exc:  # noqa: BLE001 - resolves onto the handle
                     handle._resolve(None, exc)

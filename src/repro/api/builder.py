@@ -1,6 +1,7 @@
-"""The fluent query and transaction builders.
+"""The fluent request builders.
 
-One builder describes one cross-network request::
+One builder describes one cross-network request, a query or a
+transaction::
 
     gateway.query("stl/trade-logistics/TradeLensCC/GetBillOfLading") \\
         .with_args("PO-1") \\
@@ -10,40 +11,38 @@ One builder describes one cross-network request::
 
     gateway.transact("stl/trade-logistics/TradeLensCC/CreateShipment") \\
         .with_args("PO-2", "goods") \\
-        .submit()            # -> TransactionHandle, same pipeline model
+        .submit()            # -> QueryHandle, same set, same pipeline
 
 ``submit()`` enqueues the request into the builder's set (the session's
-ambient set, unless the builder came from an explicit ``batch()`` /
-``transaction_batch()`` set) and returns a future-style handle;
-``execute()`` bypasses batching and runs the request immediately.
+ambient set, unless the builder came from an explicit ``batch()`` set)
+and returns a future-style handle; ``execute()`` bypasses batching and
+runs the request immediately.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.api.batch import (
-    QueryHandle,
-    QuerySpec,
-    TransactionHandle,
-    TransactionSpec,
-)
-from repro.interop.client import InteropClient, RemoteQueryResult
-from repro.interop.transactions import (
-    RemoteTransactionClient,
+from repro.api.batch import QueryHandle, QuerySpec
+from repro.interop.client import (
+    InteropClient,
+    RemoteQueryResult,
     RemoteTransactionResult,
 )
+from repro.proto.messages import INVOCATION_QUERY
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.batch import QuerySet, TransactionSet
+    from repro.api.batch import QuerySet
 
 
 class QueryBuilder:
-    """Accumulates one query's parameters; immutable-feeling fluent API.
+    """Accumulates one request's parameters; immutable-feeling fluent API.
 
-    Every mutator returns ``self``, so calls chain; a builder can be
-    submitted or executed once per configuration (re-submitting enqueues a
-    fresh copy of the current spec).
+    ``invocation`` is the wire's verb, fixed when the builder is made
+    (``gateway.query`` or ``gateway.transact``). Every mutator returns
+    ``self``, so calls chain; a builder can be submitted or executed once
+    per configuration (re-submitting enqueues a fresh copy of the current
+    spec).
     """
 
     def __init__(
@@ -51,14 +50,15 @@ class QueryBuilder:
         client: InteropClient,
         address: str,
         queryset: "QuerySet | None" = None,
+        invocation: str = INVOCATION_QUERY,
     ) -> None:
         self._client = client
         self._queryset = queryset
         self._address = address
+        self._invocation = invocation
         self._args: list[str] = []
         self._policy: str | None = None
         self._confidential = True
-        self._verify_locally = True
 
     # -- fluent mutators ----------------------------------------------------------
 
@@ -81,11 +81,6 @@ class QueryBuilder:
         """Disable confidentiality (results travel unencrypted)."""
         return self.confidential(False)
 
-    def verify_locally(self, flag: bool = True) -> "QueryBuilder":
-        """Toggle client-side pre-validation of the returned proof."""
-        self._verify_locally = flag
-        return self
-
     # -- terminal operations ------------------------------------------------------
 
     def build(self) -> QuerySpec:
@@ -95,101 +90,39 @@ class QueryBuilder:
             args=list(self._args),
             policy=self._policy,
             confidential=self._confidential,
-            verify_locally=self._verify_locally,
+            invocation=self._invocation,
         )
 
     def submit(self) -> QueryHandle:
-        """Enqueue into the bound query set; returns a pipelined handle."""
+        """Enqueue into the bound set; returns a pipelined handle."""
         if self._queryset is None:
             raise RuntimeError(
                 "this builder is not bound to a QuerySet; create it via "
-                "gateway.query(...) or queryset.query(...)"
+                "gateway.query(...) / gateway.transact(...) or "
+                "queryset.query(...) / queryset.transact(...)"
             )
         return self._queryset.add(self.build())
 
-    def execute(self) -> RemoteQueryResult:
-        """Run the query immediately (no batching), returning its result."""
+    def execute(self) -> RemoteQueryResult | RemoteTransactionResult:
+        """Run the request immediately (no batching), returning its result.
+
+        A transaction travels alone in a ``MSG_KIND_TRANSACT_REQUEST``
+        envelope; its result's attestations cover the committed
+        transaction id and block.
+        """
         spec = self.build()
         return self._client.remote_query(
             spec.address,
             spec.args,
             policy=spec.policy,
             confidential=spec.confidential,
-            verify_locally=spec.verify_locally,
+            invocation=spec.invocation,
         )
 
 
-class TransactionBuilder:
-    """Accumulates one cross-network transaction's parameters.
-
-    Same fluent contract as :class:`QueryBuilder`; the terminal operations
-    return proof-verified :class:`RemoteTransactionResult` values whose
-    attestations cover the committed transaction id and block.
-    """
-
-    def __init__(
-        self,
-        transaction_client: RemoteTransactionClient,
-        address: str,
-        txset: "TransactionSet | None" = None,
-    ) -> None:
-        self._tx_client = transaction_client
-        self._txset = txset
-        self._address = address
-        self._args: list[str] = []
-        self._policy: str | None = None
-        self._confidential = True
-
-    # -- fluent mutators ----------------------------------------------------------
-
-    def with_args(self, *args: str) -> "TransactionBuilder":
-        """Set the remote function's arguments (replaces prior args)."""
-        self._args = [str(arg) for arg in args]
-        return self
-
-    def with_policy(self, expression: str) -> "TransactionBuilder":
-        """Pin an explicit verification policy instead of the CMDAC's."""
-        self._policy = expression
-        return self
-
-    def confidential(self, flag: bool = True) -> "TransactionBuilder":
-        """Request end-to-end encryption of outcome and proof (default)."""
-        self._confidential = flag
-        return self
-
-    def plain(self) -> "TransactionBuilder":
-        """Disable confidentiality (outcomes travel unencrypted)."""
-        return self.confidential(False)
-
-    # -- terminal operations ------------------------------------------------------
-
-    def build(self) -> TransactionSpec:
-        """The spec this builder currently describes."""
-        return TransactionSpec(
-            address=self._address,
-            args=list(self._args),
-            policy=self._policy,
-            confidential=self._confidential,
-        )
-
-    def submit(self) -> TransactionHandle:
-        """Enqueue into the bound transaction set; returns a handle."""
-        if self._txset is None:
-            raise RuntimeError(
-                "this builder is not bound to a TransactionSet; create it "
-                "via gateway.transact(...) or transaction_set.transact(...)"
-            )
-        return self._txset.add(self.build())
-
-    def execute(self) -> RemoteTransactionResult:
-        """Run the transaction immediately (no batching)."""
-        spec = self.build()
-        return self._tx_client.remote_transact(
-            spec.address,
-            spec.args,
-            policy=spec.policy,
-            confidential=spec.confidential,
-        )
+#: The transaction builder is the one request builder, made with the
+#: transaction invocation by ``transact(...)``.
+TransactionBuilder = QueryBuilder
 
 
 class ExchangeBuilder:

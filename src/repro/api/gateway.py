@@ -29,32 +29,27 @@ Example::
     stream = gateway.subscribe("stl/trade-logistics/TradeLensCC",
                                "BillOfLadingIssued", verifier=verifier)
 
-The primitives multiplex over a default :class:`GatewaySession` (one
-identity, one relay chain, one shared policy cache); ``session()`` opens
-independent sessions. The legacy surface
-(:class:`repro.interop.InteropClient`) remains fully supported; the
-gateway wraps a client and exposes it via :attr:`client`.
+The gateway is itself a :class:`GatewaySession` (one identity, one relay
+chain, one shared policy cache); ``session()`` opens independent ones.
+The client it wraps (:class:`repro.interop.InteropClient`) stays
+available as :attr:`client`.
 """
 
 from __future__ import annotations
 
-from repro.api.batch import QueryHandle, QuerySet, TransactionSet
-from repro.api.builder import (
-    CycleBuilder,
-    ExchangeBuilder,
-    QueryBuilder,
-    TransactionBuilder,
-)
 from repro.api.session import GatewaySession
-from repro.api.streams import EventVerifier, VerifiedEventStream
 from repro.fabric.gateway import Gateway
 from repro.fabric.identity import Identity
-from repro.interop.client import InteropClient, RemoteQueryResult
+from repro.interop.client import InteropClient
 from repro.interop.relay import RelayInterceptor, RelayService
 
 
-class InteropGateway:
-    """Façade over one identity's cross-network capabilities."""
+class InteropGateway(GatewaySession):
+    """Façade over one identity's cross-network capabilities.
+
+    It is that identity's default session; it adds construction from
+    parts, middleware installation, and further sessions.
+    """
 
     def __init__(
         self,
@@ -71,154 +66,19 @@ class InteropGateway:
                     "(identity, relay, network_id)"
                 )
             client = InteropClient(identity, relay, network_id, gateway=ledger_gateway)
-        self._client = client
-        self._session = GatewaySession(client)
+        super().__init__(client)
 
     @classmethod
     def from_client(cls, client: InteropClient) -> "InteropGateway":
-        """Wrap an existing legacy client without rebuilding it."""
+        """Wrap an existing client without rebuilding it."""
         return cls(client=client)
-
-    # -- composition --------------------------------------------------------------
-
-    @property
-    def client(self) -> InteropClient:
-        return self._client
-
-    @property
-    def relay(self) -> RelayService:
-        return self._client.relay
-
-    @property
-    def identity(self) -> Identity:
-        return self._client.identity
-
-    @property
-    def network_id(self) -> str:
-        return self._client.network_id
 
     def use(self, *interceptors: RelayInterceptor) -> "InteropGateway":
         """Install middleware on the underlying relay; returns ``self``."""
         self.relay.use(*interceptors)
         return self
 
-    # -- sessions -----------------------------------------------------------------
-
-    @property
-    def default_session(self) -> GatewaySession:
-        """The session backing the gateway's one-liner surface."""
-        return self._session
-
     def session(self) -> GatewaySession:
-        """Open an independent multiplexed session (own ambient sets,
+        """Open an independent multiplexed session (own ambient set,
         policy cache, and subscription lifecycle) over the same client."""
-        return GatewaySession(self._client)
-
-    # -- primitive i: query -------------------------------------------------------
-
-    def query(self, address: str) -> QueryBuilder:
-        """Fluent builder whose ``submit()`` joins the ambient query set.
-
-        The ambient set flushes when any of its handles is awaited (or via
-        :meth:`dispatch`); submissions after a flush start a fresh set.
-        Builders created before any ``submit()`` all bind to the same set —
-        only a flush retires it.
-        """
-        return self._session.query(address)
-
-    def batch(self) -> QuerySet:
-        """An explicit, independently-flushed query set."""
-        return self._session.batch()
-
-    def dispatch(self) -> list[QueryHandle]:
-        """Flush the ambient sets now; returns the resolved handles."""
-        return self._session.dispatch()
-
-    # -- primitive ii: transact ---------------------------------------------------
-
-    def transact(self, address: str) -> TransactionBuilder:
-        """Fluent builder for a cross-network transaction (§5 extension).
-
-        Same pipeline model as :meth:`query`: ``submit()`` joins the
-        ambient transaction set, ``execute()`` runs immediately. Results
-        carry attestations over the committed transaction id and block.
-        """
-        return self._session.transact(address)
-
-    def transaction_batch(self) -> TransactionSet:
-        """An explicit, independently-flushed transaction set."""
-        return self._session.transaction_batch()
-
-    # -- primitive iii: subscribe -------------------------------------------------
-
-    def subscribe(
-        self,
-        address: str,
-        event_name: str,
-        verifier: EventVerifier | None = None,
-    ) -> VerifiedEventStream:
-        """Subscribe to a remote chaincode event via relay envelopes.
-
-        ``address`` is ``network/ledger/chaincode`` (three segments);
-        ``verifier`` configures the notify-then-verify upgrade each
-        notification goes through before reaching the stream's iterator.
-        """
-        return self._session.subscribe(address, event_name, verifier=verifier)
-
-    # -- primitive iv: atomic asset exchange --------------------------------------
-
-    def exchange(self) -> ExchangeBuilder:
-        """Fluent builder for a two-party atomic asset exchange (HTLC).
-
-        The gateway's identity initiates: it offers an asset on its own
-        network, proof-verifies the counterparty's escrow, and reveals the
-        exchange secret only after that verification. Lock/claim/unlock
-        commands ride ``MSG_KIND_ASSET_*`` relay envelopes through the
-        same discovery, failover, and interceptor path as queries.
-        """
-        return self._session.exchange()
-
-    def exchange_cycle(self) -> CycleBuilder:
-        """Fluent builder for an N-party cyclic atomic swap (A→B→…→A).
-
-        The gateway's identity is party 0: it escrows the ring's first
-        leg, holds the one secret every leg is armed with, and opens the
-        backward claim walk after proof-verifying that the hashlock
-        survived the whole ring. Timelocks decrement by a fixed hop gap
-        so each claimant's upstream window outlives its own.
-        """
-        return self._session.exchange_cycle()
-
-    # -- legacy passthroughs ------------------------------------------------------
-
-    def remote_query(
-        self,
-        address_text: str,
-        args: list[str],
-        policy: str | None = None,
-        confidential: bool = True,
-        verify_locally: bool = True,
-    ) -> RemoteQueryResult:
-        """Synchronous single query (same contract as the legacy client)."""
-        return self._client.remote_query(
-            address_text, args, policy, confidential, verify_locally
-        )
-
-    def remote_query_batch(
-        self, requests: list[tuple[str, list[str]]], **options
-    ) -> list[RemoteQueryResult]:
-        """Batched convenience that raises on the first failed member."""
-        return self._client.remote_query_batch(requests, **options)
-
-    def remote_transact(
-        self,
-        address_text: str,
-        args: list[str],
-        policy: str | None = None,
-        confidential: bool = True,
-    ):
-        """Synchronous single transaction (same contract as the legacy
-        :class:`~repro.interop.transactions.RemoteTransactionClient`)."""
-        return self._session.transaction_client.remote_transact(
-            address_text, args, policy=policy, confidential=confidential
-        )
+        return GatewaySession(self.client)

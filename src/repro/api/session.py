@@ -18,32 +18,21 @@ connection state:
   shared per flush exactly as for PR 1's batched queries.
 
 Sessions are cheap: a long-lived service holds one per principal; the
-:class:`~repro.api.InteropGateway` façade keeps a default session for its
-one-liner surface. Closing a session tears down its live subscriptions on
-the source relays.
+:class:`~repro.api.InteropGateway` façade is itself a session, and opens
+further ones with ``session()``. Closing a session tears down its live
+subscriptions on the source relays.
 """
 
 from __future__ import annotations
 
 import logging
 
-from repro.api.batch import (
-    QueryHandle,
-    QuerySet,
-    TransactionHandle,
-    TransactionSet,
-)
-from repro.api.builder import (
-    CycleBuilder,
-    ExchangeBuilder,
-    QueryBuilder,
-    TransactionBuilder,
-)
+from repro.api.batch import QueryHandle, QuerySet
+from repro.api.builder import CycleBuilder, ExchangeBuilder, QueryBuilder
 from repro.api.streams import EventVerifier, VerifiedEventStream
 from repro.errors import AddressError
 from repro.interop.client import InteropClient
 from repro.interop.relay import RelayService
-from repro.interop.transactions import RemoteTransactionClient
 from repro.ops.trace import ensure_trace
 from repro.proto.messages import (
     PROTOCOL_VERSION,
@@ -57,22 +46,12 @@ logger = logging.getLogger("repro.api")
 class GatewaySession:
     """One principal's multiplexed query/transact/subscribe surface."""
 
-    def __init__(
-        self,
-        client: InteropClient,
-        transaction_client: RemoteTransactionClient | None = None,
-    ) -> None:
+    def __init__(self, client: InteropClient) -> None:
         self._client = client
-        self._tx_client = (
-            transaction_client
-            if transaction_client is not None
-            else RemoteTransactionClient(client)
-        )
         #: CMDAC verification policies resolved once per target network,
-        #: shared by every query and transaction flush of this session.
+        #: shared by every flush of this session.
         self._policy_cache: dict[str, str] = {}
-        self._ambient_queries: QuerySet | None = None
-        self._ambient_transactions: TransactionSet | None = None
+        self._ambient: QuerySet | None = None
         self._streams: list[VerifiedEventStream] = []
         self.closed = False
 
@@ -81,10 +60,6 @@ class GatewaySession:
     @property
     def client(self) -> InteropClient:
         return self._client
-
-    @property
-    def transaction_client(self) -> RemoteTransactionClient:
-        return self._tx_client
 
     @property
     def relay(self) -> RelayService:
@@ -103,36 +78,35 @@ class GatewaySession:
         """This session's live (unclosed) event streams."""
         return tuple(stream for stream in self._streams if not stream.closed)
 
-    # -- primitive i: query -------------------------------------------------------
+    # -- primitives i and ii: query and transact ---------------------------------
 
     def query(self, address: str) -> QueryBuilder:
-        """Fluent builder whose ``submit()`` joins the ambient query set."""
-        if self._ambient_queries is None or self._ambient_queries.flushed:
-            self._ambient_queries = QuerySet(
-                self._client, policy_cache=self._policy_cache
-            )
-        return self._ambient_queries.query(address)
+        """Fluent query builder whose ``submit()`` joins the ambient set.
+
+        The ambient set flushes when any of its handles is awaited (or via
+        :meth:`dispatch`); submissions after a flush start a fresh set.
+        Builders created before any ``submit()`` all bind to the same set —
+        only a flush retires it.
+        """
+        return self._ambient_set().query(address)
+
+    def transact(self, address: str) -> QueryBuilder:
+        """Fluent builder for a cross-network transaction (§5 extension).
+
+        Same pipeline model as :meth:`query`, in the same ambient set:
+        ``submit()`` joins it, ``execute()`` runs immediately. Results
+        carry attestations over the committed transaction id and block.
+        """
+        return self._ambient_set().transact(address)
 
     def batch(self) -> QuerySet:
-        """An explicit, independently-flushed query set."""
+        """An explicit, independently-flushed set for either verb."""
         return QuerySet(self._client, policy_cache=self._policy_cache)
 
-    # -- primitive ii: transact ---------------------------------------------------
-
-    def transact(self, address: str) -> TransactionBuilder:
-        """Fluent builder whose ``submit()`` joins the ambient transaction set."""
-        if (
-            self._ambient_transactions is None
-            or self._ambient_transactions.flushed
-        ):
-            self._ambient_transactions = TransactionSet(
-                self._tx_client, policy_cache=self._policy_cache
-            )
-        return self._ambient_transactions.transact(address)
-
-    def transaction_batch(self) -> TransactionSet:
-        """An explicit, independently-flushed transaction set."""
-        return TransactionSet(self._tx_client, policy_cache=self._policy_cache)
+    def _ambient_set(self) -> QuerySet:
+        if self._ambient is None or self._ambient.flushed:
+            self._ambient = QuerySet(self._client, policy_cache=self._policy_cache)
+        return self._ambient
 
     # -- primitive iii: subscribe -------------------------------------------------
 
@@ -195,7 +169,10 @@ class GatewaySession:
         """Fluent builder for a two-party atomic asset exchange (HTLC).
 
         This session's identity is the *initiator*: it offers an asset on
-        its own network and generates the exchange secret. See
+        its own network, generates the exchange secret, and reveals it only
+        after proof-verifying the counterparty's escrow. Lock/claim/unlock
+        commands ride ``MSG_KIND_ASSET_*`` relay envelopes through the same
+        discovery, failover, and interceptor path as queries. See
         :class:`repro.api.ExchangeBuilder` for the full surface.
         """
         return ExchangeBuilder(self._client)
@@ -204,8 +181,11 @@ class GatewaySession:
         """Fluent builder for an N-party cyclic atomic swap.
 
         This session's identity is *party 0*: it escrows the first leg,
-        holds the cycle secret, and opens the backward claim walk. See
-        :class:`repro.api.CycleBuilder` for the full surface.
+        holds the cycle secret, and opens the backward claim walk after
+        proof-verifying that the hashlock survived the whole ring.
+        Timelocks decrement by a fixed hop gap so each claimant's upstream
+        window outlives its own. See :class:`repro.api.CycleBuilder` for
+        the full surface.
         """
         return CycleBuilder(self._client)
 
@@ -218,19 +198,12 @@ class GatewaySession:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def dispatch(self) -> list[QueryHandle | TransactionHandle]:
-        """Flush both ambient sets now; returns the resolved handles."""
-        handles: list[QueryHandle | TransactionHandle] = []
-        if self._ambient_queries is not None:
-            ambient, self._ambient_queries = self._ambient_queries, None
-            handles.extend(ambient.flush())
-        if self._ambient_transactions is not None:
-            ambient_tx, self._ambient_transactions = (
-                self._ambient_transactions,
-                None,
-            )
-            handles.extend(ambient_tx.flush())
-        return handles
+    def dispatch(self) -> list[QueryHandle]:
+        """Flush the ambient set now; returns the resolved handles."""
+        if self._ambient is None:
+            return []
+        ambient, self._ambient = self._ambient, None
+        return ambient.flush()
 
     def close(self) -> None:
         """Tear down every live subscription of this session."""

@@ -5,6 +5,12 @@ application uses it (§4.3/§5): issue a remote query via the local relay,
 decrypt the response and proof metadata, and hand back the data plus a
 proof bundle ready to be passed as transaction arguments to an
 application chaincode (which will have the CMDAC validate it).
+
+A cross-network transaction (§5) is the same request with the wire's
+``invocation`` set to :data:`~repro.proto.messages.INVOCATION_TRANSACTION`:
+one :meth:`InteropClient.prepare_query` builds either, and one
+:meth:`InteropClient.finalize_response` checks either reply before a
+per-verb reader turns the opened bytes into a result.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from repro.interop.relay import RelayService
 from repro.crypto.hashing import sha256
 from repro.proto.address import CrossNetworkAddress, parse_address
 from repro.proto.messages import (
+    INVOCATION_QUERY,
+    INVOCATION_TRANSACTION,
     PROTOCOL_VERSION,
     STATUS_ACCESS_DENIED,
     STATUS_OK,
@@ -46,10 +54,29 @@ from repro.proto.messages import (
     VerificationPolicyMsg,
 )
 from repro.ops.trace import ensure_trace
+from repro.utils.encoding import from_canonical_json
 from repro.utils.ids import random_id
 
 #: Client-session structured logging (see :mod:`repro.ops.logging`).
 logger = logging.getLogger("repro.api")
+
+#: Reply status -> (error class, text). Any other non-OK status is a
+#: :class:`RelayError`; every text names the request's address.
+_STATUS_ERRORS = {
+    STATUS_ACCESS_DENIED: (
+        AccessDeniedError,
+        "source network denied the {verb} {address!r}: {error}",
+    ),
+    STATUS_PENDING_FINALITY: (
+        FinalityPendingError,
+        "remote {verb} {address!r} is below its required confirmation depth: {error}",
+    ),
+    STATUS_REORG: (
+        ReorgDetectedError,
+        "remote {verb} {address!r} depends on a reorged-out record: {error}",
+    ),
+}
+_OTHER_STATUS = (RelayError, "remote {verb} {address!r} failed: {error}")
 
 
 @dataclass
@@ -79,13 +106,28 @@ class RemoteQueryResult:
 
 
 @dataclass
+class RemoteTransactionResult:
+    """Outcome of a cross-network transaction: the function's return value
+    and the transaction id and block it committed in, as attested."""
+
+    address: str
+    args: list[str]
+    result: bytes
+    tx_id: str
+    block_number: int
+    nonce: str
+    attesting_orgs: list[str]
+
+
+@dataclass
 class PreparedQuery:
-    """A fully-built wire query awaiting transport.
+    """A fully-built wire request awaiting transport.
 
     Produced by :meth:`InteropClient.prepare_query` and consumed by
     :meth:`InteropClient.finalize_response`; carries everything the client
     needs to check and decrypt the eventual reply (nonce binding, parsed
-    policy, confidentiality mode).
+    policy, confidentiality mode). ``query.invocation`` tells a
+    transaction from a query.
     """
 
     address_text: str
@@ -95,11 +137,14 @@ class PreparedQuery:
     query: NetworkQuery
     parsed_policy: object
     confidential: bool
-    verify_locally: bool
 
     @property
     def target_network(self) -> str:
         return self.address.network
+
+    @property
+    def is_transaction(self) -> bool:
+        return self.query.invocation == INVOCATION_TRANSACTION
 
 
 class InteropClient:
@@ -146,7 +191,7 @@ class InteropClient:
             public_key=identity.keypair.public.to_bytes(),
         )
 
-    def _lookup_policy(self, target_network: str) -> str:
+    def lookup_policy(self, target_network: str) -> str:
         """Fetch the locally-recorded verification policy for a network.
 
         Verification policies are governance decisions recorded on the
@@ -163,29 +208,26 @@ class InteropClient:
         )
         return raw.decode("utf-8")
 
-    def lookup_policy(self, target_network: str) -> str:
-        """Public form of the CMDAC policy lookup (used by batch executors
-        to resolve the policy once per target network instead of once per
-        member query)."""
-        return self._lookup_policy(target_network)
-
     def prepare_query(
         self,
         address_text: str,
         args: list[str],
         policy: str | None = None,
         confidential: bool = True,
-        verify_locally: bool = True,
+        invocation: str = INVOCATION_QUERY,
     ) -> PreparedQuery:
-        """Build the wire query for one request without sending it.
+        """Build the wire request for one query or transaction without
+        sending it.
 
         This is the front half of :meth:`remote_query`, exposed so batch
-        and pipelined executors (:mod:`repro.api`) can prepare many queries
-        up front, ship them in one envelope, and finish each reply with
-        :meth:`finalize_response`.
+        and pipelined executors (:mod:`repro.api`) can prepare many
+        requests up front, ship them in one envelope, and finish each reply
+        with :meth:`finalize_response`. With ``policy=None`` the
+        locally-recorded CMDAC verification policy for the target network
+        is used.
         """
         address = parse_address(address_text)
-        policy_expression = policy if policy is not None else self._lookup_policy(
+        policy_expression = policy if policy is not None else self.lookup_policy(
             address.network
         )
         parsed_policy = parse_verification_policy(policy_expression)
@@ -203,6 +245,7 @@ class InteropClient:
             auth=self.auth_info(),
             policy=VerificationPolicyMsg(expression=policy_expression),
             confidential=confidential,
+            invocation=invocation,
         )
         return PreparedQuery(
             address_text=address_text,
@@ -212,37 +255,36 @@ class InteropClient:
             query=query,
             parsed_policy=parsed_policy,
             confidential=confidential,
-            verify_locally=verify_locally,
         )
 
     def finalize_response(
         self, prepared: PreparedQuery, response: QueryResponse
-    ) -> RemoteQueryResult:
-        """Decrypt, check, and (optionally) locally verify one reply.
+    ) -> RemoteQueryResult | RemoteTransactionResult:
+        """Check and decrypt one reply to a query or a transaction.
 
-        The back half of :meth:`remote_query`; raises exactly the same
-        errors (:class:`AccessDeniedError`, :class:`RelayError`,
-        :class:`ProofError`).
+        The back half of :meth:`remote_query`. In order: the reply status,
+        the nonce, the opened boxes, the proof bundle, and only then the
+        per-verb reader. Raises :class:`AccessDeniedError`,
+        :class:`FinalityPendingError`, :class:`ReorgDetectedError`,
+        :class:`RelayError` or :class:`ProofError`.
+
+        The bundle check cannot replace the consensual CMDAC validation —
+        the client has no ledger-recorded org roots — but it fails fast
+        before a doomed transaction is submitted. Each attestation must
+        attest to the request this client prepared (network, address,
+        args, nonce) and to the digest of the bytes it opened, and the
+        attesting ``(org, peer_id)`` pairs must satisfy the policy.
         """
         address_text = prepared.address_text
-        if response.status == STATUS_ACCESS_DENIED:
-            raise AccessDeniedError(
-                f"source network denied the query {address_text!r}: "
-                f"{response.error}"
-            )
-        if response.status == STATUS_PENDING_FINALITY:
-            raise FinalityPendingError(
-                f"remote query {address_text!r} is below its required "
-                f"confirmation depth: {response.error}"
-            )
-        if response.status == STATUS_REORG:
-            raise ReorgDetectedError(
-                f"remote query {address_text!r} depends on a reorged-out "
-                f"record: {response.error}"
-            )
+        is_transaction = prepared.is_transaction
         if response.status != STATUS_OK:
-            raise RelayError(
-                f"remote query {address_text!r} failed: {response.error}"
+            error_class, text = _STATUS_ERRORS.get(response.status, _OTHER_STATUS)
+            raise error_class(
+                text.format(
+                    verb="transaction" if is_transaction else "query",
+                    address=address_text,
+                    error=response.error,
+                )
             )
         if response.nonce != prepared.nonce:
             raise ProofError(
@@ -258,18 +300,53 @@ class InteropClient:
             self._identity.keypair.private if prepared.confidential else None
         )
         data = opener.unseal(envelope)
-        attestations = tuple(
-            opener.attestation(attestation) for attestation in response.attestations
+        bundle = ProofBundle(
+            attestations=tuple(
+                opener.attestation(attestation) for attestation in response.attestations
+            )
         )
-        bundle = ProofBundle(attestations=attestations)
-        if prepared.verify_locally:
-            self._verify_locally(
-                prepared.address,
-                prepared.args,
-                prepared.nonce,
-                data,
-                bundle,
-                prepared.parsed_policy,
+        if not bundle.attestations:
+            raise ProofError("response proof is empty")
+        data_hash = sha256(data).hex()
+        attesters = []
+        for position, attestation in enumerate(bundle.attestations):
+            label = f"attestation[{position}]"
+            metadata = attestation.metadata()
+            check_attested_query(
+                label,
+                metadata,
+                network=prepared.address.network,
+                address=prepared.address,
+                args=prepared.args,
+                nonce=prepared.nonce,
+            )
+            if attested_data_hash(metadata) != data_hash:
+                raise ProofError(
+                    f"{label}: attested hash does not cover the decrypted data"
+                )
+            # Query-only: a signature check under the attestation's own
+            # certificate costs two ECDSA verifies per transaction, ~15% of
+            # a remote write. ROADMAP item 1 replaces it for both verbs.
+            if not is_transaction and not attestation.signed_by(
+                attestation.decoded_certificate().public_key
+            ):
+                raise ProofError(f"{label}: bad signature")
+            attesters.append((metadata.org, metadata.peer_id))
+        if not prepared.parsed_policy.satisfied_by(attesters):
+            raise ProofError(
+                f"attesters {sorted(attesters)} do not satisfy the requested "
+                f"policy {prepared.parsed_policy.expression()}"
+            )
+        if is_transaction:
+            result, tx_id, block_number = _read_outcome(data)
+            return RemoteTransactionResult(
+                address=address_text,
+                args=list(prepared.args),
+                result=result,
+                tx_id=tx_id,
+                block_number=block_number,
+                nonce=prepared.nonce,
+                attesting_orgs=sorted(org for org, _ in attesters),
             )
         return RemoteQueryResult(
             address=address_text,
@@ -286,11 +363,14 @@ class InteropClient:
         args: list[str],
         policy: str | None = None,
         confidential: bool = True,
-        verify_locally: bool = True,
-    ) -> RemoteQueryResult:
+        invocation: str = INVOCATION_QUERY,
+    ) -> RemoteQueryResult | RemoteTransactionResult:
         """Execute steps (1)-(9) of the message flow and decrypt the reply.
 
-        Raises :class:`AccessDeniedError` if the source network's exposure
+        A transaction (``invocation=INVOCATION_TRANSACTION``) travels in
+        its own ``MSG_KIND_TRANSACT_REQUEST`` envelope, which caches and
+        other intermediaries never replay. Raises
+        :class:`AccessDeniedError` if the source network's exposure
         control denied the request, :class:`RelayError` for relay-level
         failures, and :class:`ProofError` if the response or proof fails
         client-side checks.
@@ -299,81 +379,50 @@ class InteropClient:
             if logger.isEnabledFor(logging.DEBUG):
                 logger.debug(
                     "remote query",
-                    extra={"address": address_text, "confidential": confidential},
+                    extra={
+                        "address": address_text,
+                        "confidential": confidential,
+                        "invocation": invocation,
+                    },
                 )
             prepared = self.prepare_query(
-                address_text, args, policy, confidential, verify_locally
+                address_text, args, policy, confidential, invocation
             )
-            response = self._relay.remote_query(prepared.query)
-            return self.finalize_response(prepared, response)
-
-    def remote_query_batch(
-        self, requests: list[tuple[str, list[str]]], **options
-    ) -> list[RemoteQueryResult]:
-        """Execute N queries as batch envelopes (one per target network).
-
-        ``requests`` is a list of ``(address, args)`` pairs; ``options``
-        are forwarded to each member (``policy``, ``confidential``,
-        ``verify_locally``). Unlike the :class:`repro.api.InteropGateway`
-        pipeline, this convenience raises on the *first* failed member —
-        use the gateway's :class:`~repro.api.QuerySet` for per-member
-        partial-failure handling.
-        """
-        with ensure_trace():
-            if logger.isEnabledFor(logging.DEBUG):
-                logger.debug("remote query batch", extra={"members": len(requests)})
-            prepared = [
-                self.prepare_query(address_text, args, **options)
-                for address_text, args in requests
-            ]
-            responses = self._relay.remote_query_batch([p.query for p in prepared])
-            return [
-                self.finalize_response(p, response)
-                for p, response in zip(prepared, responses)
-            ]
-
-    def _verify_locally(
-        self,
-        address: CrossNetworkAddress,
-        args: list[str],
-        nonce: str,
-        data: bytes,
-        bundle: ProofBundle,
-        parsed_policy,
-    ) -> None:
-        """Client-side pre-validation (signatures + consistency + policy).
-
-        This cannot replace the consensual CMDAC validation — the client
-        has no ledger-recorded org roots, so it checks internal consistency
-        against the certificates embedded in the proof — but it fails fast
-        before a doomed transaction is submitted. Each attestation must
-        attest to the query this client prepared (network, address, args,
-        nonce) and to the digest of the data it decrypted.
-        """
-        if not bundle.attestations:
-            raise ProofError("response proof is empty")
-        data_hash = sha256(data).hex()
-        attesters = []
-        for position, attestation in enumerate(bundle.attestations):
-            label = f"attestation[{position}]"
-            metadata = attestation.metadata()
-            check_attested_query(
-                label,
-                metadata,
-                network=address.network,
-                address=address,
-                args=args,
-                nonce=nonce,
+            send = (
+                self._relay.remote_transact
+                if prepared.is_transaction
+                else self._relay.remote_query
             )
-            if attested_data_hash(metadata) != data_hash:
-                raise ProofError(
-                    f"{label}: attested hash does not cover the decrypted data"
-                )
-            if not attestation.signed_by(attestation.decoded_certificate().public_key):
-                raise ProofError(f"{label}: bad signature")
-            attesters.append((metadata.org, metadata.peer_id))
-        if not parsed_policy.satisfied_by(attesters):
-            raise ProofError(
-                f"attesters {sorted(attesters)} do not satisfy the requested "
-                f"policy {parsed_policy.expression()}"
-            )
+            return self.finalize_response(prepared, send(prepared.query))
+
+
+def _read_outcome(data: bytes) -> tuple[bytes, str, int]:
+    """The return value, transaction id and block of an attested outcome.
+
+    Runs only after the attestations bind ``data``, so a malformed
+    outcome here came from the source's own attesters; it is refused
+    with :class:`ProofError` like any other bad proof.
+    """
+    try:
+        outcome = from_canonical_json(data)
+    except ValueError as exc:
+        raise ProofError(f"transaction outcome is not UTF-8 JSON: {exc}") from exc
+    if not isinstance(outcome, dict):
+        raise ProofError("transaction outcome is not a JSON object")
+    if outcome.get("validation_code") != "VALID":
+        raise ProofError(
+            f"source network reports the transaction as "
+            f"{outcome.get('validation_code')!r}"
+        )
+    try:
+        result = bytes.fromhex(outcome["result"])
+        tx_id, block_number = outcome["tx_id"], outcome["block_number"]
+    except KeyError as exc:
+        raise ProofError(f"transaction outcome has no {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ProofError(f"transaction outcome result is not hex: {exc}") from exc
+    if not isinstance(tx_id, str) or type(block_number) is not int:
+        raise ProofError(
+            f"transaction outcome names tx {tx_id!r} in block {block_number!r}"
+        )
+    return result, tx_id, block_number

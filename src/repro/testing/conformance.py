@@ -55,10 +55,10 @@ from repro.errors import (
 from repro.interop.client import InteropClient
 from repro.interop.discovery import InMemoryRegistry
 from repro.interop.relay import RelayService
-from repro.interop.transactions import RemoteTransactionClient
 from repro.ops.logging import capture_logs
 from repro.ops.trace import activate, new_trace
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     MSG_KIND_ASSET_CLAIM,
     MSG_KIND_ASSET_LOCK,
     MSG_KIND_ASSET_STATUS,
@@ -548,15 +548,22 @@ class DriverConformanceSuite:
 
     def _scenario_batch(self, plan: FaultPlan) -> ScenarioOutcome:
         target = self.target
-        members = [(target.query_address, list(target.query_args))] * 3
+        from repro.api.batch import QuerySet
+
+        batch = QuerySet(target.client)
+        members = [
+            batch.query(target.query_address)
+            .with_args(*target.query_args)
+            .with_policy(target.policy)
+            .submit()
+            for _ in range(3)
+        ]
         with chaos_topology(
             target.registry, [target.network_id], plan, clock=target.clock
         ) as wrappers:
             chaos = wrappers[target.network_id]
             try:
-                results = target.client.remote_query_batch(
-                    members, policy=target.policy
-                )
+                results = batch.results()
             except Exception as exc:  # noqa: BLE001 - classified below
                 return self._classify_failure(exc, VERB_BATCH, plan, "batch")
             if len(results) != len(members):
@@ -588,26 +595,27 @@ class DriverConformanceSuite:
             return self._expect_fail_closed(
                 VERB_TRANSACT,
                 plan,
-                lambda: RemoteTransactionClient(target.client).remote_transact(
+                lambda: target.client.remote_query(
                     target.transact_address
                     or f"{target.network_id}/ledger/contract/Invoke",
                     ["CONF-UNSUPPORTED"],
                     policy=target.policy,
+                    invocation=INVOCATION_TRANSACTION,
                 ),
             )
         assert target.transact_args is not None and target.commit_count is not None
         tag = self._tag(VERB_TRANSACT, plan)
         committed_before = target.commit_count(tag)
-        tx_client = RemoteTransactionClient(target.client)
         with chaos_topology(
             target.registry, [target.network_id], plan, clock=target.clock
         ) as wrappers:
             chaos = wrappers[target.network_id]
             try:
-                result = tx_client.remote_transact(
+                result = target.client.remote_query(
                     target.transact_address,
                     target.transact_args(tag),
                     policy=target.policy,
+                    invocation=INVOCATION_TRANSACTION,
                 )
             except Exception as exc:  # noqa: BLE001 - classified below
                 outcome = self._classify_failure(exc, VERB_TRANSACT, plan, "transact")

@@ -9,6 +9,7 @@ import pytest
 from repro.api import InteropGateway, QuerySpec
 from repro.errors import RelayError
 from repro.interop.bootstrap import create_interop_gateway
+from repro.proto.messages import INVOCATION_QUERY
 
 BL_ADDRESS = "stl/trade-logistics/TradeLensCC/GetBillOfLading"
 POLICY = "AND(org:seller-org, org:carrier-org)"
@@ -33,7 +34,6 @@ class TestBuilder:
             .with_args("PO-1", "extra")
             .with_policy(POLICY)
             .plain()
-            .verify_locally(False)
             .build()
         )
         assert spec == QuerySpec(
@@ -41,13 +41,13 @@ class TestBuilder:
             args=["PO-1", "extra"],
             policy=POLICY,
             confidential=False,
-            verify_locally=False,
         )
 
     def test_defaults_are_confidential_and_verified(self, gateway):
         gw, _, _ = gateway
         spec = gw.query(BL_ADDRESS).build()
-        assert spec.confidential and spec.verify_locally and spec.policy is None
+        assert spec.confidential and spec.policy is None
+        assert spec.invocation == INVOCATION_QUERY
 
     def test_execute_runs_immediately(self, gateway):
         gw, _, po_ref = gateway
@@ -158,7 +158,7 @@ class TestFacade:
         gateway = InteropGateway(
             seller, scenario.swt_relay, "swt", ledger_gateway=scenario.swt.gateway
         )
-        result = gateway.remote_query(BL_ADDRESS, [po_ref], policy=POLICY)
+        result = gateway.query(BL_ADDRESS).with_args(po_ref).with_policy(POLICY).execute()
         assert json.loads(result.data)["po_ref"] == po_ref
 
     def test_bootstrap_helper(self, shipped_scenario):
@@ -170,12 +170,13 @@ class TestFacade:
         assert gateway.network_id == "swt"
         assert gateway.relay is scenario.swt_relay
 
-    def test_remote_query_batch_passthrough(self, gateway):
+    def test_batch_results_raise_the_first_failure(self, gateway):
         gw, _, po_ref = gateway
-        results = gw.remote_query_batch(
-            [(BL_ADDRESS, [po_ref]), (BL_ADDRESS, [po_ref])], policy=POLICY
-        )
-        assert [json.loads(r.data)["po_ref"] for r in results] == [po_ref, po_ref]
+        batch = gw.batch()
+        for ref in (po_ref, "PO-NO-SUCH", po_ref):
+            batch.query(BL_ADDRESS).with_args(ref).with_policy(POLICY).submit()
+        with pytest.raises(RelayError, match="no bill of lading"):
+            batch.results()
 
     def test_legacy_client_shim_unchanged(self, gateway):
         """The wrapped legacy client answers exactly as before."""

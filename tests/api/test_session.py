@@ -17,10 +17,13 @@ from repro.errors import AccessDeniedError, ProofError, RelayError
 from repro.interop.events import enable_relay_events
 from repro.interop.transactions import enable_remote_transactions
 from repro.proto.messages import (
+    MSG_KIND_BATCH_REQUEST,
     MSG_KIND_EVENT_ACK,
     MSG_KIND_EVENT_PUBLISH,
     PROTOCOL_VERSION,
+    SIDE_EFFECTING_HEADER,
     STATUS_OK,
+    BatchQueryRequest,
     EventAck,
     EventNotificationMsg,
     RelayEnvelope,
@@ -111,7 +114,7 @@ class TestGatewayTransact:
             .execute()
         )
         assert ok.tx_id
-        batch = gateway.transaction_batch()
+        batch = gateway.batch()
         dup = batch.transact(CREATE_ADDR).with_args("PO-SESS-DUP", "goods").with_policy(POLICY).submit()
         fresh = batch.transact(CREATE_ADDR).with_args("PO-SESS-OK", "goods").with_policy(POLICY).submit()
         batch.flush()
@@ -288,17 +291,16 @@ class TestSessionMultiplexing:
         """The §2 triad — query, transact, subscribe — through one session
         sharing auth, relay chain, and policy cache."""
         scenario, gateway = full_gateway
-        session = gateway.default_session
-        stream = session.subscribe(
+        stream = gateway.subscribe(
             TL_CHAINCODE_ADDR, "BillOfLadingIssued", verifier=bl_verifier()
         )
         # transact (CMDAC policy via the shared cache)
-        created = session.transact(CREATE_ADDR).with_args(
+        created = gateway.transact(CREATE_ADDR).with_args(
             "PO-SESS-MUX", "goods"
         ).execute()
         issue_bl(scenario, "PO-SESS-MUX")
         # query the document the transaction created
-        fetched = session.query(GET_BL_ADDR).with_args("PO-SESS-MUX").execute()
+        fetched = gateway.query(GET_BL_ADDR).with_args("PO-SESS-MUX").execute()
         assert json.loads(fetched.data)["po_ref"] == "PO-SESS-MUX"
         # subscribe saw the commit, and verification upgrades it
         event = stream.take()
@@ -321,3 +323,48 @@ class TestSessionMultiplexing:
         assert isinstance(query_handle.exception(), RelayError)  # no such B/L
         assert tx_handle.result().tx_id
         assert gateway.dispatch() == []
+
+    def test_one_set_sends_each_verb_in_its_own_envelope_queries_first(
+        self, full_gateway
+    ):
+        """A set holds both verbs, and waiting on any handle flushes all of
+        it; no envelope mixes the two, so the read-only one stays
+        cacheable."""
+        scenario, gateway = full_gateway
+        registry = scenario.discovery
+        (endpoint,) = registry.lookup("stl")
+        sent = []
+
+        class RecordingEndpoint:
+            def handle_request(self, data: bytes) -> bytes:
+                envelope = RelayEnvelope.decode(data)
+                if envelope.kind == MSG_KIND_BATCH_REQUEST:
+                    members = BatchQueryRequest.decode(envelope.payload).queries
+                    sent.append(
+                        (
+                            [member.invocation for member in members],
+                            envelope.headers.get(SIDE_EFFECTING_HEADER),
+                        )
+                    )
+                return endpoint.handle_request(data)
+
+        recording = RecordingEndpoint()
+        registry.unregister("stl", endpoint)
+        registry.register("stl", recording)
+        try:
+            batch = gateway.batch()
+            tx_handle = (
+                batch.transact(CREATE_ADDR)
+                .with_args("PO-SESS-SET", "goods")
+                .with_policy(POLICY)
+                .submit()
+            )
+            query_handle = (
+                batch.query(GET_BL_ADDR).with_args("PO-NONE").with_policy(POLICY).submit()
+            )
+            assert tx_handle.result().tx_id
+            assert query_handle.done()
+        finally:
+            registry.unregister("stl", recording)
+            registry.register("stl", endpoint)
+        assert sent == [([""], None), (["transaction"], "true")]

@@ -21,8 +21,11 @@ from repro.errors import (
     ProofError,
     UnsupportedCapabilityError,
 )
-from repro.interop.transactions import RemoteTransactionClient
-from repro.proto.messages import MSG_KIND_ASSET_LOCK, MSG_KIND_ASSET_STATUS
+from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
+    MSG_KIND_ASSET_LOCK,
+    MSG_KIND_ASSET_STATUS,
+)
 
 CORDA_POLICY = "AND(org:nodeA, org:nodeB)"
 
@@ -30,11 +33,11 @@ CORDA_POLICY = "AND(org:nodeA, org:nodeB)"
 class TestCordaTransactions:
     def test_transact_attests_finalized_outcome(self, corda_target):
         target = corda_target
-        tx_client = RemoteTransactionClient(target.client)
-        result = tx_client.remote_transact(
+        result = target.client.remote_query(
             target.transact_address,
             target.transact_args("CORDA-TX-1"),
             policy=target.policy,
+            invocation=INVOCATION_TRANSACTION,
         )
         assert result.attesting_orgs == ["nodeA", "nodeB"]
         assert result.tx_id.startswith("corda-tx-")
@@ -50,11 +53,11 @@ class TestCordaTransactions:
     def test_notary_can_attest_transactions(self, corda_target):
         """§5: Corda verification policies may include the notary."""
         target = corda_target
-        tx_client = RemoteTransactionClient(target.client)
-        result = tx_client.remote_transact(
+        result = target.client.remote_query(
             target.transact_address,
             target.transact_args("CORDA-TX-NOTARY"),
             policy="AND(org:nodeA, org:notary-org)",
+            invocation=INVOCATION_TRANSACTION,
         )
         assert result.attesting_orgs == ["nodeA", "notary-org"]
 
@@ -65,10 +68,11 @@ class TestCordaTransactions:
             "vault", "SecretFlow", lambda network, node, args: (b"", None)
         )
         with pytest.raises(AccessDeniedError):
-            RemoteTransactionClient(target.client).remote_transact(
+            target.client.remote_query(
                 f"{target.network_id}/vault/vault/SecretFlow",
                 [],
                 policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
             )
 
     def test_unknown_flow_is_typed_error(self, corda_target):
@@ -76,10 +80,11 @@ class TestCordaTransactions:
 
         target = corda_target
         with pytest.raises(RelayError, match="serves no flow"):
-            RemoteTransactionClient(target.client).remote_transact(
+            target.client.remote_query(
                 f"{target.network_id}/vault/vault/NoSuchFlow",
                 [],
                 policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
             )
 
 
@@ -230,10 +235,11 @@ class TestFailClosedSurfaces:
     def test_quorum_transact_fails_closed(self, quorum_target):
         target = quorum_target
         with pytest.raises(UnsupportedCapabilityError):
-            RemoteTransactionClient(target.client).remote_transact(
+            target.client.remote_query(
                 f"{target.network_id}/state/document-registry/RegisterDocument",
                 ["DOC-X", "{}"],
                 policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
             )
 
     def test_quorum_subscribe_fails_closed(self, quorum_target):
@@ -248,10 +254,11 @@ class TestFailClosedSurfaces:
         """A public chain gives no foreign relay a commit pipeline."""
         target = pubchain_target
         with pytest.raises(UnsupportedCapabilityError):
-            RemoteTransactionClient(target.client).remote_transact(
+            target.client.remote_query(
                 f"{target.network_id}/chain/document-registry/RegisterDocument",
                 ["DOC-X", "{}"],
                 policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
             )
 
     def test_pubchain_subscribe_fails_closed(self, pubchain_target):
@@ -280,8 +287,9 @@ class TestCordaTransactIntegrity:
             redundant=False,
         ):
             with pytest.raises(ProofError):
-                RemoteTransactionClient(target.client).remote_transact(
+                target.client.remote_query(
                     target.transact_address,
                     target.transact_args("CORDA-TX-TAMPERED"),
                     policy=target.policy,
+                    invocation=INVOCATION_TRANSACTION,
                 )

@@ -21,8 +21,8 @@ import pytest
 
 from repro.assets.htlc import STATE_LOCKED, make_hashlock
 from repro.interop.relay import NS_IDEMPOTENCY
-from repro.interop.transactions import RemoteTransactionClient
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     ERROR_KIND_CAPABILITY,
     ERROR_KIND_HEADER,
     MSG_KIND_ASSET_ACK,
@@ -43,11 +43,11 @@ PLATFORMS = ["fabric", "quorum", "corda", "pubchain"]
 
 def transact_envelope(target, tag: str, request_id: str) -> bytes:
     """A captured-on-the-wire transact envelope, as an adversary holds it."""
-    tx_client = RemoteTransactionClient(target.client)
-    prepared = tx_client.prepare_transaction(
+    prepared = target.client.prepare_query(
         target.transact_address or f"{target.network_id}/ledger/contract/Put",
         target.transact_args(tag) if target.transact_args else [tag],
         policy=target.policy,
+        invocation=INVOCATION_TRANSACTION,
     )
     return RelayEnvelope(
         version=PROTOCOL_VERSION,

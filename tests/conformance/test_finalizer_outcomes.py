@@ -30,8 +30,8 @@ The cases:
   ``MVCC_READ_CONFLICT`` for a write that committed.
 
 In a text, ``{address}`` is the request's address, ``{nonce}`` its
-nonce, ``{policy}`` the target's policy and ``{first}`` / ``{first_org}``
-the first attester.
+nonce, ``{policy}`` the target's policy and ``{first}`` the first
+attester's ``(org, peer_id)``.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ import pytest
 
 from repro.crypto.keys import PublicKey
 from repro.interop.proofs import seal_result
-from repro.interop.transactions import RemoteTransactionClient
 from repro.proto.messages import (
+    INVOCATION_QUERY,
+    INVOCATION_TRANSACTION,
     STATUS_ACCESS_DENIED,
     STATUS_ERROR,
     STATUS_PENDING_FINALITY,
@@ -78,29 +79,20 @@ query     peer-policy      | OK                  |
 query     reseal-non-json  | ProofError          | attestation[0]: attested hash does not cover the decrypted data
 query     reseal-mvcc      | ProofError          | attestation[0]: attested hash does not cover the decrypted data
 transact  ok               | OK                  |
-transact  denied           | AccessDeniedError   | {cause}
-transact  pending          | RelayError          | remote transaction failed: {cause}
-transact  reorg            | RelayError          | remote transaction failed: {cause}
-transact  error            | RelayError          | remote transaction failed: {cause}
-transact  nonce            | OK                  |
-transact  no-envelope      | ProofError          | malformed seal envelope: unknown version or a header shorter than 34 bytes
-transact  no-proof         | ProofError          | attesting orgs [] do not satisfy {policy}
-transact  digest           | ProofError          | transaction attestation[0]: attested hash does not cover the sealed outcome
-transact  args             | ProofError          | transaction attestation[0]: attested arguments do not match the query
-transact  policy           | ProofError          | attesting orgs [{first_org!r}] do not satisfy {policy}
+transact  denied           | AccessDeniedError   | source network denied the transaction {address!r}: {cause}
+transact  pending          | FinalityPendingError | remote transaction {address!r} is below its required confirmation depth: {cause}
+transact  reorg            | ReorgDetectedError  | remote transaction {address!r} depends on a reorged-out record: {cause}
+transact  error            | RelayError          | remote transaction {address!r} failed: {cause}
+transact  nonce            | ProofError          | response nonce {other_nonce!r} does not match the query nonce {nonce!r} (possible replay or relay confusion)
+transact  no-envelope      | ProofError          | response carries no result envelope
+transact  no-proof         | ProofError          | response proof is empty
+transact  digest           | ProofError          | attestation[0]: attested hash does not cover the decrypted data
+transact  args             | ProofError          | attestation[0]: attested arguments do not match the query
+transact  policy           | ProofError          | attesters [{first!r}] do not satisfy the requested policy {policy}
 transact  peer-policy      | OK                  |
 transact  reseal-non-json  | ProofError          | attestation[0]: attested hash does not cover the decrypted data
 transact  reseal-mvcc      | ProofError          | attestation[0]: attested hash does not cover the decrypted data
 """
-
-#: Rows where the two finalizers drifted apart; each one records the
-#: outcome the query finalizer gives, which the transaction one misses.
-DRIFT = {
-    ("transact", "peer-policy"): "a peer: policy is checked against made-up peer ids",
-    ("transact", "reseal-non-json"): "the outcome is parsed before the attestations bind it",
-    ("transact", "reseal-mvcc"): "the outcome is parsed before the attestations bind it",
-}
-
 
 def _rows():
     rows = []
@@ -118,14 +110,8 @@ PLATFORMS = {"query": ("fabric", "quorum", "corda", "pubchain"), "transact": ("f
 def _cells():
     for verb, case, outcome, text in ROWS:
         for platform in PLATFORMS[verb]:
-            marks = ()
-            if (verb, case) in DRIFT:
-                marks = pytest.mark.xfail(
-                    strict=True, raises=AssertionError, reason=DRIFT[verb, case]
-                )
             yield pytest.param(
-                platform, verb, case, outcome, text,
-                id=f"{platform}-{verb}-{case}", marks=marks,
+                platform, verb, case, outcome, text, id=f"{platform}-{verb}-{case}"
             )
 
 
@@ -182,14 +168,13 @@ def exchange(target, verb: str, args: list[str], policy: str, sent_args=None):
     rewriting relay would."""
     client = target.client
     if verb == "query":
-        prepared = client.prepare_query(target.query_address, args, policy=policy)
-        send, finalize = client.relay.remote_query, client.finalize_response
+        address, invocation = target.query_address, INVOCATION_QUERY
+        send = client.relay.remote_query
     else:
-        transactions = RemoteTransactionClient(client)
-        prepared = transactions.prepare_transaction(
-            target.transact_address, args, policy=policy
-        )
-        send, finalize = client.relay.remote_transact, transactions.finalize_transaction
+        address, invocation = target.transact_address, INVOCATION_TRANSACTION
+        send = client.relay.remote_transact
+    prepared = client.prepare_query(address, args, policy=policy, invocation=invocation)
+    finalize = client.finalize_response
     query = prepared.query
     if sent_args is not None:
         query = copy.deepcopy(query)
@@ -225,6 +210,5 @@ def test_finalizer_outcome(request, platform, verb, case, outcome, text):
         cause=CAUSE,
         policy=policy,
         first=(first.org, first.peer_id),
-        first_org=first.org,
     )
     assert observed == (outcome, expected)

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.interop.transactions import RemoteTransactionClient
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     MSG_KIND_ASSET_ACK,
     MSG_KIND_ASSET_LOCK,
     MSG_KIND_TRANSACT_REQUEST,
@@ -27,9 +27,11 @@ from repro.proto.messages import (
 
 def transact_envelope(target, tag: str, request_id: str) -> bytes:
     """A captured-on-the-wire transact envelope, as an adversary holds it."""
-    tx_client = RemoteTransactionClient(target.client)
-    prepared = tx_client.prepare_transaction(
-        target.transact_address, target.transact_args(tag), policy=target.policy
+    prepared = target.client.prepare_query(
+        target.transact_address,
+        target.transact_args(tag),
+        policy=target.policy,
+        invocation=INVOCATION_TRANSACTION,
     )
     return RelayEnvelope(
         version=PROTOCOL_VERSION,

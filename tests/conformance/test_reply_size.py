@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 
-from repro.interop.transactions import RemoteTransactionClient
+from repro.proto.messages import INVOCATION_TRANSACTION
 
 DOCUMENT_BYTES = 16 * 1024
 OVERHEAD_BYTES = 4 * 1024
@@ -19,8 +19,11 @@ OVERHEAD_BYTES = 4 * 1024
 def test_confidential_16k_reply_is_the_payload_plus_overhead(fabric_target):
     target = fabric_target
     document = "d" * DOCUMENT_BYTES
-    RemoteTransactionClient(target.client).remote_transact(
-        target.transact_address, ["SIZE-16K", document], policy=target.policy
+    target.client.remote_query(
+        target.transact_address,
+        ["SIZE-16K", document],
+        policy=target.policy,
+        invocation=INVOCATION_TRANSACTION,
     )
     result = target.client.remote_query(
         target.query_address, ["SIZE-16K"], policy=target.policy, confidential=True

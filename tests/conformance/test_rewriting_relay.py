@@ -11,16 +11,21 @@ derives that key once per reply, so moving boxes between the slots of
 one reply, grafting one peer's ephemeral key onto another's box, or
 replaying a box from an earlier reply must each end in ``ProofError``.
 
-The transaction half is still open: ``finalize_transaction`` binds the
-reply to the request and to the sealed outcome, but verifies no
-signature, so a relay that re-makes every attestation over a commit that
-never happened is believed. That scenario is a strict expected failure
-until ROADMAP item 1 lands.
+A relay can also reseal a transaction's outcome under the client's
+public key, which every request carries. The client reads an outcome only
+after the attestations bind it, so a resealed outcome — well-formed or
+not — ends in ``ProofError`` too.
+
+One gap is still open: for a transaction the client verifies no
+attestation signature, so a relay that re-makes every attestation over a
+commit that never happened is believed. That scenario is a strict
+expected failure until ROADMAP item 1 lands.
 """
 
 from __future__ import annotations
 
 import copy
+import re
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -30,9 +35,9 @@ from repro.crypto.ecies import ecies_encrypt
 from repro.crypto.keys import PublicKey
 from repro.errors import ProofError
 from repro.interop.proofs import AttestationProofScheme, seal_result
-from repro.interop.transactions import RemoteTransactionClient
 from repro.proto.address import CrossNetworkAddress
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     MSG_KIND_QUERY_REQUEST,
     MSG_KIND_TRANSACT_REQUEST,
     Attestation,
@@ -231,15 +236,15 @@ def test_rewritten_query_reply_is_refused(conformance_target, rewrite):
 @pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
 def test_rewritten_transaction_reply_is_refused(conformance_target, rewrite):
     target = conformance_target
-    transactions = RemoteTransactionClient(target.client)
     sent = []
 
     def send():
         sent.append(f"REWRITE-{rewrite.__name__}-{len(sent)}")
-        return transactions.remote_transact(
+        return target.client.remote_query(
             target.transact_address,
             target.transact_args(sent[-1]),
             policy=target.policy,
+            invocation=INVOCATION_TRANSACTION,
         )
 
     with interposed(target, lambda inner: ReplyRewritingRelay(inner, rewrite)) as relay:
@@ -249,19 +254,53 @@ def test_rewritten_transaction_reply_is_refused(conformance_target, rewrite):
     assert relay.rewritten == 1
 
 
+#: Outcomes a relay reseals to the client in place of the committed one.
+RESEALED_OUTCOMES = {
+    "not-utf8": b"\xff\xfe",
+    "not-an-object": b"[1,2]",
+    "mvcc-read-conflict": b'{"validation_code":"MVCC_READ_CONFLICT"}',
+}
+
+
+@pytest.mark.parametrize("name", list(RESEALED_OUTCOMES))
+@pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
+def test_resealed_transaction_outcome_is_refused(conformance_target, name):
+    """The write commits; the relay then reseals another outcome under the
+    client's public key, which the request carries. The attestations do
+    not cover it, whatever it parses as."""
+    target = conformance_target
+    client_key = target.client.identity.keypair.public
+
+    def reseal(response, earlier) -> bool:
+        response.result_cipher = seal_result(RESEALED_OUTCOMES[name], client_key, True)
+        return True
+
+    with interposed(target, lambda inner: ReplyRewritingRelay(inner, reseal)) as relay:
+        with pytest.raises(ProofError, match="attested hash does not cover"):
+            target.client.remote_query(
+                target.transact_address,
+                target.transact_args(f"RESEAL-{name}"),
+                policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
+            )
+    assert relay.rewritten == 1
+
+
 @pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
 def test_reply_boxes_share_a_key_only_within_one_peer_reply(conformance_target):
     """Per reply, the result box shares the first peer's ephemeral key;
     no two peers' replies, and no two requests, share one."""
     target = conformance_target
-    transactions = RemoteTransactionClient(target.client)
     with interposed(target, lambda inner: ReplyRewritingRelay(inner, lambda *_: False)) as relay:
         for _ in range(2):
             target.client.remote_query(
                 target.query_address, list(target.query_args), policy=target.policy
             )
-        transactions.remote_transact(
-            target.transact_address, target.transact_args("SHARED-KEY-CHECK"), policy=target.policy
+        target.client.remote_query(
+            target.transact_address,
+            target.transact_args("SHARED-KEY-CHECK"),
+            policy=target.policy,
+            invocation=INVOCATION_TRANSACTION,
         )
     assert len(relay.honest) == 3
     metadata_keys = []
@@ -280,14 +319,16 @@ class TransactionReplyForgingRelay:
     request carries), and each attestation is re-made over it: metadata
     naming the same peer and the same request, encrypted to the requester,
     under an all-zero signature. Only a signature check can tell.
+    ``outcome`` replaces the well-formed forged outcome.
     """
 
     FORGED_TX_ID = "tx-never-committed"
     FORGED_BLOCK = 424242
 
-    def __init__(self, inner) -> None:
+    def __init__(self, inner, outcome: bytes | None = None) -> None:
         self._inner = inner
         self._scheme = AttestationProofScheme()
+        self._outcome = outcome
 
     def handle_request(self, data: bytes) -> bytes:
         reply_bytes = self._inner.handle_request(data)
@@ -298,13 +339,8 @@ class TransactionReplyForgingRelay:
         reply = RelayEnvelope.decode(reply_bytes)
         response = QueryResponse.decode(reply.payload)
         client_key = PublicKey.from_bytes(query.auth.public_key)
-        outcome = canonical_json(
-            {
-                "result": b"forged".hex(),
-                "tx_id": self.FORGED_TX_ID,
-                "block_number": self.FORGED_BLOCK,
-                "validation_code": "VALID",
-            }
+        outcome = self._outcome or forged_outcome(
+            result=b"forged".hex(), tx_id=self.FORGED_TX_ID, block_number=self.FORGED_BLOCK
         )
         envelope = seal_result(outcome, client_key, True)
         address = CrossNetworkAddress(
@@ -338,20 +374,63 @@ class TransactionReplyForgingRelay:
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1: finalize_transaction verifies no attestation signature",
+    reason=(
+        "ROADMAP item 1: finalize_response verifies no attestation signature "
+        "on a transaction"
+    ),
 )
 def test_forged_transaction_reply_is_refused(conformance_target):
     target = conformance_target
-    transactions = RemoteTransactionClient(target.client)
     with interposed(target, TransactionReplyForgingRelay):
         try:
-            result = transactions.remote_transact(
+            result = target.client.remote_query(
                 target.transact_address,
                 target.transact_args(f"FORGED-{target.platform}"),
                 policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
             )
         except ProofError:
             return
     assert result.tx_id != TransactionReplyForgingRelay.FORGED_TX_ID, (
         f"a forged commit was accepted: {result}"
     )
+
+
+def forged_outcome(**fields) -> bytes:
+    """A committed outcome as the source seals it, with ``fields`` set;
+    a field set to ``None`` is left out."""
+    outcome = {
+        "result": b"forged".hex(),
+        "tx_id": TransactionReplyForgingRelay.FORGED_TX_ID,
+        "block_number": TransactionReplyForgingRelay.FORGED_BLOCK,
+        "validation_code": "VALID",
+    }
+    outcome.update(fields)
+    return canonical_json({key: value for key, value in outcome.items() if value is not None})
+
+
+#: Outcomes the attestations are re-made over, so only the outcome reader
+#: stands between them and the application.
+MALFORMED_OUTCOMES = {
+    "not-utf8": (b"\xff\xfe", "not UTF-8 JSON"),
+    "not-an-object": (b"[1,2]", "not a JSON object"),
+    "not-committed": (forged_outcome(validation_code="MVCC_READ_CONFLICT"), "MVCC_READ_CONFLICT"),
+    "no-tx-id": (forged_outcome(tx_id=None), "has no 'tx_id'"),
+    "bad-hex": (forged_outcome(result="zz"), "not hex"),
+    "non-integer-block": (forged_outcome(block_number="7"), "in block '7'"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_OUTCOMES))
+@pytest.mark.parametrize("conformance_target", ["fabric", "corda"], indirect=True)
+def test_malformed_attested_outcome_is_a_proof_error(conformance_target, name):
+    target = conformance_target
+    outcome, text = MALFORMED_OUTCOMES[name]
+    with interposed(target, lambda inner: TransactionReplyForgingRelay(inner, outcome)):
+        with pytest.raises(ProofError, match=re.escape(text)):
+            target.client.remote_query(
+                target.transact_address,
+                target.transact_args(f"MALFORMED-{name}"),
+                policy=target.policy,
+                invocation=INVOCATION_TRANSACTION,
+            )

@@ -18,10 +18,12 @@ import socket as socket_module
 
 import pytest
 
+from repro.api import QuerySet
 from repro.assets.htlc import STATE_CLAIMED, STATE_LOCKED, make_hashlock
 from repro.errors import ReproError
 from repro.net import RelayServer, TcpRelayEndpoint, encode_frame
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     MSG_KIND_ASSET_CLAIM,
     MSG_KIND_ASSET_LOCK,
     MSG_KIND_QUERY_REQUEST,
@@ -91,24 +93,24 @@ class TestSocketOnlyTopology:
     def test_batch_over_sockets(self, socket_target):
         target, _, _ = socket_target
         batches_before = target.relay.stats.batches_served
-        results = target.client.remote_query_batch(
-            [(target.query_address, list(target.query_args))] * 4,
-            policy=target.policy,
-        )
+        batch = QuerySet(target.client)
+        for _ in range(4):
+            batch.query(target.query_address).with_args(*target.query_args).with_policy(
+                target.policy
+            ).submit()
+        results = batch.results()
         assert len(results) == 4
         assert all(target.expected_query(result.data) for result in results)
         assert target.relay.stats.batches_served == batches_before + 1
 
     def test_transact_over_sockets_commits_once(self, socket_target):
         target, _, _ = socket_target
-        from repro.interop.transactions import RemoteTransactionClient
-
         tag = "SOCKET-TX-1"
-        tx_client = RemoteTransactionClient(target.client)
-        outcome = tx_client.remote_transact(
+        outcome = target.client.remote_query(
             target.transact_address,
             target.transact_args(tag),
             policy=target.policy,
+            invocation=INVOCATION_TRANSACTION,
         )
         assert outcome.tx_id
         assert target.commit_count(tag) == 1

@@ -132,7 +132,6 @@ def finalize_pinned():
             query=NetworkQuery(),
             parsed_policy=parse_verification_policy(pinned["policy"]),
             confidential=False,
-            verify_locally=True,
         )
         response = QueryResponse.decode(bytes.fromhex(reply["query_response"]))
         return client.finalize_response(prepared, response)

@@ -3,15 +3,14 @@
 from __future__ import annotations
 
 import json
+from functools import partial
 
 import pytest
 
 from repro.errors import AccessDeniedError
 from repro.interop.events import RemoteEventNotification
-from repro.interop.transactions import (
-    RemoteTransactionClient,
-    enable_remote_transactions,
-)
+from repro.interop.transactions import enable_remote_transactions
+from repro.proto.messages import INVOCATION_TRANSACTION
 
 POLICY = "AND(org:seller-org, org:carrier-org)"
 
@@ -30,16 +29,17 @@ def tx_scenario(trade_scenario):
         "AddAccessRule",
         ["swt", "seller-bank-org", "TradeLensCC", "CreateShipment"],
     )
-    tx_client = RemoteTransactionClient(
-        scenario.swt_seller_client.interop_client, scenario.swt_relay
+    transact = partial(
+        scenario.swt_seller_client.interop_client.remote_query,
+        invocation=INVOCATION_TRANSACTION,
     )
-    return scenario, tx_client
+    return scenario, transact
 
 
 class TestRemoteTransactions:
     def test_remote_transaction_commits_on_source(self, tx_scenario):
-        scenario, tx_client = tx_scenario
-        result = tx_client.remote_transact(
+        scenario, transact = tx_scenario
+        result = transact(
             "stl/trade-logistics/TradeLensCC/CreateShipment",
             ["PO-REMOTE-1", "remotely created goods"],
             policy=POLICY,
@@ -53,8 +53,8 @@ class TestRemoteTransactions:
         assert local["status"] == "CREATED"
 
     def test_attestations_cover_commit_metadata(self, tx_scenario):
-        scenario, tx_client = tx_scenario
-        result = tx_client.remote_transact(
+        scenario, transact = tx_scenario
+        result = transact(
             "stl/trade-logistics/TradeLensCC/CreateShipment",
             ["PO-REMOTE-2", "goods"],
             policy=POLICY,
@@ -64,33 +64,33 @@ class TestRemoteTransactions:
         assert any(tx.tx_id == result.tx_id for tx in block.transactions)
 
     def test_unexposed_function_denied(self, tx_scenario):
-        scenario, tx_client = tx_scenario
+        scenario, transact = tx_scenario
         with pytest.raises(AccessDeniedError):
-            tx_client.remote_transact(
+            transact(
                 "stl/trade-logistics/TradeLensCC/AcceptShipment",
                 ["PO-REMOTE-1"],
                 policy=POLICY,
             )
 
     def test_failed_source_transaction_reported(self, tx_scenario):
-        scenario, tx_client = tx_scenario
+        scenario, transact = tx_scenario
         from repro.errors import RelayError
 
-        tx_client.remote_transact(
+        transact(
             "stl/trade-logistics/TradeLensCC/CreateShipment",
             ["PO-DUP", "goods"],
             policy=POLICY,
         )
         with pytest.raises(RelayError, match="already exists"):
-            tx_client.remote_transact(
+            transact(
                 "stl/trade-logistics/TradeLensCC/CreateShipment",
                 ["PO-DUP", "goods"],
                 policy=POLICY,
             )
 
     def test_non_confidential_remote_transaction(self, tx_scenario):
-        scenario, tx_client = tx_scenario
-        result = tx_client.remote_transact(
+        scenario, transact = tx_scenario
+        result = transact(
             "stl/trade-logistics/TradeLensCC/CreateShipment",
             ["PO-REMOTE-3", "goods"],
             policy=POLICY,

@@ -19,7 +19,8 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import generate_keypair
 from repro.errors import ProofError
 from repro.fabric.identity import Identity, Organization
-from repro.interop.client import InteropClient
+from repro.interop.client import InteropClient, PreparedQuery
+from repro.interop.policy import parse_verification_policy
 from repro.interop.proofs import (
     ENVELOPE_VERSION,
     AttestationProofScheme,
@@ -28,9 +29,9 @@ from repro.interop.proofs import (
     decrypt_attestation,
     seal_result,
 )
-from repro.interop.transactions import PreparedTransaction, RemoteTransactionClient
 from repro.proto.address import parse_address
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     PROTOCOL_VERSION,
     STATUS_OK,
     NetworkQuery,
@@ -147,20 +148,18 @@ def test_recorded_format_1_transaction_reply_still_finalizes():
         (Path(__file__).parent / "fixtures" / "proof_format_v1_transaction.json").read_text()
     )
     requester = Organization("pinned-client-org", network="pinned-dest").enroll("app")
-    transactions = RemoteTransactionClient(
-        InteropClient(requester, relay=None, network_id="pinned-dest")
-    )
-    prepared = PreparedTransaction(
+    client = InteropClient(requester, relay=None, network_id="pinned-dest")
+    prepared = PreparedQuery(
         address_text=recorded["address"],
         address=parse_address(recorded["address"]),
         args=list(recorded["args"]),
         nonce=recorded["nonce"],
-        query=NetworkQuery(),
-        policy_expression=recorded["policy"],
+        query=NetworkQuery(invocation=INVOCATION_TRANSACTION),
+        parsed_policy=parse_verification_policy(recorded["policy"]),
         confidential=False,
     )
     reply = QueryResponse.decode(bytes.fromhex(recorded["query_response"]))
-    result = transactions.finalize_transaction(prepared, reply)
+    result = client.finalize_response(prepared, reply)
     assert (result.tx_id, result.block_number, result.result) == (
         recorded["tx_id"],
         recorded["block_number"],

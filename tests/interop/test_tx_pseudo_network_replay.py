@@ -23,8 +23,9 @@ from repro.interop import (
     enable_fabric_interop,
     link_networks,
 )
-from repro.interop.transactions import RemoteTransactionClient, enable_remote_transactions
+from repro.interop.transactions import enable_remote_transactions
 from repro.proto.messages import (
+    INVOCATION_TRANSACTION,
     MSG_KIND_ERROR,
     MSG_KIND_QUERY_REQUEST,
     MSG_KIND_TRANSACT_REQUEST,
@@ -96,8 +97,8 @@ def deployment():
         "dest-net",
         gateway=destination.gateway,
     )
-    prepared = RemoteTransactionClient(client).prepare_transaction(
-        PUT, ["doc-1", "contents"]
+    prepared = client.prepare_query(
+        PUT, ["doc-1", "contents"], invocation=INVOCATION_TRANSACTION
     )
     return source, relay, prepared.query
 
