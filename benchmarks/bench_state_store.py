@@ -1,11 +1,12 @@
-"""E-store — the durability tax: MemoryStore vs SqliteStore WAL.
+"""E-store — the durability tax: MemoryStore vs SqliteStore.
 
-Two layers of the PR 7 state subsystem are measured:
+Two layers of the state subsystem are measured:
 
 - **raw store ops** — single puts, batched puts, random gets, and a
   namespace scan against each backend (``memory``, ``sqlite-fsync-off``,
-  ``sqlite-fsync-on``). Every SqliteStore put is a WAL append (+fsync
-  when enabled); the batched path amortizes one commit over many ops.
+  ``sqlite-fsync-on``). Every SqliteStore put is one sqlite transaction
+  (fsync'd when enabled); the batched path amortizes one commit over
+  many ops. Gets and scans read the sqlite table.
 - **relay serving** — a relay serving distinct transact envelopes, each
   of which installs one durable idempotency record. This is the number
   an operator trades against: what turning on ``--state-dir`` (and
@@ -171,7 +172,7 @@ def measure_relay(backend: str, root: Path) -> dict:
 
 def test_durability_tax_is_measured_and_bounded(tmp_path, bench_report):
     """Acceptance: the sqlite overhead is recorded to BENCH_store.json,
-    and the batched WAL path amortizes the per-commit cost."""
+    and the batched path amortizes the per-commit cost."""
     store_results = {
         backend: measure_store_ops(backend, tmp_path / "ops") for backend in BACKENDS
     }
@@ -217,7 +218,7 @@ def test_durability_tax_is_measured_and_bounded(tmp_path, bench_report):
         amortized = store_results[backend]["batched_put_ops_per_s"]
         single = store_results[backend]["put_ops_per_s"]
         assert amortized > single, (
-            f"{backend}: batched WAL commits must amortize the per-commit "
+            f"{backend}: batched commits must amortize the per-commit "
             f"cost ({amortized:.0f}/s vs {single:.0f}/s single puts)"
         )
     # The volatile default must not be paying a visible durability tax.

@@ -340,7 +340,7 @@ def main() -> None:
     # envelope would execute TWICE on the source ledger. Deployments
     # start the relay with --state-dir instead, which journals that
     # record (and the served-subscription table) into a SqliteStore —
-    # an fsync-on-commit write-ahead log checkpointed into sqlite.
+    # one sqlite database, each write batch an fsync'd transaction.
     # Walkthrough: commit through a durable relay, kill it, restart it
     # on the same directory, and replay the captured envelope.
     import tempfile

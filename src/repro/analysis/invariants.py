@@ -108,22 +108,12 @@ GUARDED_STATE: dict[str, dict[str, str]] = {
         "batches_applied": "_lock",
         "ops_applied": "_lock",
     },
-    # repro/store/sqlite.py — the WAL handle, sqlite connection, image
-    # and pending-ops cache are all shared by concurrent serve threads.
+    # repro/store/sqlite.py — one sqlite connection is shared by
+    # concurrent serve threads; close() drops it.
     "SqliteStore": {
-        "_data": "_lock",
-        "_pending": "_lock",
-        "_wal": "_lock",
         "_conn": "_lock",
         "batches_applied": "_lock",
-        "checkpoints": "_lock",
-    },
-    # repro/store/wal.py
-    "WriteAheadLog": {
-        "_file": "_lock",
-        "appends": "_lock",
-        "bytes_appended": "_lock",
-        "truncations": "_lock",
+        "ops_applied": "_lock",
     },
     # repro/interop/discovery.py
     "InMemoryRegistry": {"_relays": "_lock"},
@@ -151,7 +141,8 @@ GUARDED_STATE: dict[str, dict[str, str]] = {
         "_transitions": "_lock",
         "_refund_legs": "_lock",
         "_aborts": "_lock",
-        "_latencies": "_lock",
+        "_latency_counts": "_lock",
+        "_latency_sums": "_lock",
     },
     # repro/pubchain/chain.py — the block tree, fork-choice tip, and the
     # replay caches are shared by submitters, miners, and driver reads.

@@ -51,11 +51,10 @@ from repro.proto.messages import (
     MSG_KIND_QUERY_RESPONSE,
     MSG_KIND_TRANSACT_REQUEST,
     MSG_KIND_TRANSACT_RESPONSE,
-    SIDE_EFFECTING_HEADER,
-    SIDE_EFFECTING_KINDS,
     STATUS_OK,
     AssetAckMsg,
     RelayEnvelope,
+    is_side_effecting,
 )
 from repro.utils.clock import Clock, SystemClock
 
@@ -352,11 +351,11 @@ class ResponseCacheInterceptor(Interceptor):
     Side-effecting envelopes are never cached *or served from cache*:
     serving a stored reply to a replayed transaction would claim a commit
     that never re-happened, and a replayed (un)subscribe or event push
-    must actually mutate subscription state. The check routes on the
-    envelope alone — the kind (:data:`SIDE_EFFECTING_KINDS`) plus the
-    :data:`SIDE_EFFECTING_HEADER` marker that the sending relay sets on
-    batch envelopes carrying transaction members — so the cache never
-    needs to decode payloads.
+    must actually mutate subscription state. The check is the relay's own
+    :func:`~repro.proto.messages.is_side_effecting` on the envelope alone
+    — the kind, plus the :data:`SIDE_EFFECTING_HEADER` marker that the
+    sending relay sets on batch envelopes carrying transaction members —
+    so the cache never needs to decode payloads.
 
     Thread-safe: a concurrently-serving relay (:class:`repro.net.RelayServer`)
     runs the chain on many worker threads, so the bounded entry map and
@@ -394,9 +393,7 @@ class ResponseCacheInterceptor(Interceptor):
             # Undecodable bytes take the normal path: they always answer
             # with an error envelope, which is never stored anyway.
             return True
-        if envelope.kind in SIDE_EFFECTING_KINDS:
-            return False
-        return envelope.headers.get(SIDE_EFFECTING_HEADER) != "true"
+        return not is_side_effecting(envelope.kind, envelope.headers)
 
     def handle(self, ctx: RelayContext, call_next: RelayHandler) -> bytes:
         if not self._cacheable(ctx):

@@ -12,6 +12,7 @@ families. Both kinds report the ring's state names (``locking``,
 
 from __future__ import annotations
 
+import bisect
 import threading
 
 #: Coordinator kinds reported in every sample's labels.
@@ -22,6 +23,23 @@ KIND_CYCLE = "cycle"
 #: included even though it can still move to ``REFUNDED``: the protocol is
 #: over, only the unwind remains.
 _SETTLED_STATES = frozenset({"completed", "refunded", "failed"})
+
+#: Lock→final-claim latency bounds (seconds). Exchanges settle on ledger
+#: round-trips, not in-process calls, so the grid runs from sub-second
+#: single-hop swaps out to ten-minute N-party cycles near their timelock.
+ASSET_LATENCY_BUCKETS = (
+    0.1,
+    0.5,
+    1.0,
+    2.5,
+    5.0,
+    10.0,
+    30.0,
+    60.0,
+    120.0,
+    300.0,
+    600.0,
+)
 
 
 class ExchangeMetrics:
@@ -38,7 +56,10 @@ class ExchangeMetrics:
         self._transitions: dict[tuple[str, str], int] = {}
         self._refund_legs: dict[str, int] = {}
         self._aborts: dict[str, int] = {}
-        self._latencies: dict[str, list[float]] = {}
+        #: Per kind: a count per :data:`ASSET_LATENCY_BUCKETS` bound plus
+        #: one overflow bucket, and the sum of seconds recorded.
+        self._latency_counts: dict[str, list[int]] = {}
+        self._latency_sums: dict[str, float] = {}
 
     # -- recording ---------------------------------------------------------------
 
@@ -64,8 +85,14 @@ class ExchangeMetrics:
 
     def latency_recorded(self, kind: str, seconds: float) -> None:
         """First lock to final claim, for one completed exchange."""
+        bucket = bisect.bisect_left(ASSET_LATENCY_BUCKETS, seconds)
         with self._lock:
-            self._latencies.setdefault(kind, []).append(float(seconds))
+            counts = self._latency_counts.setdefault(
+                kind, [0] * (len(ASSET_LATENCY_BUCKETS) + 1)
+            )
+            counts[bucket] += 1
+            total = self._latency_sums.get(kind, 0.0)
+            self._latency_sums[kind] = total + float(seconds)
 
     # -- reading -----------------------------------------------------------------
 
@@ -74,7 +101,12 @@ class ExchangeMetrics:
             return self._started.get(kind, 0) - self._settled.get(kind, 0)
 
     def snapshot(self) -> dict:
-        """Plain-data view for exporters and tests."""
+        """Plain-data view for exporters and tests.
+
+        ``latency`` maps each kind to its non-cumulative ``counts`` (one
+        per :data:`ASSET_LATENCY_BUCKETS` bound, then the overflow) and
+        ``sum``; its size does not grow with the exchanges recorded.
+        """
         with self._lock:
             return {
                 "started": dict(self._started),
@@ -89,8 +121,11 @@ class ExchangeMetrics:
                 },
                 "refund_legs": dict(self._refund_legs),
                 "aborts": dict(self._aborts),
-                "latencies": {
-                    kind: list(values)
-                    for kind, values in self._latencies.items()
+                "latency": {
+                    kind: {
+                        "counts": list(counts),
+                        "sum": self._latency_sums[kind],
+                    }
+                    for kind, counts in self._latency_counts.items()
                 },
             }

@@ -178,13 +178,9 @@ class StoreError(ReproError):
 
 
 class StoreCorruptionError(StoreError):
-    """Persisted state is unreadable beyond the WAL's torn-tail tolerance
-    (bad magic, mid-file CRC damage, an undecodable checkpoint row)."""
-
-
-class StoreMigrationError(StoreError):
-    """Stored schema version cannot be migrated to the running version
-    (no registered hook for a step, or the store is from the future)."""
+    """Persisted state cannot be opened: the database file is not a
+    readable sqlite database, or the directory is in the old
+    write-ahead-log layout with records still in ``state.wal``."""
 
 
 # ---------------------------------------------------------------------------

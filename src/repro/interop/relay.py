@@ -93,7 +93,6 @@ from repro.proto.messages import (
     MSG_KIND_TRANSACT_RESPONSE,
     PROTOCOL_VERSION,
     SIDE_EFFECTING_HEADER,
-    SIDE_EFFECTING_KINDS,
     STATUS_ACCESS_DENIED,
     STATUS_ERROR,
     STATUS_OK,
@@ -109,6 +108,7 @@ from repro.proto.messages import (
     NetworkQuery,
     QueryResponse,
     RelayEnvelope,
+    is_side_effecting,
 )
 from repro.ops.trace import activate, ensure_trace, from_headers, inject, new_trace, reply_headers
 from repro.store import MemoryStore, StateStore
@@ -612,16 +612,6 @@ class RelayService:
                 )
             return self._handler_chain()(ctx)
 
-    @staticmethod
-    def _is_side_effecting(envelope: RelayEnvelope) -> bool:
-        """Does serving this envelope mutate source-network state?"""
-        if envelope.kind in SIDE_EFFECTING_KINDS:
-            return True
-        return (
-            envelope.kind == MSG_KIND_BATCH_REQUEST
-            and envelope.headers.get(SIDE_EFFECTING_HEADER) == "true"
-        )
-
     def _dispatch(self, ctx: RelayContext) -> bytes:
         """Terminal chain handler: dedup, then route the envelope by kind.
 
@@ -645,7 +635,9 @@ class RelayService:
             return self._error_envelope(
                 "", f"undecodable envelope: {ctx.decode_error}", False
             )
-        if envelope.request_id and self._is_side_effecting(envelope):
+        if envelope.request_id and is_side_effecting(
+            envelope.kind, envelope.headers
+        ):
             return self._dispatch_exactly_once(envelope)
         return self._route(envelope)
 
@@ -1157,10 +1149,10 @@ class RelayService:
 
         ``kind`` selects the verb (one of :data:`ASSET_COMMAND_KINDS`);
         the command rides the same discovery lookup, interceptor chain,
-        and failover loop as queries. Side-effecting verbs (everything but
-        status) are header-marked so caching intermediaries never replay
-        them. Returns the ack even when non-OK — the caller maps statuses
-        to protocol decisions.
+        and failover loop as queries. Lock, claim and unlock are
+        side-effecting by kind (:data:`SIDE_EFFECTING_KINDS`), so caching
+        intermediaries never replay them. Returns the ack even when
+        non-OK — the caller maps statuses to protocol decisions.
         """
         if kind not in ASSET_COMMAND_KINDS:
             raise ProtocolError(f"kind {kind} is not an asset command kind")
@@ -1168,18 +1160,8 @@ class RelayService:
         if not target:
             raise ProtocolError("asset command has no target network address")
         self.stats.bump("asset_commands_sent")
-        headers = (
-            {SIDE_EFFECTING_HEADER: "true"}
-            if kind != MSG_KIND_ASSET_STATUS
-            else None
-        )
         return self._exchange(
-            target,
-            kind,
-            command.encode(),
-            MSG_KIND_ASSET_ACK,
-            AssetAckMsg.decode,
-            headers=headers,
+            target, kind, command.encode(), MSG_KIND_ASSET_ACK, AssetAckMsg.decode
         )
 
     # -- destination side: subscribe to remote events ------------------------------
@@ -1290,9 +1272,7 @@ class RelayService:
         below is unchanged either way.
         """
         request_id = random_id("req-")
-        side_effecting = kind in SIDE_EFFECTING_KINDS or bool(
-            headers and headers.get(SIDE_EFFECTING_HEADER) == "true"
-        )
+        side_effecting = is_side_effecting(kind, headers)
         lookup_for = getattr(self._discovery, "lookup_for", None)
         if callable(lookup_for):
             endpoints = lookup_for(  # may raise DiscoveryError

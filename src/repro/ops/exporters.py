@@ -19,28 +19,12 @@ does so lazily at start).
 
 from __future__ import annotations
 
-import bisect
+import itertools
 
 from repro.api.middleware import MetricsInterceptor
+from repro.assets.metrics import ASSET_LATENCY_BUCKETS
 from repro.interop.relay import RateLimitInterceptor, RelayService
 from repro.ops.metrics import MetricFamily, MetricsRegistry, counter_family, gauge_family
-
-#: Lock→final-claim latency bounds (seconds). Exchanges settle on ledger
-#: round-trips, not in-process calls, so the grid runs from sub-second
-#: single-hop swaps out to ten-minute N-party cycles near their timelock.
-ASSET_LATENCY_BUCKETS = (
-    0.1,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-    30.0,
-    60.0,
-    120.0,
-    300.0,
-    600.0,
-)
 
 
 def register_relay(registry: MetricsRegistry, relay: RelayService) -> None:
@@ -95,8 +79,8 @@ def register_relay(registry: MetricsRegistry, relay: RelayService) -> None:
             families.append(
                 counter_family(
                     "repro_store_ops_total",
-                    "State-store operation counters (WAL appends, "
-                    "checkpoints, applied batches).",
+                    "State-store operation counters (applied batches "
+                    "and operations).",
                     tuple(
                         ((relay_label, ("op", name)), value)
                         for name, value in sorted(counters.items())
@@ -202,10 +186,10 @@ def register_assets(registry: MetricsRegistry, metrics) -> None:
     (duck-typed: anything with its ``snapshot()``). Like the other
     exporters this registers a scrape-time collector over the snapshot —
     the coordinators keep their one-lock bump on the hot path, and the
-    lock→claim histogram is rebuilt from the recorded latencies at each
-    scrape. Every family is labelled ``kind`` (``exchange`` for two-party
-    swaps, ``cycle`` for N-party rings); transition counters add the
-    ``state`` entered.
+    lock→claim histogram is read from the snapshot's per-bucket counts.
+    Every family is labelled ``kind`` (``exchange`` for two-party swaps,
+    ``cycle`` for N-party rings); transition counters add the ``state``
+    entered.
     """
 
     def collect() -> "list[MetricFamily]":
@@ -249,16 +233,13 @@ def register_assets(registry: MetricsRegistry, metrics) -> None:
             ),
         ]
         histogram_samples = []
-        for kind, latencies in sorted(snapshot["latencies"].items()):
-            counts = [0] * (len(ASSET_LATENCY_BUCKETS) + 1)
-            for seconds in latencies:
-                counts[bisect.bisect_left(ASSET_LATENCY_BUCKETS, seconds)] += 1
-            cumulative, running = [], 0
-            for count in counts:
-                running += count
-                cumulative.append(running)
+        for kind, latency in sorted(snapshot["latency"].items()):
             histogram_samples.append(
-                ((("kind", kind),), tuple(cumulative), float(sum(latencies)))
+                (
+                    (("kind", kind),),
+                    tuple(itertools.accumulate(latency["counts"])),
+                    latency["sum"],
+                )
             )
         if histogram_samples:
             families.append(

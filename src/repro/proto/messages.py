@@ -15,6 +15,8 @@ encrypted result once (see :mod:`repro.interop.proofs`).
 
 from __future__ import annotations
 
+from typing import Mapping
+
 from repro.wire import (
     BoolField,
     BytesField,
@@ -115,6 +117,23 @@ REPLY_KINDS = frozenset(
 #: members; set by the sending relay so intermediaries need not decode the
 #: payload to know the request is unsafe to serve from cache.
 SIDE_EFFECTING_HEADER = "side-effecting"
+
+
+def is_side_effecting(kind: int, headers: Mapping[str, str] | None) -> bool:
+    """Does serving an envelope of ``kind`` with ``headers`` mutate
+    source-network state? True for every :data:`SIDE_EFFECTING_KINDS`
+    kind, and for a batch the sender marked with
+    :data:`SIDE_EFFECTING_HEADER`; the header on any other kind is
+    ignored. The relay's exactly-once record, the response cache and the
+    balancer's sticky routing all decide with this one rule."""
+    if kind in SIDE_EFFECTING_KINDS:
+        return True
+    return (
+        kind == MSG_KIND_BATCH_REQUEST
+        and headers is not None
+        and headers.get(SIDE_EFFECTING_HEADER) == "true"
+    )
+
 
 #: Error-envelope header classifying *why* a request was refused, so the
 #: requesting relay can raise a typed error without parsing the message

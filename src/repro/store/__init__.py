@@ -8,9 +8,9 @@ subscriptions, exchange journals) one pluggable home:
 
 - :class:`MemoryStore` — the default; exactly today's process-lifetime
   behavior and performance.
-- :class:`SqliteStore` — append-only WAL with fsync-on-commit and
-  torn-tail-tolerant replay, checkpointed into sqlite; schema-versioned
-  with explicit migration hooks.
+- :class:`SqliteStore` — one sqlite database in a state directory; each
+  atomic batch is one sqlite transaction, fsync'd on commit under
+  ``journal_mode=WAL`` and ``synchronous=FULL``.
 
 Wiring is one call: :func:`open_store` maps a ``--state-dir`` style
 option (``None`` = volatile) onto the right backend.
@@ -24,11 +24,9 @@ from repro.store.base import (
     StateStore,
     StoreOp,
     WriteBatch,
-    apply_ops_to_map,
 )
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SqliteStore
-from repro.store.wal import WriteAheadLog
 
 __all__ = [
     "OP_DELETE",
@@ -37,9 +35,7 @@ __all__ = [
     "SqliteStore",
     "StateStore",
     "StoreOp",
-    "WriteAheadLog",
     "WriteBatch",
-    "apply_ops_to_map",
     "open_store",
 ]
 

@@ -5,20 +5,21 @@ must remember across a crash (the exactly-once idempotency record, the
 served-subscription table, an exchange coordinator's journal) reduces to
 a namespaced key/value map with atomic multi-key commits. This module
 defines that seam; :mod:`repro.store.memory` keeps today's in-process
-behavior and :mod:`repro.store.sqlite` layers it over an append-only WAL
-with an sqlite checkpoint for real durability. State owners program
-against :class:`StateStore` only — which backend is wired in is a
-deployment decision (``--state-dir``), never a code path.
+behavior and :mod:`repro.store.sqlite` commits it to an sqlite database
+for real durability. State owners program against :class:`StateStore`
+only — which backend is wired in is a deployment decision
+(``--state-dir``), never a code path.
 
 Model:
 
 - keys live in string *namespaces* (``"relay/idempotency"``), values are
   opaque bytes — serialization stays with the state owner;
 - :meth:`StateStore.apply` commits a batch of operations atomically: a
-  crash mid-commit yields all of the batch or none of it;
-- every persistent backend carries a *schema version* header and refuses
-  state from the future; upgrades run through explicit migration hooks
-  (:class:`repro.store.sqlite.SqliteStore`).
+  crash mid-commit yields all of the batch or none of it.
+
+A change to what an owner stores is read by a translation function
+beside the owner's reader (the coordinator's two-party journals are the
+example), not by a store-level migration.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Iterator, Sequence
 
 from repro.errors import StoreError
 
-#: Operation codes (also the WAL opcode byte values).
+#: Operation codes.
 OP_PUT = 0
 OP_DELETE = 1
 
@@ -90,10 +91,6 @@ class StateStore(ABC):
     process (each owner keeps to its own namespaces).
     """
 
-    #: The schema version this code writes. Persistent backends stamp it
-    #: into their on-disk header and migrate older state forward.
-    SCHEMA_VERSION = 1
-
     #: Does state survive :meth:`close` + reopen (a process restart)?
     persistent = False
 
@@ -136,25 +133,11 @@ class StateStore(ABC):
     def counters(self) -> dict[str, int]:
         """Operational counters for the ops plane (name -> monotonic
         count). Backends override with what they actually track —
-        applied batches, WAL appends, checkpoints; the default exports
-        nothing. Exported as ``repro_store_ops_total`` by
+        applied batches and operations; the default exports nothing.
+        Exported as ``repro_store_ops_total`` by
         :func:`repro.ops.exporters.register_relay`.
         """
         return {}
-
-
-def apply_ops_to_map(
-    data: dict[str, dict[str, bytes]], ops: Sequence[StoreOp]
-) -> None:
-    """Replay ``ops`` onto a dict-of-dicts image (shared by the in-memory
-    backend and WAL replay, so both agree on semantics by construction)."""
-    for operation in ops:
-        if operation.op == OP_PUT:
-            data.setdefault(operation.namespace, {})[operation.key] = operation.value
-        else:
-            space = data.get(operation.namespace)
-            if space is not None:
-                space.pop(operation.key, None)
 
 
 __all__ = [
@@ -163,5 +146,4 @@ __all__ = [
     "StateStore",
     "StoreOp",
     "WriteBatch",
-    "apply_ops_to_map",
 ]

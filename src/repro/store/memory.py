@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
-from repro.store.base import StateStore, StoreOp, apply_ops_to_map
+from repro.store.base import OP_PUT, StateStore, StoreOp
 
 
 class MemoryStore(StateStore):
@@ -44,7 +44,15 @@ class MemoryStore(StateStore):
     def apply(self, ops: Sequence[StoreOp]) -> None:
         ops = list(ops)  # materialize (and validate) before mutating
         with self._lock:
-            apply_ops_to_map(self._data, ops)
+            for operation in ops:
+                if operation.op == OP_PUT:
+                    self._data.setdefault(operation.namespace, {})[
+                        operation.key
+                    ] = operation.value
+                else:
+                    space = self._data.get(operation.namespace)
+                    if space is not None:
+                        space.pop(operation.key, None)
             self.batches_applied += 1
             self.ops_applied += len(ops)
 

@@ -1,27 +1,26 @@
-"""Durable :class:`StateStore`: append-only WAL + sqlite checkpoint.
+"""Durable :class:`StateStore`: one sqlite database, one transaction per batch.
 
 Layout of a state directory::
 
-    <state_dir>/state.db    sqlite checkpoint (kv table + schema meta)
-    <state_dir>/state.wal   append-only commit log since the checkpoint
+    <state_dir>/state.db    the ``kv`` table (sqlite adds its own
+                            ``state.db-wal`` and ``state.db-shm``)
 
-Write path: a batch is framed and fsync'd into the WAL *first* (that
-fsync is the commit point), then applied to the in-memory image; once the
-WAL grows past ``checkpoint_bytes`` the accumulated operations are folded
-into sqlite in one transaction and the WAL is truncated. Reads never
-touch disk — the full image stays in memory (relay state is small: a
-bounded idempotency record, subscription rows, exchange journals).
+Each :meth:`SqliteStore.apply` is one sqlite transaction under
+``journal_mode=WAL``. With ``fsync=True`` it runs under
+``synchronous=FULL``, so a batch is on disk when ``apply`` returns;
+``fsync=False`` sets ``synchronous=OFF``, which survives a process crash
+but not a power loss. sqlite's journal makes every commit atomic, so the
+state a reopening process sees is exactly the prefix of batches whose
+``apply()`` returned. ``get`` and ``scan`` read the table: no request
+path reads the store, only start-up scans, the readiness probe and
+coordinator resumption do.
 
-Recovery on open replays checkpoint + WAL tail, tolerating a torn final
-frame (:mod:`repro.store.wal`), so the store state a reopening process
-sees is exactly the prefix of batches whose ``apply()`` returned.
-
-Schema migrations are explicit hooks, not guesses: the on-disk version is
-read from the ``meta`` table, and each upgrade step ``n -> n+1`` must
-have a registered callable (``migrations={n + 1: fn}``) that rewrites the
-sqlite image; the WAL is checkpointed *before* migrating so hooks only
-ever see a consistent sqlite state. A store from the future (on-disk
-version above the running code's) refuses to open rather than guess.
+Earlier releases kept their own write-ahead log beside the database
+(``state.wal``). A directory whose ``state.wal`` is only the log's
+header was closed cleanly and opens with its data; one whose
+``state.wal`` still holds records is refused with
+:class:`~repro.errors.StoreCorruptionError`, since those batches never
+reached ``state.db``.
 """
 
 from __future__ import annotations
@@ -29,172 +28,94 @@ from __future__ import annotations
 import sqlite3
 import threading
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
-from repro.errors import StoreCorruptionError, StoreMigrationError
-from repro.store.base import (
-    OP_PUT,
-    StateStore,
-    StoreOp,
-    apply_ops_to_map,
-)
-from repro.store.wal import WriteAheadLog
+from repro.errors import StoreCorruptionError, StoreError
+from repro.store.base import OP_PUT, StateStore, StoreOp
 
-#: Fold the WAL into sqlite once it grows past this many bytes.
-DEFAULT_CHECKPOINT_BYTES = 1 << 20
-
-#: Upgrade hook: receives the open sqlite connection inside the upgrade
-#: transaction and rewrites the image from version n-1 to n.
-Migration = Callable[[sqlite3.Connection], None]
+#: The earlier layout's log and the size of its header (8-byte magic plus
+#: a version byte). A longer file holds batches this store cannot read.
+OLD_WAL_NAME = "state.wal"
+OLD_WAL_HEADER_BYTES = 9
 
 
 class SqliteStore(StateStore):
-    """The durable backend; see the module docstring for the design."""
+    """The durable backend; see the module docstring for the design.
+
+    Every call after :meth:`close` raises :class:`StoreError`, except
+    ``close`` itself (idempotent) and ``counters`` (a scrape of a closed
+    relay still renders).
+    """
 
     persistent = True
 
-    def __init__(
-        self,
-        directory: str | Path,
-        fsync: bool = True,
-        checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        schema_version: int | None = None,
-        migrations: dict[int, Migration] | None = None,
-    ) -> None:
+    def __init__(self, directory: str | Path, fsync: bool = True) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.fsync = fsync
-        self.checkpoint_bytes = checkpoint_bytes
-        self.schema_version = (
-            schema_version if schema_version is not None else self.SCHEMA_VERSION
-        )
-        self._migrations = dict(migrations or {})
-        self._lock = threading.RLock()
-        self._conn = sqlite3.connect(
-            str(self.directory / "state.db"), check_same_thread=False
-        )
-        self._conn.execute(
-            "PRAGMA synchronous = " + ("FULL" if fsync else "OFF")
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-        )
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS kv ("
-            " namespace TEXT NOT NULL, key TEXT NOT NULL, value BLOB NOT NULL,"
-            " PRIMARY KEY (namespace, key))"
-        )
-        self._conn.commit()
-        stored = self._stored_version()
-        if stored is None:
-            stored = self.schema_version
-            self._set_version(stored)
-        if stored > self.schema_version:
-            self._conn.close()
-            raise StoreMigrationError(
-                f"state at {self.directory} has schema version {stored}, "
-                f"newer than this code's {self.schema_version}"
-            )
-        #: Full image of the store; reads are served from here.
-        self._data: dict[str, dict[str, bytes]] = {}
-        self._load_checkpoint()
-        self._wal = WriteAheadLog(
-            self.directory / "state.wal", fsync=fsync, schema_version=stored
-        )
-        if self._wal.schema_version != stored:
+        old_wal = self.directory / OLD_WAL_NAME
+        if old_wal.exists() and old_wal.stat().st_size > OLD_WAL_HEADER_BYTES:
             raise StoreCorruptionError(
-                f"WAL schema version {self._wal.schema_version} does not "
-                f"match checkpoint version {stored} at {self.directory}"
+                f"{old_wal} holds records in the old write-ahead-log layout "
+                f"that never reached state.db; refusing to open without them"
             )
-        #: Committed-but-not-checkpointed operations.
-        self._pending: list[StoreOp] = list()
-        self.batches_applied = 0
-        self.checkpoints = 0
-        for batch in self._wal.recovered:
-            apply_ops_to_map(self._data, batch)
-            self._pending.extend(batch)
-        # Fold the recovered tail in before migrating, so migration hooks
-        # always see one consistent sqlite image and a bare WAL.
-        if self._pending:
-            self._checkpoint_locked()
-        if stored < self.schema_version:
-            self._migrate(stored)
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def _stored_version(self) -> int | None:
-        row = self._conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-        return int(row[0]) if row is not None else None
-
-    def _set_version(self, version: int) -> None:
-        self._conn.execute(
-            "INSERT OR REPLACE INTO meta (key, value) VALUES "
-            "('schema_version', ?)",
-            (str(version),),
-        )
-        self._conn.commit()
-
-    def _load_checkpoint(self) -> None:
+        path = self.directory / "state.db"
+        conn = sqlite3.connect(str(path), check_same_thread=False)
         try:
-            rows = self._conn.execute(
-                "SELECT namespace, key, value FROM kv"
-            ).fetchall()
+            conn.execute("PRAGMA journal_mode = WAL")
+            conn.execute("PRAGMA synchronous = " + ("FULL" if fsync else "OFF"))
+            conn.execute(
+                "CREATE TABLE IF NOT EXISTS kv ("
+                " namespace TEXT NOT NULL, key TEXT NOT NULL, value BLOB NOT NULL,"
+                " PRIMARY KEY (namespace, key))"
+            )
+            conn.commit()
         except sqlite3.DatabaseError as exc:
+            conn.close()
             raise StoreCorruptionError(
-                f"unreadable checkpoint at {self.directory}: {exc}"
+                f"unreadable state database {path}: {exc}"
             ) from exc
-        for namespace, key, value in rows:
-            if isinstance(value, str):
-                # sqlite string operators (||, replace, ...) in migration
-                # hooks silently coerce BLOB to TEXT; values are bytes.
-                value = value.encode("utf-8")
-            self._data.setdefault(namespace, {})[key] = bytes(value)
+        self._lock = threading.Lock()
+        self._conn: sqlite3.Connection | None = conn
+        self.batches_applied = 0
+        self.ops_applied = 0
 
-    def _migrate(self, stored: int) -> None:
-        for step in range(stored + 1, self.schema_version + 1):
-            hook = self._migrations.get(step)
-            if hook is None:
-                raise StoreMigrationError(
-                    f"no migration registered for schema step "
-                    f"{step - 1} -> {step} at {self.directory}"
-                )
-            with self._conn:  # one transaction: rewrite + version stamp
-                hook(self._conn)
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES "
-                    "('schema_version', ?)",
-                    (str(step),),
-                )
-        # Hooks rewrote sqlite directly: reload the image and restamp the
-        # (empty, just-checkpointed) WAL with the new version.
-        with self._lock:
-            self._data.clear()
-            self._load_checkpoint()
-            self._wal.truncate(schema_version=self.schema_version)
+    def _live(self) -> sqlite3.Connection:
+        """The open connection; callers hold ``self._lock``."""
+        if self._conn is None:
+            raise StoreError(f"state store at {self.directory} is closed")
+        return self._conn
 
     def close(self) -> None:
-        """Checkpoint and release the connection + WAL handle."""
+        """Release the connection; sqlite folds its journal in on close."""
         with self._lock:
-            self._checkpoint_locked()
-            self._conn.close()
-            self._wal.close()
+            if self._conn is not None:
+                self._conn.close()
+                self._conn = None
 
     # -- reads --------------------------------------------------------------------
 
     def get(self, namespace: str, key: str) -> bytes | None:
         with self._lock:
-            space = self._data.get(namespace)
-            return space.get(key) if space is not None else None
+            row = (
+                self._live()
+                .execute(
+                    "SELECT value FROM kv WHERE namespace = ? AND key = ?",
+                    (namespace, key),
+                )
+                .fetchone()
+            )
+        return row[0] if row is not None else None
 
     def scan(self, namespace: str, prefix: str = "") -> list[tuple[str, bytes]]:
         with self._lock:
-            space = self._data.get(namespace, {})
-            return sorted(
-                (key, value)
-                for key, value in space.items()
-                if key.startswith(prefix)
+            return (
+                self._live()
+                .execute(
+                    "SELECT key, value FROM kv WHERE namespace = ?"
+                    " AND substr(key, 1, ?) = ? ORDER BY key",
+                    (namespace, len(prefix), prefix),
+                )
+                .fetchall()
             )
 
     # -- writes -------------------------------------------------------------------
@@ -204,50 +125,26 @@ class SqliteStore(StateStore):
         if not ops:
             return
         with self._lock:
-            self._wal.append(ops)  # the commit point (fsync'd)
-            apply_ops_to_map(self._data, ops)
-            self._pending.extend(ops)
-            self.batches_applied += 1
-            if self._wal.size_bytes >= self.checkpoint_bytes:
-                self._checkpoint_locked()
-
-    def counters(self) -> dict[str, int]:
-        with self._lock:
-            out = {
-                "batches_applied": self.batches_applied,
-                "checkpoints": self.checkpoints,
-            }
-        out.update(self._wal.counters())
-        return out
-
-    def checkpoint(self) -> None:
-        """Fold the WAL into sqlite now (normally size-triggered)."""
-        with self._lock:
-            self._checkpoint_locked()
-
-    def _checkpoint_locked(self) -> None:
-        # Callers hold self._lock already; it is an RLock, so re-entering
-        # here keeps the invariant locally visible (and checkable).
-        with self._lock:
-            if not self._pending:
-                return
-            with self._conn:  # one transaction: all pending ops or none
-                for operation in self._pending:
+            conn = self._live()
+            with conn:  # one transaction: all ops or none
+                for operation in ops:
                     if operation.op == OP_PUT:
-                        self._conn.execute(
+                        conn.execute(
                             "INSERT OR REPLACE INTO kv (namespace, key, value)"
                             " VALUES (?, ?, ?)",
-                            (
-                                operation.namespace,
-                                operation.key,
-                                operation.value,
-                            ),
+                            (operation.namespace, operation.key, operation.value),
                         )
                     else:
-                        self._conn.execute(
+                        conn.execute(
                             "DELETE FROM kv WHERE namespace = ? AND key = ?",
                             (operation.namespace, operation.key),
                         )
-            self._pending.clear()
-            self._wal.truncate()
-            self.checkpoints += 1
+            self.batches_applied += 1
+            self.ops_applied += len(ops)
+
+    def counters(self) -> dict[str, int]:
+        with self._lock:
+            return {
+                "batches_applied": self.batches_applied,
+                "ops_applied": self.ops_applied,
+            }

@@ -297,8 +297,13 @@ class TestResponseCacheInterceptor:
 
     def test_side_effecting_header_bypasses_cache(self):
         """A batch envelope carrying transaction members is marked by the
-        sender and must bypass the cache even though its kind is BATCH."""
-        from repro.proto.messages import SIDE_EFFECTING_HEADER
+        sender and must bypass the cache even though its kind is BATCH;
+        the duplicate is answered by the relay's exactly-once record."""
+        from repro.proto.messages import (
+            MSG_KIND_BATCH_REQUEST,
+            SIDE_EFFECTING_HEADER,
+            BatchQueryRequest,
+        )
 
         cache = ResponseCacheInterceptor(ttl_seconds=60.0, clock=SimulatedClock())
         relay, driver = make_relay(cache)
@@ -312,17 +317,33 @@ class TestResponseCacheInterceptor:
         )
         request = RelayEnvelope(
             version=1,
-            kind=MSG_KIND_QUERY_REQUEST,
+            kind=MSG_KIND_BATCH_REQUEST,
             request_id="req-h",
             source_network="swt",
             destination_network="stl",
-            payload=query.encode(),
+            payload=BatchQueryRequest(version=1, queries=[query]).encode(),
             headers={SIDE_EFFECTING_HEADER: "true"},
         ).encode()
-        relay.handle_request(request)
-        relay.handle_request(request)
-        assert driver.executed == 2
+        first = relay.handle_request(request)
+        assert relay.handle_request(request) == first
+        assert driver.executed == 1
+        assert relay.stats.duplicates_suppressed == 1
         assert cache.bypassed == 2 and len(cache) == 0
+
+    def test_side_effecting_header_on_read_only_kind_is_ignored(self):
+        """Only a batch can carry side-effecting members: the header on a
+        plain query changes nothing, so the duplicate is a cache hit."""
+        from repro.proto.messages import SIDE_EFFECTING_HEADER
+
+        cache = ResponseCacheInterceptor(ttl_seconds=60.0, clock=SimulatedClock())
+        relay, driver = make_relay(cache)
+        envelope = RelayEnvelope.decode(make_request(nonce="n-q"))
+        envelope.headers = {SIDE_EFFECTING_HEADER: "true"}
+        request = envelope.encode()
+        first = relay.handle_request(request)
+        assert relay.handle_request(request) == first
+        assert driver.executed == 1
+        assert (cache.hits, cache.bypassed) == (1, 0)
 
     def test_event_kinds_bypass_cache(self):
         from repro.proto.messages import (

@@ -324,8 +324,9 @@ class TestExchangeMetrics:
         assert snapshot["started"] == {"exchange": 1}
         assert snapshot["active"] == {"exchange": 0}
         assert snapshot["transitions"]["exchange:completed"] == 1
-        [latency] = snapshot["latencies"]["exchange"]
-        assert latency >= 0.0
+        latency = snapshot["latency"]["exchange"]
+        assert sum(latency["counts"]) == 1
+        assert latency["sum"] >= 0.0
 
         families = parse_exposition(registry.render())
         [active] = families["repro_assets_active"].samples

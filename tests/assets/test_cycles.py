@@ -322,8 +322,9 @@ class TestCycleMetrics:
         assert snapshot["active"] == {"cycle": 0}
         assert snapshot["transitions"]["cycle:completed"] == 1
         assert snapshot["transitions"]["cycle:locked"] == 1
-        [latency] = snapshot["latencies"]["cycle"]
-        assert latency >= 0.0
+        latency = snapshot["latency"]["cycle"]
+        assert sum(latency["counts"]) == 1
+        assert latency["sum"] >= 0.0
 
     def test_refunded_cycle_counts_refund_legs(self, cycle_scenario):
         scenario = cycle_scenario

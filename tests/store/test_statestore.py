@@ -7,9 +7,13 @@ same directory) separates them.
 
 from __future__ import annotations
 
+import shutil
+import sqlite3
+import zlib
+
 import pytest
 
-from repro.errors import StoreCorruptionError, StoreError, StoreMigrationError
+from repro.errors import StoreCorruptionError, StoreError
 from repro.store import (
     MemoryStore,
     SqliteStore,
@@ -108,82 +112,112 @@ class TestDurabilityBoundary:
             reopened.close()
 
     def test_sqlite_recovers_wal_tail_without_close(self, tmp_path):
-        """No close(), no checkpoint — the fsync'd WAL alone carries the
-        committed batches across the 'crash'."""
+        """No close(), no checkpoint: the committed batches sit only in
+        sqlite's ``state.db-wal``, and that tail alone carries them across
+        the 'crash' (a copy of the files taken while the store is open)."""
         directory = tmp_path / "state"
-        store = SqliteStore(directory, fsync=False, checkpoint_bytes=1 << 30)
+        store = SqliteStore(directory, fsync=True)
         store.put("ns", "a", b"1")
         store.put("ns", "b", b"2")
-        # Simulated crash: drop the object without close()/checkpoint().
-        store._conn.close()
-        store._wal._file.close()
-        reopened = SqliteStore(directory, fsync=False)
-        try:
-            assert reopened.scan("ns") == [("a", b"1"), ("b", b"2")]
-        finally:
-            reopened.close()
-
-    def test_size_triggered_checkpoint_folds_wal_into_sqlite(self, tmp_path):
-        directory = tmp_path / "state"
-        store = SqliteStore(directory, fsync=False, checkpoint_bytes=64)
-        for index in range(8):
-            store.put("ns", f"k{index}", b"x" * 16)
-        assert store._wal.size_bytes < 64 + 16 * 8  # truncated at least once
-        rows = store._conn.execute("SELECT COUNT(*) FROM kv").fetchone()[0]
-        assert rows > 0
+        image = tmp_path / "image"
+        image.mkdir()
+        for name in ("state.db", "state.db-wal"):
+            shutil.copyfile(directory / name, image / name)
         store.close()
+
+        without_tail = tmp_path / "db-only"
+        without_tail.mkdir()
+        shutil.copyfile(image / "state.db", without_tail / "state.db")
+        for copy, rows in (
+            (without_tail, []),
+            (image, [("a", b"1"), ("b", b"2")]),
+        ):
+            reopened = SqliteStore(copy, fsync=False)
+            try:
+                assert reopened.scan("ns") == rows
+            finally:
+                reopened.close()
+
+    def test_unreadable_state_db_is_corruption(self, tmp_path):
+        directory = tmp_path / "state"
+        directory.mkdir()
+        (directory / "state.db").write_bytes(b"not a database " * 64)
+        with pytest.raises(StoreCorruptionError, match="state.db"):
+            SqliteStore(directory, fsync=False)
+
+    def test_closed_sqlite_store_refuses_every_call(self, tmp_path):
+        """A closed store answers nothing from memory: reads and writes
+        raise StoreError, and a relay on it reports not-ready."""
+        from repro.interop.discovery import InMemoryRegistry
+        from repro.interop.relay import RelayService
+        from repro.ops.health import relay_checks
+
+        store = SqliteStore(tmp_path / "state", fsync=False)
+        store.put("ns", "k", b"v")
+        relay = RelayService("opsnet", InMemoryRegistry(), store=store)
+        store.close()
+        for call in (
+            lambda: store.get("ns", "k"),
+            lambda: store.scan("ns"),
+            lambda: store.put("ns", "k", b"w"),
+            lambda: store.delete("ns", "k"),
+            lambda: store.apply([StoreOp.put("ns", "k", b"w")]),
+        ):
+            with pytest.raises(StoreError, match="closed"):
+                call()
+        store.close()  # idempotent
+        ready, results = relay_checks(relay).ready()
+        assert ready is False
+        assert {r.name: r.ok for r in results}["store_open"] is False
+
+
+class TestOldLayout:
+    """Directories written by the earlier layout: ``state.db`` holding the
+    checkpointed ``kv`` rows plus a ``state.wal`` log beside it."""
+
+    WAL_HEADER = b"RPROWAL1" + bytes([1])
+
+    def write_old_layout(self, directory, wal_bytes: bytes) -> None:
+        directory.mkdir()
+        conn = sqlite3.connect(str(directory / "state.db"))
+        conn.execute("CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT)")
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '1')")
+        conn.execute(
+            "CREATE TABLE kv (namespace TEXT NOT NULL, key TEXT NOT NULL,"
+            " value BLOB NOT NULL, PRIMARY KEY (namespace, key))"
+        )
+        conn.execute("INSERT INTO kv VALUES ('ns', 'k', ?)", (b"checkpointed",))
+        conn.commit()
+        conn.close()
+        (directory / "state.wal").write_bytes(wal_bytes)
+
+    def test_cleanly_closed_directory_opens_with_its_data(self, tmp_path):
+        directory = tmp_path / "state"
+        self.write_old_layout(directory, self.WAL_HEADER)
+        store = SqliteStore(directory, fsync=False)
+        try:
+            assert store.scan("ns") == [("k", b"checkpointed")]
+            store.put("ns", "k2", b"new")
+        finally:
+            store.close()
         reopened = SqliteStore(directory, fsync=False)
         try:
-            assert len(reopened.scan("ns")) == 8
+            assert reopened.get("ns", "k2") == b"new"
         finally:
             reopened.close()
 
-
-class TestMigrations:
-    def test_migration_hook_rewrites_image(self, tmp_path):
+    def test_directory_with_logged_records_is_refused(self, tmp_path):
         directory = tmp_path / "state"
-        v1 = SqliteStore(directory, fsync=False, schema_version=1)
-        v1.put("ns", "k", b"payload")
-        v1.close()
-
-        def upgrade(conn):
-            conn.execute("UPDATE kv SET value = CAST(value || '-v2' AS BLOB)")
-
-        v2 = SqliteStore(
-            directory, fsync=False, schema_version=2, migrations={2: upgrade}
+        # One framed put: length u32 | crc32 u32 | payload.
+        payload = bytes([1, 0, 2]) + b"ns" + bytes([1]) + b"k" + bytes([1]) + b"v"
+        record = (
+            len(payload).to_bytes(4, "little")
+            + zlib.crc32(payload).to_bytes(4, "little")
+            + payload
         )
-        try:
-            assert v2.get("ns", "k") == b"payload-v2"
-        finally:
-            v2.close()
-        # The stamped version sticks: reopening at 2 runs no hooks.
-        again = SqliteStore(directory, fsync=False, schema_version=2)
-        try:
-            assert again.get("ns", "k") == b"payload-v2"
-        finally:
-            again.close()
-
-    def test_missing_migration_step_refuses_to_open(self, tmp_path):
-        directory = tmp_path / "state"
-        SqliteStore(directory, fsync=False, schema_version=1).close()
-        with pytest.raises(StoreMigrationError):
-            SqliteStore(directory, fsync=False, schema_version=3, migrations={})
-
-    def test_future_schema_version_refuses_to_open(self, tmp_path):
-        directory = tmp_path / "state"
-        SqliteStore(directory, fsync=False, schema_version=5).close()
-        with pytest.raises(StoreMigrationError):
-            SqliteStore(directory, fsync=False, schema_version=1)
-
-    def test_wal_checkpoint_version_mismatch_is_corruption(self, tmp_path):
-        directory = tmp_path / "state"
-        SqliteStore(directory, fsync=False).close()
-        wal_path = directory / "state.wal"
-        blob = bytearray(wal_path.read_bytes())
-        blob[8] = 9  # header version byte
-        wal_path.write_bytes(bytes(blob))
-        with pytest.raises(StoreCorruptionError):
-            SqliteStore(directory, fsync=False, schema_version=9)
+        self.write_old_layout(directory, self.WAL_HEADER + record)
+        with pytest.raises(StoreCorruptionError, match="state.wal"):
+            SqliteStore(directory, fsync=False)
 
 
 class TestOpenStore:

@@ -1,29 +1,34 @@
-"""Property tests for the append-only WAL (hypothesis).
+"""Property tests for SqliteStore's recovery from its write-ahead log (hypothesis).
 
-The durability contract the rest of the repo leans on:
+Under ``journal_mode=WAL`` a committed batch sits in ``state.db-wal``
+until sqlite checkpoints it into ``state.db``. A *crash image* is a copy
+of those two files taken while the store is still open: exactly what a
+``kill -9`` leaves on disk, with no close and no checkpoint. The
+durability contract the rest of the repo leans on:
 
-1. replay of a cleanly-closed WAL reconstructs exactly the applied
-   batches, in order;
-2. a torn final record (the process died mid-``write``/pre-``fsync``)
-   is dropped on reopen and NEVER corrupts earlier records;
+1. reopening a crash image replays every committed batch, giving the
+   same state as the same batches applied to a :class:`MemoryStore`;
+2. a torn final batch (the process died mid-``write``) is dropped on
+   reopen and NEVER corrupts earlier batches;
 3. arbitrary junk appended after the last good frame is likewise
    confined to the tail;
-4. a reopened-after-tear WAL accepts new appends and replays the
-   repaired history plus the new batches.
+4. a store reopened after a tear accepts new batches, and a further
+   reopen replays the repaired history plus the new batches.
 """
 
 from __future__ import annotations
 
+import shutil
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.store import StoreOp, WriteAheadLog, apply_ops_to_map
-from repro.store.wal import HEADER_LEN
+from repro.store import MemoryStore, SqliteStore, StoreOp
 
-NAMESPACES = st.sampled_from(["relay/idempotency", "assets/exchanges", "n"])
+NAMESPACE_NAMES = ["relay/idempotency", "assets/exchanges", "n"]
+NAMESPACES = st.sampled_from(NAMESPACE_NAMES)
 KEYS = st.text(alphabet="abcdef-", min_size=1, max_size=8)
 VALUES = st.binary(max_size=24)
 
@@ -33,102 +38,109 @@ OPS = st.one_of(
 )
 
 BATCHES = st.lists(st.lists(OPS, min_size=1, max_size=4), max_size=8)
-NONEMPTY_BATCHES = st.lists(
-    st.lists(OPS, min_size=1, max_size=4), min_size=1, max_size=6
-)
+TAIL = st.lists(st.lists(OPS, min_size=1, max_size=3), min_size=1, max_size=3)
+
+#: Every torn batch ends with this put, so it always writes wal frames.
+LAST_OP = StoreOp.put("n", "last-batch", b"torn")
+
+WAL = "state.db-wal"
 
 
-def _write_wal(directory: str, batches) -> tuple[Path, list[int]]:
-    """Append ``batches``; return the path and the size after each append."""
-    path = Path(directory) / "journal.wal"
-    wal = WriteAheadLog(path, fsync=False)
+def write_crash_image(directory: Path, batches) -> tuple[Path, list[int]]:
+    """Apply ``batches`` and copy the files out without closing.
+
+    Returns the copy and the size of ``state.db-wal`` after each batch.
+    """
+    live = directory / "live"
+    store = SqliteStore(live, fsync=False)
     sizes = []
+    try:
+        for batch in batches:
+            store.apply(batch)
+            sizes.append((live / WAL).stat().st_size)
+        image = directory / "image"
+        image.mkdir()
+        for name in ("state.db", WAL):
+            shutil.copyfile(live / name, image / name)
+    finally:
+        store.close()
+    return image, sizes
+
+
+def expected_state(batches) -> dict[str, list[tuple[str, bytes]]]:
+    model = MemoryStore()
     for batch in batches:
-        wal.append(batch)
-        sizes.append(wal.size_bytes)
-    wal.close()
-    return path, sizes
+        model.apply(batch)
+    return {namespace: model.scan(namespace) for namespace in NAMESPACE_NAMES}
 
 
-def _final_state(batches) -> dict:
-    expected: dict[str, dict[str, bytes]] = {}
-    for batch in batches:
-        apply_ops_to_map(expected, batch)
-    return expected
+def reopened_state(image: Path) -> dict[str, list[tuple[str, bytes]]]:
+    store = SqliteStore(image, fsync=False)
+    try:
+        return {namespace: store.scan(namespace) for namespace in NAMESPACE_NAMES}
+    finally:
+        store.close()
 
 
-@settings(max_examples=60, deadline=None)
-@given(batches=BATCHES)
-def test_replay_reconstructs_final_state(batches):
-    """Clean close → reopen replays every batch; applying the replayed
-    batches yields the same map as applying the originals."""
-    with tempfile.TemporaryDirectory() as directory:
-        path, _ = _write_wal(directory, batches)
-        reopened = WriteAheadLog(path, fsync=False)
-        try:
-            assert reopened.recovered == [list(batch) for batch in batches]
-            assert _final_state(reopened.recovered) == _final_state(batches)
-        finally:
-            reopened.close()
+def tear_last_batch(image: Path, sizes: list[int], cut: int) -> None:
+    """Truncate ``state.db-wal`` somewhere inside the last batch's frames.
 
-
-@settings(max_examples=60, deadline=None)
-@given(batches=NONEMPTY_BATCHES, cut=st.integers(min_value=0))
-def test_torn_final_record_dropped_earlier_records_intact(batches, cut):
-    """Truncate anywhere inside (or at the start of) the last frame: the
-    final batch vanishes, every earlier batch replays untouched."""
-    with tempfile.TemporaryDirectory() as directory:
-        path, sizes = _write_wal(directory, batches)
-        last_start = sizes[-2] if len(sizes) > 1 else HEADER_LEN
-        cut_point = last_start + cut % (sizes[-1] - last_start)
-        with open(path, "r+b") as handle:
-            handle.truncate(cut_point)
-        reopened = WriteAheadLog(path, fsync=False)
-        try:
-            assert reopened.recovered == [list(b) for b in batches[:-1]]
-        finally:
-            reopened.close()
-
-
-@settings(max_examples=60, deadline=None)
-@given(batches=BATCHES, junk=st.binary(min_size=1, max_size=16))
-def test_junk_tail_never_corrupts_committed_batches(batches, junk):
-    """Garbage after the last good frame (a torn write of any shape) may
-    at worst be dropped — committed batches always replay."""
-    with tempfile.TemporaryDirectory() as directory:
-        path, _ = _write_wal(directory, batches)
-        with open(path, "ab") as handle:
-            handle.write(junk)
-        reopened = WriteAheadLog(path, fsync=False)
-        try:
-            assert reopened.recovered[: len(batches)] == [
-                list(batch) for batch in batches
-            ]
-        finally:
-            reopened.close()
+    ``sizes`` starts with an empty batch, so ``sizes[-2]`` is where the
+    last batch's frames begin even when it is the only real one.
+    """
+    last_start = sizes[-2]
+    assert sizes[-1] > last_start, "the last batch wrote no wal frames"
+    with open(image / WAL, "r+b") as handle:
+        handle.truncate(last_start + cut % (sizes[-1] - last_start))
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    batches=NONEMPTY_BATCHES,
-    tail=st.lists(st.lists(OPS, min_size=1, max_size=3), min_size=1, max_size=3),
-)
-def test_reopen_after_tear_accepts_appends(batches, tail):
-    """A torn WAL self-repairs on open: subsequent appends commit, and a
-    further reopen replays repaired history + the new batches."""
+@given(batches=BATCHES)
+def test_replay_reconstructs_final_state(batches):
+    """Crash image → reopen replays every committed batch; the state is
+    the one the same batches give a MemoryStore."""
     with tempfile.TemporaryDirectory() as directory:
-        path, sizes = _write_wal(directory, batches)
-        last_start = sizes[-2] if len(sizes) > 1 else HEADER_LEN
-        with open(path, "r+b") as handle:
-            handle.truncate(last_start + 3)  # mid-header tear
-        repaired = WriteAheadLog(path, fsync=False)
-        for batch in tail:
-            repaired.append(batch)
-        repaired.close()
-        reopened = WriteAheadLog(path, fsync=False)
+        image, _ = write_crash_image(Path(directory), batches)
+        assert reopened_state(image) == expected_state(batches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=BATCHES, last=st.lists(OPS, max_size=3), cut=st.integers(min_value=0))
+def test_torn_final_record_dropped_earlier_records_intact(batches, last, cut):
+    """Truncate anywhere inside the last batch's frames: the final batch
+    vanishes whole, every earlier batch replays untouched."""
+    history = batches + [last + [LAST_OP]]
+    with tempfile.TemporaryDirectory() as directory:
+        image, sizes = write_crash_image(Path(directory), [[]] + history)
+        tear_last_batch(image, sizes, cut)
+        assert reopened_state(image) == expected_state(batches)
+
+
+@settings(max_examples=40, deadline=None)
+@given(batches=BATCHES, junk=st.binary(min_size=1, max_size=64))
+def test_junk_tail_never_corrupts_committed_batches(batches, junk):
+    """Garbage after the last good frame (a torn write of any shape) is
+    dropped — committed batches always replay."""
+    with tempfile.TemporaryDirectory() as directory:
+        image, _ = write_crash_image(Path(directory), batches)
+        with open(image / WAL, "ab") as handle:
+            handle.write(junk)
+        assert reopened_state(image) == expected_state(batches)
+
+
+@settings(max_examples=30, deadline=None)
+@given(batches=BATCHES, last=st.lists(OPS, max_size=3), tail=TAIL)
+def test_reopen_after_tear_accepts_appends(batches, last, tail):
+    """A torn image opens as a working store: new batches commit, and a
+    further reopen replays the repaired history plus the new batches."""
+    history = batches + [last + [LAST_OP]]
+    with tempfile.TemporaryDirectory() as directory:
+        image, sizes = write_crash_image(Path(directory), [[]] + history)
+        tear_last_batch(image, sizes, 3)  # mid frame-header tear
+        repaired = SqliteStore(image, fsync=False)
         try:
-            assert reopened.recovered == [
-                list(batch) for batch in batches[:-1] + tail
-            ]
+            for batch in tail:
+                repaired.apply(batch)
         finally:
-            reopened.close()
+            repaired.close()
+        assert reopened_state(image) == expected_state(batches + tail)
