@@ -13,28 +13,46 @@ from __future__ import annotations
 import threading
 from typing import Sequence
 
+from repro.errors import StoreError
 from repro.store.base import OP_PUT, StateStore, StoreOp
 
 
 class MemoryStore(StateStore):
-    """Dict-backed store; atomicity is one lock around each batch."""
+    """Dict-backed store; atomicity is one lock around each batch.
+
+    Like :class:`~repro.store.SqliteStore`, every call after
+    :meth:`close` raises :class:`StoreError`, except ``close`` itself
+    (idempotent) and ``counters``.
+    """
 
     persistent = False
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._data: dict[str, dict[str, bytes]] = {}
+        self._closed = False
         self.batches_applied = 0
         self.ops_applied = 0
 
+    def _live(self) -> dict[str, dict[str, bytes]]:
+        """The open store's data; callers hold ``self._lock``."""
+        if self._closed:
+            raise StoreError("memory state store is closed")
+        return self._data
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            self._data = {}
+
     def get(self, namespace: str, key: str) -> bytes | None:
         with self._lock:
-            space = self._data.get(namespace)
+            space = self._live().get(namespace)
             return space.get(key) if space is not None else None
 
     def scan(self, namespace: str, prefix: str = "") -> list[tuple[str, bytes]]:
         with self._lock:
-            space = self._data.get(namespace, {})
+            space = self._live().get(namespace, {})
             return sorted(
                 (key, value)
                 for key, value in space.items()
@@ -44,13 +62,14 @@ class MemoryStore(StateStore):
     def apply(self, ops: Sequence[StoreOp]) -> None:
         ops = list(ops)  # materialize (and validate) before mutating
         with self._lock:
+            data = self._live()
             for operation in ops:
                 if operation.op == OP_PUT:
-                    self._data.setdefault(operation.namespace, {})[
+                    data.setdefault(operation.namespace, {})[
                         operation.key
                     ] = operation.value
                 else:
-                    space = self._data.get(operation.namespace)
+                    space = data.get(operation.namespace)
                     if space is not None:
                         space.pop(operation.key, None)
             self.batches_applied += 1

@@ -34,6 +34,32 @@ def store(request, tmp_path):
 
 
 class TestCommonSemantics:
+    def test_closed_store_refuses_every_call_but_counters(self, store):
+        """Either backend, once closed, answers nothing: reads and writes
+        raise StoreError, close() is idempotent, counters() still
+        renders, and a relay on it reports not-ready."""
+        from repro.interop.discovery import InMemoryRegistry
+        from repro.interop.relay import RelayService
+        from repro.ops.health import relay_checks
+
+        store.put("ns", "k", b"v")
+        relay = RelayService("opsnet", InMemoryRegistry(), store=store)
+        store.close()
+        for call in (
+            lambda: store.get("ns", "k"),
+            lambda: store.scan("ns"),
+            lambda: store.put("ns", "k", b"w"),
+            lambda: store.delete("ns", "k"),
+            lambda: store.apply([StoreOp.put("ns", "k", b"w")]),
+        ):
+            with pytest.raises(StoreError, match="closed"):
+                call()
+        store.close()
+        assert store.counters() == {"batches_applied": 1, "ops_applied": 1}
+        ready, results = relay_checks(relay).ready()
+        assert ready is False
+        assert {r.name: r.ok for r in results}["store_open"] is False
+
     def test_put_get_delete_roundtrip(self, store):
         assert store.get("ns", "k") is None
         store.put("ns", "k", b"v1")
