@@ -352,46 +352,47 @@ def main() -> None:
         RelayEnvelope,
     )
 
-    state_dir = tempfile.mkdtemp(prefix="quickstart-relay-")
-    for endpoint in list(registry.lookup("source-net")):
-        registry.unregister("source-net", endpoint)
-    durable_relay = create_fabric_relay(source, registry, state_dir=state_dir)
-    enable_remote_transactions(source, durable_relay, invoker)
+    # A temporary directory, removed on the way out even if a step fails.
+    with tempfile.TemporaryDirectory(prefix="quickstart-relay-") as state_dir:
+        for endpoint in list(registry.lookup("source-net")):
+            registry.unregister("source-net", endpoint)
+        durable_relay = create_fabric_relay(source, registry, state_dir=state_dir)
+        enable_remote_transactions(source, durable_relay, invoker)
 
-    prepared = client.prepare_query(
-        "source-net/main/docs/Put",
-        ["invoice-11", '{"amount": 12, "currency": "USD"}'],
-        invocation=INVOCATION_TRANSACTION,
-    )
-    raw = RelayEnvelope(
-        version=PROTOCOL_VERSION,
-        kind=MSG_KIND_TRANSACT_REQUEST,
-        request_id="req-invoice-11",  # the exactly-once identity
-        source_network="dest-net",
-        destination_network="source-net",
-        payload=prepared.query.encode(),
-    ).encode()
-    first_reply = durable_relay.handle_request(raw)
-    print(f"\ndurable relay     : journaling to {state_dir}")
-    print(f"committed         : invoice-11 under request_id=req-invoice-11")
+        prepared = client.prepare_query(
+            "source-net/main/docs/Put",
+            ["invoice-11", '{"amount": 12, "currency": "USD"}'],
+            invocation=INVOCATION_TRANSACTION,
+        )
+        raw = RelayEnvelope(
+            version=PROTOCOL_VERSION,
+            kind=MSG_KIND_TRANSACT_REQUEST,
+            request_id="req-invoice-11",  # the exactly-once identity
+            source_network="dest-net",
+            destination_network="source-net",
+            payload=prepared.query.encode(),
+        ).encode()
+        first_reply = durable_relay.handle_request(raw)
+        print(f"\ndurable relay     : journaling to {state_dir}")
+        print(f"committed         : invoice-11 under request_id=req-invoice-11")
 
-    durable_relay.store.close()  # the "crash": object gone, handles dead
-    for endpoint in list(registry.lookup("source-net")):
-        registry.unregister("source-net", endpoint)
-    del durable_relay
+        durable_relay.store.close()  # the "crash": object gone, handles dead
+        for endpoint in list(registry.lookup("source-net")):
+            registry.unregister("source-net", endpoint)
+        del durable_relay
 
-    restarted_relay = create_fabric_relay(source, registry, state_dir=state_dir)
-    enable_remote_transactions(source, restarted_relay, invoker)
-    replayed = restarted_relay.handle_request(raw)
-    assert replayed == first_reply  # answered from the durable record
-    assert restarted_relay.stats.duplicates_suppressed == 1
-    print("restarted relay   : same --state-dir, fresh process state")
-    print("replayed envelope : answered byte-for-byte from the durable")
-    print("record — invoice-11 was NOT committed a second time. The same")
-    print("journal re-opens event taps on recover(); the exchange")
-    print("coordinator journals its HTLC ladder the same way, so a crash")
-    print("between lock and claim resumes instead of stranding escrows.")
-    restarted_relay.store.close()
+        restarted_relay = create_fabric_relay(source, registry, state_dir=state_dir)
+        enable_remote_transactions(source, restarted_relay, invoker)
+        replayed = restarted_relay.handle_request(raw)
+        assert replayed == first_reply  # answered from the durable record
+        assert restarted_relay.stats.duplicates_suppressed == 1
+        print("restarted relay   : same --state-dir, fresh process state")
+        print("replayed envelope : answered byte-for-byte from the durable")
+        print("record — invoice-11 was NOT committed a second time. The same")
+        print("journal re-opens event taps on recover(); the exchange")
+        print("coordinator journals its HTLC ladder the same way, so a crash")
+        print("between lock and claim resumes instead of stranding escrows.")
+        restarted_relay.store.close()
 
     # --- 10. Observability: one trace id, scraped metrics, probes ------------
     # Deployments start the relay with --metrics-port and --json-logs
@@ -412,7 +413,7 @@ def main() -> None:
 
     for endpoint in list(registry.lookup("source-net")):
         registry.unregister("source-net", endpoint)
-    source_relay.use(MetricsInterceptor())  # bound when the probe starts
+    source_relay.use(MetricsInterceptor())  # exported when the probe starts
     ops_server = RelayServer(source_relay, max_workers=4, probe_port=0).start()
     registry.register("source-net", ops_server.endpoint(timeout=10.0))
 

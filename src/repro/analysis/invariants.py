@@ -27,61 +27,13 @@ GUARDED_STATE: dict[str, dict[str, str]] = {
         "_interceptors": "_chain_lock",
         "_chain": "_chain_lock",
     },
-    "RelayStats": {
-        name: "_lock"
-        for name in (
-            "requests_served",
-            "requests_rejected",
-            "requests_failed",
-            "queries_sent",
-            "failovers",
-            "batches_served",
-            "batches_sent",
-            "transactions_sent",
-            "transactions_served",
-            "subscriptions_opened",
-            "subscriptions_served",
-            "events_published",
-            "events_delivered",
-            "events_dropped",
-            "asset_commands_sent",
-            "asset_commands_served",
-            "duplicates_suppressed",
-        )
-    },
     "RateLimiter": {"_timestamps": "_lock", "rejected": "_lock"},
     # repro/api/middleware.py
-    "MetricsInterceptor": {
-        name: "_mutex"
-        for name in (
-            "requests_total",
-            "errors_total",
-            "bytes_in",
-            "bytes_out",
-            "seconds_total",
-            "seconds_max",
-            "by_kind",
-            "kind_detail",
-            "kind_samples",
-        )
-    },
     "ResponseCacheInterceptor": {
         "_entries": "_mutex",
         "hits": "_mutex",
         "misses": "_mutex",
         "bypassed": "_mutex",
-    },
-    # repro/net/server.py
-    "RelayServerStats": {
-        name: "_lock"
-        for name in (
-            "connections_accepted",
-            "connections_closed",
-            "frames_served",
-            "frames_rejected",
-            "in_flight",
-            "in_flight_peak",
-        )
     },
     # repro/net/client.py
     "TcpRelayEndpoint": {
@@ -98,6 +50,9 @@ GUARDED_STATE: dict[str, dict[str, str]] = {
     "Gauge": {"_series": "_lock"},
     "Histogram": {"_series": "_lock"},
     "MetricsRegistry": {"_metrics": "_lock", "_collectors": "_lock"},
+    # A CounterSet's peak tracking reads one series and raises another
+    # as one step; its series table is fixed at construction.
+    "CounterSet": {"_series": "_lock", "_peaks": "_lock"},
     # repro/ops/health.py
     "HealthProbe": {"_checks": "_lock"},
     # repro/ops/logging.py
@@ -105,6 +60,7 @@ GUARDED_STATE: dict[str, dict[str, str]] = {
     # repro/store/memory.py
     "MemoryStore": {
         "_data": "_lock",
+        "_closed": "_lock",
         "batches_applied": "_lock",
         "ops_applied": "_lock",
     },
@@ -133,17 +89,6 @@ GUARDED_STATE: dict[str, dict[str, str]] = {
         "restores": "_lock",
     },
     "BalancedDiscovery": {"_pools": "_lock", "_monitors": "_lock"},
-    # repro/assets/metrics.py — one ExchangeMetrics is shared by every
-    # concurrently-running exchange/cycle coordinator plus the ops scrape.
-    "ExchangeMetrics": {
-        "_started": "_lock",
-        "_settled": "_lock",
-        "_transitions": "_lock",
-        "_refund_legs": "_lock",
-        "_aborts": "_lock",
-        "_latency_counts": "_lock",
-        "_latency_sums": "_lock",
-    },
     # repro/pubchain/chain.py — the block tree, fork-choice tip, and the
     # replay caches are shared by submitters, miners, and driver reads.
     "SimulatedPublicChain": {

@@ -56,6 +56,7 @@ from repro.proto.messages import (
     RelayEnvelope,
     is_side_effecting,
 )
+from repro.ops.metrics import MetricsRegistry
 from repro.utils.clock import Clock, SystemClock
 
 logger = logging.getLogger("repro.relay")
@@ -153,8 +154,9 @@ def _reply_is_error(ctx: RelayContext, reply: bytes) -> bool:
 def percentile(sorted_samples: list[float], fraction: float) -> float:
     """Nearest-rank percentile of an already-sorted sample list.
 
-    The single definition of "pNN" for the repo: the metrics snapshot and
-    the benchmarks both use it, so reported percentiles never diverge.
+    The benchmarks' one definition of "pNN" over raw samples, so their
+    reported percentiles never diverge. (The ops plane keeps no samples:
+    :meth:`MetricsInterceptor.snapshot` estimates from histogram buckets.)
     """
     if not sorted_samples:
         return 0.0
@@ -163,96 +165,55 @@ def percentile(sorted_samples: list[float], fraction: float) -> float:
 
 
 class MetricsInterceptor(Interceptor):
-    """Per-kind request counters, byte counts, and latency distribution.
+    """Per-kind request, error, byte and latency counts as instruments.
 
-    Latency is kept as a bounded per-kind sample reservoir (the most
-    recent ``sample_window`` requests of each kind), from which
-    :meth:`snapshot` derives p50/p95/max — the operator-facing view of
-    whether queries, batches, transactions, event, or asset traffic is
-    slow, and how heavy its tail is.
+    Each served request moves four families on the interceptor's own
+    registry (:attr:`instruments`, attached to a shared one by
+    :func:`repro.ops.exporters.register_relay`):
+    ``repro_relay_requests_total``, ``repro_relay_errors_total`` and the
+    ``repro_relay_request_seconds`` histogram, labelled by relay and
+    message kind, plus ``repro_relay_request_bytes_total`` labelled by
+    direction. :meth:`snapshot` reads the same instruments — the
+    operator-facing view of whether queries, batches, transactions,
+    event, or asset traffic is slow or failing.
     """
 
-    def __init__(self, clock: Clock | None = None, sample_window: int = 2048) -> None:
-        import threading
-
-        if sample_window < 1:
-            raise ValueError("sample_window must be >= 1")
+    def __init__(self, clock: Clock | None = None) -> None:
         self._clock = clock or SystemClock()
-        self._sample_window = sample_window
-        #: Guards counter/sample updates against concurrent handle() calls
-        #: and against snapshot() readers on other threads.
-        self._mutex = threading.Lock()
-        self.requests_total = 0
-        self.errors_total = 0
-        self.bytes_in = 0
-        self.bytes_out = 0
-        self.seconds_total = 0.0
-        self.seconds_max = 0.0
-        self.by_kind: dict[int, int] = {}
-        #: Per-kind detail: kind -> {requests, errors, seconds_total,
-        #: seconds_max} — so an operator can tell at a glance whether it
-        #: is queries, batches, transactions, or event traffic that is
-        #: slow or failing.
-        self.kind_detail: dict[int, dict[str, float]] = {}
-        #: Per-kind latency samples (seconds), newest-last, bounded.
-        self.kind_samples: dict[int, deque[float]] = {}
-        #: Registry instruments, wired by :meth:`bind_registry`
-        #: (:func:`repro.ops.exporters.register_relay` calls it). The
-        #: instruments carry their own locks; unbound, nothing changes.
-        self._m_requests = None
-        self._m_errors = None
-        self._m_latency = None
-
-    def bind_registry(self, registry) -> None:
-        """Mirror this interceptor's observations into a
-        :class:`~repro.ops.MetricsRegistry` (Prometheus export)."""
-        self._m_requests = registry.counter(
+        self.instruments = MetricsRegistry()
+        self._requests = self.instruments.counter(
             "repro_relay_requests_total",
             "Requests served through the relay interceptor chain.",
             ("relay_id", "kind"),
         )
-        self._m_errors = registry.counter(
+        self._errors = self.instruments.counter(
             "repro_relay_errors_total",
             "Requests answered with an error outcome.",
             ("relay_id", "kind"),
         )
-        self._m_latency = registry.histogram(
+        self._seconds = self.instruments.histogram(
             "repro_relay_request_seconds",
             "Serve latency through the interceptor chain, per message kind.",
             ("relay_id", "kind"),
+        )
+        self._bytes = self.instruments.counter(
+            "repro_relay_request_bytes_total",
+            "Request (in) and reply (out) bytes through the interceptor chain.",
+            ("relay_id", "direction"),
         )
 
     def handle(self, ctx: RelayContext, call_next: RelayHandler) -> bytes:
         started = self._clock.now()
         reply = call_next(ctx)
         elapsed = self._clock.now() - started
-        is_error = _reply_is_error(ctx, reply)
-        if self._m_requests is not None:
-            labels = {"relay_id": ctx.relay.relay_id, "kind": kind_name(ctx.kind)}
-            self._m_requests.inc(**labels)
-            self._m_latency.observe(elapsed, **labels)
-            if is_error:
-                self._m_errors.inc(**labels)
-        with self._mutex:
-            self.requests_total += 1
-            self.bytes_in += len(ctx.raw)
-            self.bytes_out += len(reply)
-            self.seconds_total += elapsed
-            self.seconds_max = max(self.seconds_max, elapsed)
-            self.by_kind[ctx.kind] = self.by_kind.get(ctx.kind, 0) + 1
-            detail = self.kind_detail.setdefault(
-                ctx.kind,
-                {"requests": 0, "errors": 0, "seconds_total": 0.0, "seconds_max": 0.0},
-            )
-            detail["requests"] += 1
-            detail["seconds_total"] += elapsed
-            detail["seconds_max"] = max(detail["seconds_max"], elapsed)
-            self.kind_samples.setdefault(
-                ctx.kind, deque(maxlen=self._sample_window)
-            ).append(elapsed)
-            if is_error:
-                self.errors_total += 1
-                detail["errors"] += 1
+        relay_id = ctx.relay.relay_id
+        kind = kind_name(ctx.kind)
+        self._requests.inc(relay_id=relay_id, kind=kind)
+        self._seconds.observe(elapsed, relay_id=relay_id, kind=kind)
+        if _reply_is_error(ctx, reply):
+            self._errors.inc(relay_id=relay_id, kind=kind)
+        self._bytes.inc(len(ctx.raw), relay_id=relay_id, direction="in")
+        self._bytes.inc(len(reply), relay_id=relay_id, direction="out")
         return reply
 
     def snapshot(self) -> dict:
@@ -260,45 +221,49 @@ class MetricsInterceptor(Interceptor):
 
         ``by_kind`` keeps the historical ``{kind: count}`` shape;
         ``kinds`` adds the per-message-kind breakdown keyed by readable
-        name, each with request/error counts and latency stats including
-        p50/p95 over the kind's bounded sample window.
+        name, each with request/error counts, total and mean seconds, and
+        p50/p95 estimated from the latency histogram's buckets
+        (:meth:`~repro.ops.metrics.Histogram.quantile`). Every figure is
+        summed over the relays the interceptor served.
         """
-        with self._mutex:
-            totals = {
-                "requests_total": self.requests_total,
-                "errors_total": self.errors_total,
-                "bytes_in": self.bytes_in,
-                "bytes_out": self.bytes_out,
-                "seconds_total": self.seconds_total,
-                "seconds_max": self.seconds_max,
-                "by_kind": dict(self.by_kind),
-            }
-            details = {kind: dict(detail) for kind, detail in self.kind_detail.items()}
-            samples_by_kind = {
-                kind: list(samples) for kind, samples in self.kind_samples.items()
-            }
+        requests = self._requests.family().sum_by("kind")
+        errors = self._errors.family().sum_by("kind")
+        seconds = self._seconds.family().sum_by("kind")
+        moved = self._bytes.family().sum_by("direction")
         kinds = {}
-        for kind, detail in sorted(details.items()):
-            requests = int(detail["requests"])
-            samples = sorted(samples_by_kind.get(kind, ()))
-            kinds[kind_name(kind)] = {
-                "requests": requests,
-                "errors": int(detail["errors"]),
-                "seconds_total": detail["seconds_total"],
-                "seconds_mean": (
-                    detail["seconds_total"] / requests if requests else 0.0
-                ),
-                "seconds_p50": percentile(samples, 0.50),
-                "seconds_p95": percentile(samples, 0.95),
-                "seconds_max": detail["seconds_max"],
+        for name in sorted(requests, key=_kind_code):
+            count = int(requests[name])
+            kinds[name] = {
+                "requests": count,
+                "errors": int(errors.get(name, 0)),
+                "seconds_total": seconds.get(name, 0.0),
+                "seconds_mean": seconds.get(name, 0.0) / count,
+                "seconds_p50": self._seconds.quantile(0.50, kind=name),
+                "seconds_p95": self._seconds.quantile(0.95, kind=name),
             }
-        totals["seconds_mean"] = (
-            totals["seconds_total"] / totals["requests_total"]
-            if totals["requests_total"]
-            else 0.0
-        )
-        totals["kinds"] = kinds
-        return totals
+        requests_total = sum(detail["requests"] for detail in kinds.values())
+        seconds_total = sum(seconds.values())
+        return {
+            "requests_total": requests_total,
+            "errors_total": sum(detail["errors"] for detail in kinds.values()),
+            "bytes_in": int(moved.get("in", 0)),
+            "bytes_out": int(moved.get("out", 0)),
+            "seconds_total": seconds_total,
+            "seconds_mean": seconds_total / requests_total if requests_total else 0.0,
+            "by_kind": {_kind_code(name): detail["requests"] for name, detail in kinds.items()},
+            "kinds": kinds,
+        }
+
+
+_KIND_CODES = {name: kind for kind, name in KIND_NAMES.items()}
+
+
+def _kind_code(name: str) -> int:
+    """The envelope kind :func:`kind_name` rendered as ``name``; -1 for
+    the instruments' overflow series (``_other``)."""
+    if name in _KIND_CODES:
+        return _KIND_CODES[name]
+    return int(name[len("kind-"):]) if name.startswith("kind-") else -1
 
 
 class RequestLoggingInterceptor(Interceptor):

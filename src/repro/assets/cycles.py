@@ -557,10 +557,10 @@ class CycleCoordinator:
                 f"cannot move {self._noun} from {self.state.value!r} to "
                 f"{new_state.value!r}"
             )
-        self.state = new_state
+        previous, self.state = self.state, new_state
         self.result.state = new_state
         if self._metrics is not None:
-            self._metrics.state_entered(self._kind, new_state.value)
+            self._metrics.state_entered(self._kind, new_state.value, previous.value)
         self._journal()
 
     def _require(self, *states: CycleState) -> None:

@@ -2,18 +2,18 @@
 
 One process-wide :class:`ExchangeMetrics` can be handed to any number of
 :class:`~repro.assets.cycles.CycleCoordinator` instances and
-:class:`~repro.assets.coordinator.AssetExchangeCoordinator` views of it;
-every counter mutation happens under one lock so concurrent exchanges on
-different threads aggregate safely. ``repro.ops.exporters.register_assets``
-turns a snapshot of this object into the ``repro_assets_*`` Prometheus
-families. Both kinds report the ring's state names (``locking``,
+:class:`~repro.assets.coordinator.AssetExchangeCoordinator` views of it.
+Its counts are the ``repro_assets_*`` instruments on its own registry
+(:attr:`ExchangeMetrics.instruments`), each guarded by the instrument's
+lock, so concurrent exchanges on different threads aggregate safely;
+``repro.ops.exporters.register_assets`` attaches that registry to a
+shared one. Both kinds report the ring's state names (``locking``,
 ``locked``, ``claiming`` and the terminal ones) in the ``state`` label.
 """
 
 from __future__ import annotations
 
-import bisect
-import threading
+from repro.ops.metrics import MetricsRegistry
 
 #: Coordinator kinds reported in every sample's labels.
 KIND_EXCHANGE = "exchange"
@@ -43,89 +43,108 @@ ASSET_LATENCY_BUCKETS = (
 
 
 class ExchangeMetrics:
-    """Lock-guarded counters for asset-exchange activity.
+    """Asset-exchange activity, counted in registry instruments.
 
     All methods are safe to call from any thread; ``snapshot`` returns
-    plain data so exporters never touch live state.
+    plain data read from the instruments.
     """
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._started: dict[str, int] = {}
-        self._settled: dict[str, int] = {}
-        self._transitions: dict[tuple[str, str], int] = {}
-        self._refund_legs: dict[str, int] = {}
-        self._aborts: dict[str, int] = {}
-        #: Per kind: a count per :data:`ASSET_LATENCY_BUCKETS` bound plus
-        #: one overflow bucket, and the sum of seconds recorded.
-        self._latency_counts: dict[str, list[int]] = {}
-        self._latency_sums: dict[str, float] = {}
+        self.instruments = MetricsRegistry()
+        self._active = self.instruments.gauge(
+            "repro_assets_active",
+            "Exchanges/cycles started but not yet settled "
+            "(completed, refunded, or failed).",
+            ("kind",),
+        )
+        self._started = self.instruments.counter(
+            "repro_assets_started_total", "Exchanges/cycles ever started.", ("kind",)
+        )
+        self._transitions = self.instruments.counter(
+            "repro_assets_transitions_total",
+            "Coordinator state-machine transitions, by state entered.",
+            ("kind", "state"),
+        )
+        self._refund_legs = self.instruments.counter(
+            "repro_assets_refund_legs_total",
+            "Individual locked legs refunded during unwinds.",
+            ("kind",),
+        )
+        self._aborts = self.instruments.counter(
+            "repro_assets_aborts_total",
+            "Exchanges/cycles aborted by a coordinator decision "
+            "(timeout, tampered proof, stalled party).",
+            ("kind",),
+        )
+        self._latency = self.instruments.histogram(
+            "repro_assets_lock_to_claim_seconds",
+            "First lock to final claim, per completed exchange/cycle.",
+            ("kind",),
+            buckets=ASSET_LATENCY_BUCKETS,
+        )
 
     # -- recording ---------------------------------------------------------------
 
     def exchange_started(self, kind: str) -> None:
-        with self._lock:
-            self._started[kind] = self._started.get(kind, 0) + 1
+        self._started.inc(kind=kind)
+        self._active.inc(kind=kind)
 
-    def state_entered(self, kind: str, state: str) -> None:
-        """One coordinator entered ``state`` (called on every transition)."""
-        with self._lock:
-            key = (kind, state)
-            self._transitions[key] = self._transitions.get(key, 0) + 1
-            if state in _SETTLED_STATES:
-                self._settled[kind] = self._settled.get(kind, 0) + 1
+    def state_entered(self, kind: str, state: str, previous: str | None = None) -> None:
+        """One coordinator moved from ``previous`` into ``state``.
+
+        It settles on its first settled state only: a ``failed`` ring
+        that is then ``refunded`` leaves the active count once.
+        """
+        self._transitions.inc(kind=kind, state=state)
+        if state in _SETTLED_STATES and previous not in _SETTLED_STATES:
+            self._active.dec(kind=kind)
 
     def refund_recorded(self, kind: str, legs: int = 1) -> None:
-        with self._lock:
-            self._refund_legs[kind] = self._refund_legs.get(kind, 0) + legs
+        self._refund_legs.inc(legs, kind=kind)
 
     def abort_recorded(self, kind: str) -> None:
-        with self._lock:
-            self._aborts[kind] = self._aborts.get(kind, 0) + 1
+        self._aborts.inc(kind=kind)
 
     def latency_recorded(self, kind: str, seconds: float) -> None:
         """First lock to final claim, for one completed exchange."""
-        bucket = bisect.bisect_left(ASSET_LATENCY_BUCKETS, seconds)
-        with self._lock:
-            counts = self._latency_counts.setdefault(
-                kind, [0] * (len(ASSET_LATENCY_BUCKETS) + 1)
-            )
-            counts[bucket] += 1
-            total = self._latency_sums.get(kind, 0.0)
-            self._latency_sums[kind] = total + float(seconds)
+        self._latency.observe(seconds, kind=kind)
 
     # -- reading -----------------------------------------------------------------
 
     def active(self, kind: str) -> int:
-        with self._lock:
-            return self._started.get(kind, 0) - self._settled.get(kind, 0)
+        return int(self._active.value(kind=kind))
 
     def snapshot(self) -> dict:
-        """Plain-data view for exporters and tests.
+        """Plain-data view for tests and printouts.
 
         ``latency`` maps each kind to its non-cumulative ``counts`` (one
         per :data:`ASSET_LATENCY_BUCKETS` bound, then the overflow) and
         ``sum``; its size does not grow with the exchanges recorded.
         """
-        with self._lock:
-            return {
-                "started": dict(self._started),
-                "settled": dict(self._settled),
-                "active": {
-                    kind: self._started.get(kind, 0) - self._settled.get(kind, 0)
-                    for kind in set(self._started) | set(self._settled)
-                },
-                "transitions": {
-                    f"{kind}:{state}": count
-                    for (kind, state), count in self._transitions.items()
-                },
-                "refund_legs": dict(self._refund_legs),
-                "aborts": dict(self._aborts),
-                "latency": {
-                    kind: {
-                        "counts": list(counts),
-                        "sum": self._latency_sums[kind],
-                    }
-                    for kind, counts in self._latency_counts.items()
-                },
-            }
+        started = _by_kind(self._started)
+        active = _by_kind(self._active)
+        latency = {}
+        for pairs, cumulative, total in self._latency.family().samples:
+            counts = [cumulative[0]] + [
+                high - low for low, high in zip(cumulative, cumulative[1:])
+            ]
+            latency[dict(pairs)["kind"]] = {"counts": counts, "sum": total}
+        return {
+            "started": started,
+            "settled": {
+                kind: started.get(kind, 0) - active.get(kind, 0)
+                for kind in set(started) | set(active)
+            },
+            "active": active,
+            "transitions": {
+                f"{dict(pairs)['kind']}:{dict(pairs)['state']}": int(value)
+                for pairs, value in self._transitions.family().samples
+            },
+            "refund_legs": _by_kind(self._refund_legs),
+            "aborts": _by_kind(self._aborts),
+            "latency": latency,
+        }
+
+
+def _by_kind(instrument) -> dict[str, int]:
+    return {kind: int(value) for kind, value in instrument.family().sum_by("kind").items()}

@@ -43,11 +43,11 @@ answered with ``MSG_KIND_ASSET_ACK``, again over the same path.
 Concurrency: a relay may be served from many threads at once (a
 :class:`repro.net.RelayServer` runs :meth:`RelayService.handle_request`
 on a worker-thread executor), so all shared mutable state — the
-idempotency record, stats counters, the lazily-built interceptor chain,
-and the subscription/sink tables — is lock-guarded, and side-effecting
-envelopes execute exactly once per ``request_id`` even when duplicates
-collide on different serve threads. Drivers fronting substrates that
-cannot take concurrent load install a
+idempotency record, the lazily-built interceptor chain, the
+subscription/sink tables and the stats instruments — is lock-guarded,
+and side-effecting envelopes execute exactly once per ``request_id``
+even when duplicates collide on different serve threads. Drivers
+fronting substrates that cannot take concurrent load install a
 :class:`~repro.api.SerializingInterceptor`.
 """
 
@@ -110,6 +110,7 @@ from repro.proto.messages import (
     RelayEnvelope,
     is_side_effecting,
 )
+from repro.ops.metrics import CounterSet, MetricsRegistry
 from repro.ops.trace import activate, ensure_trace, from_headers, inject, new_trace, reply_headers
 from repro.store import MemoryStore, StateStore
 from repro.utils.clock import Clock, SystemClock
@@ -157,67 +158,29 @@ class RateLimiter:
             return True
 
 
-class RelayStats:
-    """Operational counters for a relay.
-
-    A concurrently-serving relay updates these from many threads, so all
-    mutations go through :meth:`bump` (a read-modify-write under one
-    lock); plain attribute reads stay cheap and are at worst one bump
-    stale, which is fine for operational counters. Exporters read the
-    whole set atomically through :meth:`snapshot`.
-    """
-
-    _COUNTER_NAMES = (
-        "requests_served",
-        "requests_rejected",
-        "requests_failed",
-        "queries_sent",
-        "failovers",
-        "batches_served",
-        "batches_sent",
-        "transactions_sent",
-        "transactions_served",
-        "subscriptions_opened",
-        "subscriptions_served",
-        "events_published",
-        "events_delivered",
-        "events_dropped",
-        "asset_commands_sent",
-        "asset_commands_served",
-        "duplicates_suppressed",
-    )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests_served = 0
-        self.requests_rejected = 0
-        self.requests_failed = 0
-        self.queries_sent = 0
-        self.failovers = 0
-        self.batches_served = 0
-        self.batches_sent = 0
-        self.transactions_sent = 0
-        self.transactions_served = 0
-        self.subscriptions_opened = 0  # destination side: live remote subs
-        self.subscriptions_served = 0  # source side: subs this relay feeds
-        self.events_published = 0  # source side: notifications pushed out
-        self.events_delivered = 0  # destination side: notifications sunk
-        self.events_dropped = 0  # source side: undeliverable notifications
-        self.asset_commands_sent = 0  # destination side: HTLC verbs issued
-        self.asset_commands_served = 0  # source side: HTLC verbs executed
-        #: Source side: side-effecting envelopes answered from the
-        #: idempotency cache instead of being re-executed.
-        self.duplicates_suppressed = 0
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        """Atomically add ``amount`` to the counter called ``name``."""
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def snapshot(self) -> dict[str, int]:
-        """All counters, read atomically (one lock acquisition)."""
-        with self._lock:
-            return {name: getattr(self, name) for name in self._COUNTER_NAMES}
+#: The relay's operational counts, each one series of its
+#: ``repro_relay_stats_total`` counter (``relay.stats.<name>``).
+_STATS = (
+    "requests_served",
+    "requests_rejected",
+    "requests_failed",
+    "queries_sent",
+    "failovers",
+    "batches_served",
+    "batches_sent",
+    "transactions_sent",
+    "transactions_served",
+    "subscriptions_opened",  # destination side: live remote subs
+    "subscriptions_served",  # source side: subs this relay feeds
+    "events_published",  # source side: notifications pushed out
+    "events_delivered",  # destination side: notifications sunk
+    "events_dropped",  # source side: undeliverable notifications
+    "asset_commands_sent",  # destination side: HTLC verbs issued
+    "asset_commands_served",  # source side: HTLC verbs executed
+    # Source side: side-effecting envelopes answered from the
+    # idempotency cache instead of being re-executed.
+    "duplicates_suppressed",
+)
 
 
 class RelayContext:
@@ -401,7 +364,20 @@ class RelayService:
         #: with each reply so FIFO eviction survives a restart.
         self._idempotency_seq = 0
         self._load_durable_state()
-        self.stats = RelayStats()
+        #: This relay's instruments; ``register_relay`` attaches them to
+        #: a shared registry for export.
+        self.instruments = MetricsRegistry()
+        counts = self.instruments.counter(
+            "repro_relay_stats_total",
+            "Relay service operational counters.",
+            ("relay_id", "counter"),
+        )
+        self.stats = CounterSet(
+            {
+                name: (counts, {"relay_id": self.relay_id, "counter": name})
+                for name in _STATS
+            }
+        )
         self.available = True  # toggled by availability experiments
 
     def _load_durable_state(self) -> None:

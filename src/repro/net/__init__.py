@@ -44,7 +44,7 @@ from repro.net.framing import (
     read_frame,
     write_frame,
 )
-from repro.net.server import RelayServer, RelayServerStats
+from repro.net.server import RelayServer
 from repro.net.transport import (
     LocalTransport,
     RelayTransport,
@@ -62,7 +62,6 @@ __all__ = [
     "ReadinessMonitor",
     "endpoint_key",
     "RelayServer",
-    "RelayServerStats",
     "RelayTransport",
     "TcpRelayEndpoint",
     "TcpTransport",

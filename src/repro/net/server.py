@@ -34,50 +34,20 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import DecodeError, RelayUnavailableError
 from repro.net.framing import DEFAULT_MAX_FRAME_BYTES, read_frame, write_frame
+from repro.ops.metrics import CounterSet, MetricsRegistry
 from repro.ops.trace import TRACE_ID_HEADER
 
 #: Transport-layer structured logging (see :mod:`repro.ops.logging`).
 logger = logging.getLogger("repro.net")
 
-_STAT_NAMES = (
+#: The server's monotonic counts, each one series of its
+#: ``repro_relay_server_total`` counter (``server.stats.<name>``).
+_FRAME_COUNTS = (
     "connections_accepted",
     "connections_closed",
     "frames_served",
     "frames_rejected",
-    "in_flight",
-    "in_flight_peak",
 )
-
-
-class RelayServerStats:
-    """Operational counters for one server (all guarded by one lock)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.connections_accepted = 0
-        self.connections_closed = 0
-        self.frames_served = 0
-        self.frames_rejected = 0
-        self.in_flight = 0
-        self.in_flight_peak = 0
-
-    def bump(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            setattr(self, name, getattr(self, name) + amount)
-
-    def enter_flight(self) -> None:
-        with self._lock:
-            self.in_flight += 1
-            self.in_flight_peak = max(self.in_flight_peak, self.in_flight)
-
-    def leave_flight(self) -> None:
-        with self._lock:
-            self.in_flight -= 1
-
-    def snapshot(self) -> dict[str, int]:
-        """All counters, read atomically (one lock acquisition)."""
-        with self._lock:
-            return {name: getattr(self, name) for name in _STAT_NAMES}
 
 
 class RelayServer:
@@ -130,7 +100,31 @@ class RelayServer:
         #: without this, pipelining would bypass ``max_frame_bytes`` as
         #: a memory bound (N frames x 8 MB each, all queued).
         self.max_pipeline_depth = max_pipeline_depth
-        self.stats = RelayServerStats()
+        #: This server's instruments; ``register_server`` attaches them
+        #: to the probe's shared registry for export.
+        self.instruments = MetricsRegistry()
+        # Any object serving frames will do; one without a relay_id is
+        # labelled the way RelayService names itself by default.
+        relay = {"relay_id": getattr(service, "relay_id", f"relay-{service.network_id}")}
+        counts = self.instruments.counter(
+            "repro_relay_server_total", "TCP frame-server counters.", ("relay_id", "counter")
+        )
+        in_flight = self.instruments.gauge(
+            "repro_relay_server_in_flight", "Frames currently being served.", ("relay_id",)
+        )
+        peak = self.instruments.gauge(
+            "repro_relay_server_in_flight_peak",
+            "Peak concurrently-served frames since start.",
+            ("relay_id",),
+        )
+        self.stats = CounterSet(
+            {
+                **{name: (counts, {**relay, "counter": name}) for name in _FRAME_COUNTS},
+                "in_flight": (in_flight, relay),
+                "in_flight_peak": (peak, relay),
+            },
+            peaks={"in_flight": "in_flight_peak"},
+        )
         self._executor: ThreadPoolExecutor | None = None
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -185,7 +179,7 @@ class RelayServer:
         relay layers, which import :mod:`repro.ops` themselves — by serve
         time everything is loaded, at module-import time it would cycle.
         """
-        from repro.ops import MetricsRegistry, OpsProbeServer, relay_checks
+        from repro.ops import OpsProbeServer, relay_checks
         from repro.ops.exporters import register_relay, register_server
 
         if self.registry is None:
@@ -386,7 +380,7 @@ class RelayServer:
         loop = asyncio.get_running_loop()
         if logger.isEnabledFor(logging.DEBUG):
             self._log_frame(frame)
-        self.stats.enter_flight()
+        self.stats.bump("in_flight")
         try:
             reply = await loop.run_in_executor(
                 self._executor, self.service.handle_request, frame
@@ -402,7 +396,7 @@ class RelayServer:
             writer.close()
             return
         finally:
-            self.stats.leave_flight()
+            self.stats.bump("in_flight", -1)
         # Counted when serving completes, before the reply flushes: a
         # client that has read its reply must never observe a count that
         # hasn't included it yet.

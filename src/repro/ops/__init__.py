@@ -6,17 +6,19 @@ One package every layer reports into (ROADMAP item 4):
   from the client session through the relay, the TCP framing, and the
   driver, riding envelope headers on the wire and a contextvar in
   process;
-- :mod:`repro.ops.metrics` — the central :class:`MetricsRegistry`
-  (counters, gauges, histograms with bounded label sets) rendered as
-  Prometheus text exposition;
+- :mod:`repro.ops.metrics` — :class:`MetricsRegistry` (counters,
+  gauges, histograms with bounded label sets), where the relay, server,
+  interceptor and exchange counts live, rendered as Prometheus text
+  exposition;
 - :mod:`repro.ops.logging` — structured JSON logging with the trace id
   stamped on every record;
 - :mod:`repro.ops.health` — liveness/readiness checks;
 - :mod:`repro.ops.probe` — the ``/metrics`` / ``/healthz`` / ``/readyz``
   HTTP listener :class:`~repro.net.RelayServer` embeds;
-- :mod:`repro.ops.exporters` — bridges from the pre-existing stats
-  objects into the registry (import it explicitly: it pulls in the api
-  and relay layers, which themselves import this package).
+- :mod:`repro.ops.exporters` — attaches the relay's, server's,
+  interceptor's and exchange metrics' own registries to a shared one
+  (import it explicitly: it pulls in the api and relay layers, which
+  themselves import this package).
 """
 
 from repro.ops.health import CheckResult, HealthProbe, relay_checks

@@ -1,25 +1,23 @@
-"""Bridges from the existing stats objects into the metrics registry.
+"""Composition of the owners' instruments into one shared registry.
 
-The relay grew its counters long before the ops plane existed —
-:class:`~repro.interop.relay.RelayStats`,
-:class:`~repro.net.server.RelayServerStats`, the
-:class:`~repro.interop.relay.RateLimiter`, the store backends'
-:meth:`~repro.store.StateStore.counters`. Rather than rewriting them all
-as registry instruments, this module registers *collectors* that read
-each object's atomic ``snapshot()`` at scrape time and present the
-values as Prometheus families. Hot paths keep their one-lock bump;
-only a scrape pays the snapshot cost.
+Every count an owner keeps — :class:`~repro.interop.relay.RelayService`,
+:class:`~repro.net.RelayServer`, :class:`~repro.api.MetricsInterceptor`,
+:class:`~repro.assets.metrics.ExchangeMetrics` — already lives in
+instruments on the owner's own :class:`~repro.ops.MetricsRegistry`
+(``owner.instruments``). The ``register_*`` functions here attach each
+owner's :meth:`~repro.ops.MetricsRegistry.collect` to a shared registry,
+so one scrape renders them all. Only counts other objects keep as plain
+ints are read here at scrape time: the store counters, the idempotency
+record's size, the rate limiter's sheds, and discovery/fleet state.
 
 Kept out of ``repro.ops.__init__`` on purpose: importing this module
 pulls in :mod:`repro.api.middleware` and :mod:`repro.interop.relay`,
-which themselves import :mod:`repro.ops.trace` — callers import
+which themselves import :mod:`repro.ops` — callers import
 ``repro.ops.exporters`` explicitly (the :class:`~repro.net.RelayServer`
 does so lazily at start).
 """
 
 from __future__ import annotations
-
-import itertools
 
 from repro.api.middleware import MetricsInterceptor
 from repro.assets.metrics import ASSET_LATENCY_BUCKETS
@@ -30,9 +28,9 @@ from repro.ops.metrics import MetricFamily, MetricsRegistry, counter_family, gau
 def register_relay(registry: MetricsRegistry, relay: RelayService) -> None:
     """Export one relay's operational state through ``registry``.
 
-    Binds any installed :class:`MetricsInterceptor` to the registry's
-    per-kind latency histograms, and registers a scrape-time collector
-    over the relay's stats, rate limiter, store counters, and
+    Attaches the relay's instruments (``repro_relay_stats_total``) and
+    those of every installed :class:`MetricsInterceptor`, and registers
+    a scrape-time collector over the rate limiter, store counters, and
     idempotency-record size. Every family is labelled ``relay_id`` so
     several relays can share one registry.
 
@@ -42,24 +40,17 @@ def register_relay(registry: MetricsRegistry, relay: RelayService) -> None:
     counter), that state is exported too: per-replica in-flight gauges,
     eviction/restore counters, and balance-decision counters.
     """
+    registry.register_collector(relay.instruments.collect)
     limiters = []
     for interceptor in relay.interceptors:
         if isinstance(interceptor, MetricsInterceptor):
-            interceptor.bind_registry(registry)
+            registry.register_collector(interceptor.instruments.collect)
         if isinstance(interceptor, RateLimitInterceptor):
             limiters.append(interceptor.limiter)
     relay_label = ("relay_id", relay.relay_id)
 
     def collect() -> "list[MetricFamily]":
         families = [
-            counter_family(
-                "repro_relay_stats_total",
-                "Relay service operational counters (RelayStats).",
-                tuple(
-                    ((relay_label, ("counter", name)), value)
-                    for name, value in relay.stats.snapshot().items()
-                ),
-            ),
             gauge_family(
                 "repro_relay_idempotency_entries",
                 "Entries in the relay's exactly-once idempotency record.",
@@ -183,114 +174,17 @@ def register_assets(registry: MetricsRegistry, metrics) -> None:
     """Export exchange/cycle activity as the ``repro_assets_*`` families.
 
     ``metrics`` is a shared :class:`~repro.assets.metrics.ExchangeMetrics`
-    (duck-typed: anything with its ``snapshot()``). Like the other
-    exporters this registers a scrape-time collector over the snapshot —
-    the coordinators keep their one-lock bump on the hot path, and the
-    lock→claim histogram is read from the snapshot's per-bucket counts.
-    Every family is labelled ``kind`` (``exchange`` for two-party swaps,
-    ``cycle`` for N-party rings); transition counters add the ``state``
-    entered.
+    (duck-typed: anything with its ``instruments``); its registry is
+    attached to ``registry``. Every family is labelled ``kind``
+    (``exchange`` for two-party swaps, ``cycle`` for N-party rings);
+    transition counters add the ``state`` entered.
     """
-
-    def collect() -> "list[MetricFamily]":
-        snapshot = metrics.snapshot()
-
-        def kind_samples(table: dict) -> tuple:
-            return tuple(
-                ((("kind", kind),), value) for kind, value in sorted(table.items())
-            )
-
-        families = [
-            gauge_family(
-                "repro_assets_active",
-                "Exchanges/cycles started but not yet settled "
-                "(completed, refunded, or failed).",
-                kind_samples(snapshot["active"]),
-            ),
-            counter_family(
-                "repro_assets_started_total",
-                "Exchanges/cycles ever started.",
-                kind_samples(snapshot["started"]),
-            ),
-            counter_family(
-                "repro_assets_transitions_total",
-                "Coordinator state-machine transitions, by state entered.",
-                tuple(
-                    ((("kind", key.split(":", 1)[0]), ("state", key.split(":", 1)[1])), value)
-                    for key, value in sorted(snapshot["transitions"].items())
-                ),
-            ),
-            counter_family(
-                "repro_assets_refund_legs_total",
-                "Individual locked legs refunded during unwinds.",
-                kind_samples(snapshot["refund_legs"]),
-            ),
-            counter_family(
-                "repro_assets_aborts_total",
-                "Exchanges/cycles aborted by a coordinator decision "
-                "(timeout, tampered proof, stalled party).",
-                kind_samples(snapshot["aborts"]),
-            ),
-        ]
-        histogram_samples = []
-        for kind, latency in sorted(snapshot["latency"].items()):
-            histogram_samples.append(
-                (
-                    (("kind", kind),),
-                    tuple(itertools.accumulate(latency["counts"])),
-                    latency["sum"],
-                )
-            )
-        if histogram_samples:
-            families.append(
-                MetricFamily(
-                    name="repro_assets_lock_to_claim_seconds",
-                    kind="histogram",
-                    help="First lock to final claim, per completed "
-                    "exchange/cycle.",
-                    samples=tuple(histogram_samples),
-                    buckets=ASSET_LATENCY_BUCKETS,
-                )
-            )
-        return families
-
-    registry.register_collector(collect)
+    registry.register_collector(metrics.instruments.collect)
 
 
 def register_server(registry: MetricsRegistry, server) -> None:
-    """Export one :class:`~repro.net.RelayServer`'s frame-level stats."""
-    relay_label = ("relay_id", server.service.relay_id)
-    monotonic = (
-        "connections_accepted",
-        "connections_closed",
-        "frames_served",
-        "frames_rejected",
-    )
-
-    def collect() -> "list[MetricFamily]":
-        snapshot = server.stats.snapshot()
-        return [
-            counter_family(
-                "repro_relay_server_total",
-                "TCP frame-server counters (RelayServerStats).",
-                tuple(
-                    ((relay_label, ("counter", name)), snapshot[name])
-                    for name in monotonic
-                ),
-            ),
-            gauge_family(
-                "repro_relay_server_in_flight",
-                "Frames currently being served.",
-                (((relay_label,), snapshot["in_flight"]),),
-            ),
-            gauge_family(
-                "repro_relay_server_in_flight_peak",
-                "Peak concurrently-served frames since start.",
-                (((relay_label,), snapshot["in_flight_peak"]),),
-            ),
-        ]
-
-    registry.register_collector(collect)
+    """Export one :class:`~repro.net.RelayServer`'s frame-level counts."""
+    registry.register_collector(server.instruments.collect)
 
 
 __all__ = ["ASSET_LATENCY_BUCKETS", "register_assets", "register_relay", "register_server"]

@@ -1,15 +1,22 @@
-"""The central metrics registry and its Prometheus text rendering.
+"""The metrics registry, where the owners of counts keep them, and its rendering.
 
-One :class:`MetricsRegistry` per process (or per relay deployment) is
-the single place every layer reports into: interceptors and servers
-create *instruments* (:class:`Counter` / :class:`Gauge` /
-:class:`Histogram`) up front, while stats objects that already keep
-their own lock-guarded counters (:class:`~repro.interop.relay.RelayStats`,
-:class:`~repro.net.server.RelayServerStats`, the store backends) are
-read at scrape time through registered *collectors* (see
-:mod:`repro.ops.exporters`). :meth:`MetricsRegistry.render` produces the
-Prometheus text exposition format (version 0.0.4) served by the
-:class:`~repro.ops.probe.OpsProbeServer`.
+Each owner of operational numbers — :class:`~repro.interop.relay.RelayService`,
+:class:`~repro.net.RelayServer`, :class:`~repro.api.MetricsInterceptor`,
+:class:`~repro.assets.metrics.ExchangeMetrics` — creates its *instruments*
+(:class:`Counter` / :class:`Gauge` / :class:`Histogram`) at construction
+on a :class:`MetricsRegistry` it owns, and its in-process reads
+(``relay.stats.requests_served``, ``snapshot()``) are views over those
+instruments. :mod:`repro.ops.exporters` composes the owners' registries
+into one shared registry by attaching each owner's
+:meth:`MetricsRegistry.collect` as a *collector*; a few families that
+other objects keep as plain ints (store counters, the rate limiter,
+discovery pools) are read there at scrape time. So a ``/metrics`` scrape
+and the in-process numbers read the same source.
+:meth:`MetricsRegistry.render` produces the Prometheus text exposition
+format (version 0.0.4) served by the :class:`~repro.ops.probe.OpsProbeServer`.
+
+:class:`CounterSet` is the view an owner exposes as ``stats``: named
+counts, each one series of a registry instrument, read as attributes.
 
 Label sets are bounded: each instrument folds label combinations beyond
 ``max_series`` into a reserved ``_other`` series, so an adversarial or
@@ -103,6 +110,15 @@ class MetricFamily:
     samples: tuple
     buckets: tuple = ()
 
+    def sum_by(self, label: str) -> dict[str, float]:
+        """Values summed per value of ``label``, as PromQL's ``sum by``
+        (a histogram contributes its series' sums)."""
+        totals: dict[str, float] = {}
+        for pairs, *values in self.samples:
+            key = dict(pairs)[label]
+            totals[key] = totals.get(key, 0.0) + values[-1]
+        return totals
+
 
 def counter_family(name: str, help_text: str, samples: Iterable) -> MetricFamily:
     """A counter family from ``(label_pairs, value)`` samples."""
@@ -171,13 +187,17 @@ class Counter(_Instrument):
     def inc(self, amount: float = 1.0, **labels: object) -> None:
         if amount < 0:
             raise ValueError("counters only increase; use a Gauge")
-        key = self._key(labels)
+        self._add(self._key(labels), amount)
+
+    def _add(self, key: tuple, amount: float) -> None:
         with self._lock:
             slot = self._slot(key)
             self._series[slot] = float(self._series.get(slot, 0.0)) + amount  # type: ignore[arg-type]
 
     def value(self, **labels: object) -> float:
-        key = self._key(labels)
+        return self._get(self._key(labels))
+
+    def _get(self, key: tuple) -> float:
         with self._lock:
             return float(self._series.get(key, 0.0))  # type: ignore[arg-type]
 
@@ -204,10 +224,7 @@ class Gauge(Counter):
             self._series[self._slot(key)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        key = self._key(labels)
-        with self._lock:
-            slot = self._slot(key)
-            self._series[slot] = float(self._series.get(slot, 0.0)) + amount  # type: ignore[arg-type]
+        self._add(self._key(labels), amount)
 
     def dec(self, amount: float = 1.0, **labels: object) -> None:
         self.inc(-amount, **labels)
@@ -260,6 +277,42 @@ class Histogram(_Instrument):
             series.total += float(value)  # type: ignore[union-attr]
             series.count += 1  # type: ignore[union-attr]
 
+    def quantile(self, q: float, **labels: object) -> float:
+        """The ``q``-quantile as PromQL's ``histogram_quantile`` estimates it.
+
+        Sums every series whose labels include ``labels`` (all series
+        when none are given), finds the bucket holding rank
+        ``q * count``, and interpolates linearly inside it; a rank in
+        the ``+Inf`` bucket answers the largest finite bound. 0.0 when
+        nothing was observed.
+        """
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile {q!r} is outside [0, 1]")
+        unknown = set(labels) - set(self.label_names)
+        if unknown:
+            raise ValueError(f"metric {self.name!r} has no labels {sorted(unknown)!r}")
+        wanted = {name: str(value) for name, value in labels.items()}
+        counts = [0] * (len(self.buckets) + 1)
+        with self._lock:
+            for key, series in self._series.items():
+                pairs = dict(zip(self.label_names, key))
+                if all(pairs[name] == value for name, value in wanted.items()):
+                    for index, count in enumerate(series.counts):  # type: ignore[union-attr]
+                        counts[index] += count
+        rank = q * sum(counts)
+        running = 0
+        for index, count in enumerate(counts):
+            running += count
+            if count and running >= rank:
+                break
+        else:
+            return 0.0
+        if index == len(self.buckets):
+            return self.buckets[-1]
+        upper = self.buckets[index]
+        lower = self.buckets[index - 1] if index else min(0.0, upper)
+        return lower + (upper - lower) * (rank - (running - count)) / count
+
     def family(self) -> MetricFamily:
         with self._lock:
             snapshot = [
@@ -280,6 +333,68 @@ class Histogram(_Instrument):
             samples=tuple(samples),
             buckets=self.buckets,
         )
+
+
+class CounterSet:
+    """Named counts, each one series of a registry instrument.
+
+    The view an owner exposes as ``stats``: ``stats.bump("frames_served")``
+    adds to a count, ``stats.frames_served`` reads it, and
+    :meth:`snapshot` lists every count, zeros included. The numbers live
+    only in the instruments, so a scrape and these reads agree. Every
+    series exists from construction (at 0), so a scrape lists each count
+    before it first moves.
+
+    ``counts`` maps each name to its instrument (a :class:`Counter` or
+    :class:`Gauge`) and that series' labels. ``peaks`` maps a count to
+    the gauge count keeping its high-water mark: bumping the tracked
+    count raises the peak in the same step, under the view's lock, so
+    concurrent bumps never lose a peak.
+    """
+
+    def __init__(
+        self,
+        counts: Mapping[str, "tuple[Counter, Mapping[str, object]]"],
+        peaks: Mapping[str, str] | None = None,
+    ) -> None:
+        self._lock = threading.Lock()
+        self._series = {
+            name: (instrument, instrument._key(labels))
+            for name, (instrument, labels) in counts.items()
+        }
+        self._peaks = dict(peaks or {})
+        for instrument, key in self._series.values():
+            instrument._add(key, 0)
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        """Add ``amount`` to the count called ``name``."""
+        instrument, key = self._series[name]
+        if amount < 0 and instrument.kind == "counter":
+            raise ValueError(f"{name} is a counter; it only increases")
+        peak = self._peaks.get(name)
+        if peak is None:
+            instrument._add(key, amount)
+            return
+        peak_instrument, peak_key = self._series[peak]
+        with self._lock:
+            instrument._add(key, amount)
+            rise = instrument._get(key) - peak_instrument._get(peak_key)
+            if rise > 0:
+                peak_instrument._add(peak_key, rise)
+
+    def __getattr__(self, name: str) -> int:
+        series = self.__dict__.get("_series", {}).get(name)
+        if series is None:
+            raise AttributeError(name)
+        instrument, key = series
+        return int(instrument._get(key))
+
+    def snapshot(self) -> dict[str, int]:
+        """Every count by name, zeros included."""
+        return {
+            name: int(instrument._get(key))
+            for name, (instrument, key) in self._series.items()
+        }
 
 
 class MetricsRegistry:
@@ -332,9 +447,12 @@ class MetricsRegistry:
         return winner
 
     def register_collector(self, collector: Collector) -> Collector:
-        """Attach a scrape-time family source (stats snapshots etc.)."""
+        """Attach a scrape-time family source: another registry's
+        :meth:`collect`, or a reader of counts kept outside any registry.
+        Attaching the same collector again is a no-op."""
         with self._lock:
-            self._collectors.append(collector)
+            if collector not in self._collectors:
+                self._collectors.append(collector)
         return collector
 
     # -- rendering ----------------------------------------------------------------
@@ -429,6 +547,7 @@ EXPOSITION_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 __all__ = [
     "Collector",
     "Counter",
+    "CounterSet",
     "DEFAULT_BUCKETS",
     "EXPOSITION_CONTENT_TYPE",
     "Gauge",

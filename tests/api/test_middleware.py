@@ -178,7 +178,7 @@ class TestMetricsInterceptor:
         relay.handle_request(make_request())
         snapshot = metrics.snapshot()
         assert snapshot["seconds_total"] == pytest.approx(0.25)
-        assert snapshot["seconds_max"] == pytest.approx(0.25)
+        assert snapshot["seconds_mean"] == pytest.approx(0.25)
 
 
 class TestRequestLoggingInterceptor:
@@ -385,7 +385,8 @@ class TestMetricsKindBreakdown:
         assert kinds["query"]["requests"] == 2
         assert kinds["query"]["errors"] == 0
         assert kinds["query"]["seconds_mean"] == pytest.approx(0.5)
-        assert kinds["query"]["seconds_max"] == pytest.approx(0.5)
+        # Both 0.5 s requests sit in the (0.25, 0.5] bucket: rank 1.9 of 2.
+        assert kinds["query"]["seconds_p95"] == pytest.approx(0.4875)
         assert kinds["undecodable"]["requests"] == 1
         assert kinds["undecodable"]["errors"] == 1
         # The historical flat counter keeps its shape.
@@ -394,7 +395,9 @@ class TestMetricsKindBreakdown:
     def test_snapshot_reports_latency_percentiles_per_kind(self):
         clock = SimulatedClock()
         metrics = MetricsInterceptor(clock=clock)
-        delays = iter([0.010] * 50 + [0.020] * 45 + [1.0] * 5)
+        # Off the bucket bounds: a simulated clock's float sums would
+        # otherwise decide which side of a bound a 0.010 s request falls.
+        delays = iter([0.008] * 50 + [0.020] * 45 + [1.0] * 5)
 
         def variable(ctx, call_next):
             clock.advance(next(delays))
@@ -404,18 +407,21 @@ class TestMetricsKindBreakdown:
         for index in range(100):
             relay.handle_request(make_request(nonce=f"n-{index}"))
         query = metrics.snapshot()["kinds"]["query"]
-        assert query["seconds_p50"] == pytest.approx(0.020)
-        assert query["seconds_p95"] == pytest.approx(1.0)
-        assert query["seconds_max"] == pytest.approx(1.0)
-        assert query["seconds_p50"] <= query["seconds_p95"] <= query["seconds_max"]
+        # Estimated from the buckets: rank 50 is the top of (0.005, 0.01],
+        # rank 95 the top of (0.01, 0.025].
+        assert query["seconds_p50"] == pytest.approx(0.010)
+        assert query["seconds_p95"] == pytest.approx(0.025)
 
-    def test_sample_window_bounds_memory(self):
+    def test_latency_memory_does_not_grow_with_requests(self):
         clock = SimulatedClock()
-        metrics = MetricsInterceptor(clock=clock, sample_window=16)
+        metrics = MetricsInterceptor(clock=clock)
         relay, _ = make_relay(metrics)
         for index in range(64):
             relay.handle_request(make_request(nonce=f"n-{index}"))
-        assert len(metrics.kind_samples[MSG_KIND_QUERY_REQUEST]) == 16
+        families = {family.name: family for family in metrics.instruments.collect()}
+        ((_, cumulative, _),) = families["repro_relay_request_seconds"].samples
+        assert len(cumulative) == 14  # 13 bounds and +Inf, whatever the traffic
+        assert cumulative[-1] == 64
 
     def test_eviction_respects_max_entries(self):
         cache = ResponseCacheInterceptor(

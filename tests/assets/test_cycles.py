@@ -17,9 +17,17 @@ from repro.assets import AssetSpec
 from repro.assets.cycles import NS_CYCLES, CycleCoordinator, CycleState
 from repro.assets.metrics import ExchangeMetrics
 from repro.errors import AssetError, ExchangeStateError, ReproError
+from repro.ops.exporters import register_assets
+from repro.ops.metrics import MetricsRegistry
 from repro.proto.messages import MSG_KIND_QUERY_REQUEST
 from repro.store import MemoryStore
-from repro.testing import FAULT_TAMPER_PROOF, FaultPlan, FaultSpec, chaos_topology
+from repro.testing import (
+    FAULT_TAMPER_PROOF,
+    FaultPlan,
+    FaultSpec,
+    chaos_topology,
+    parse_exposition,
+)
 
 # Mirrors the cycle_scenario fixture wiring (tests/assets/conftest.py).
 OFFER_ADDRESS = "fabnet/trade/assetscc"
@@ -338,3 +346,27 @@ class TestCycleMetrics:
         assert snapshot["aborts"] == {"cycle": 1}
         assert snapshot["refund_legs"] == {"cycle": 1}
         assert metrics.active("cycle") == 0
+
+    def test_failed_then_refunded_cycle_settles_once(self, cycle_scenario):
+        """FAILED → REFUNDED is one settlement: the active gauge reads 0,
+        not -1, and the ring counts as settled once."""
+        scenario = cycle_scenario
+        metrics = ExchangeMetrics()
+        registry = MetricsRegistry()
+        register_assets(registry, metrics)
+        cycle = make_cycle(scenario, metrics=metrics)
+        cycle.lock_next()
+        cycle.lock_next()
+        scenario.clock.advance(CYCLE_TIMEOUT + 1.0)
+        with pytest.raises(ReproError):
+            cycle.lock_next()  # leg 2: leg 1's lock has run out of time
+        assert cycle.state is CycleState.FAILED
+        cycle.refund()
+        assert cycle.state is CycleState.REFUNDED
+        snapshot = metrics.snapshot()
+        assert snapshot["transitions"]["cycle:failed"] == 1
+        assert snapshot["transitions"]["cycle:refunded"] == 1
+        assert snapshot["settled"] == {"cycle": 1}
+        assert metrics.active("cycle") == 0
+        [active] = parse_exposition(registry.render())["repro_assets_active"].samples
+        assert active.value == 0
