@@ -285,6 +285,26 @@ class TestGatewaySubscribe:
         issue_bl(scenario, "PO-SESS-EV6")
         assert first.pending_count == 0 and second.pending_count == 0
 
+    def test_one_commit_fans_out_to_every_session_and_each_verifies(self, full_gateway):
+        """One commit publishes one envelope per subscribed session, and
+        every subscriber upgrades its notification with its own proof."""
+        scenario, gateway = full_gateway
+        sessions = [gateway.session() for _ in range(3)]
+        streams = [
+            session.subscribe(TL_CHAINCODE_ADDR, "BillOfLadingIssued", verifier=bl_verifier())
+            for session in sessions
+        ]
+        scenario.stl_seller_app.create_shipment("PO-SESS-FAN", "goods")
+        issue_bl(scenario, "PO-SESS-FAN")
+        assert scenario.stl_relay.stats.events_published == len(sessions)
+        events = [stream.take() for stream in streams]
+        for event in events:
+            assert event.notification.payload == b"PO-SESS-FAN"
+            assert len(event.verification.proof) == 2
+            assert json.loads(event.data)["bl_id"] == "BL-PO-SESS-FAN"
+        for session in sessions:
+            session.close()
+
 
 class TestSessionMultiplexing:
     def test_all_three_primitives_over_one_session(self, full_gateway):
