@@ -340,7 +340,7 @@ class CycleCoordinator:
         self._metrics = metrics
         self._started_at: float | None = None
         if metrics is not None:
-            metrics.exchange_started(self._kind)
+            metrics.exchange_started(self._kind, self.cycle_id)
         self._journal()
 
     # -- durability ---------------------------------------------------------------
@@ -439,10 +439,12 @@ class CycleCoordinator:
             result.preimage = coordinator.preimage
         # Attach the store (and metrics) only now: a crash inside resume()
         # itself must never regress the journal to the constructor's
-        # CREATED image, and the resumed coordinator is the same logical
-        # exchange, not a second started one.
+        # CREATED image. The metrics count the ring by its id, so one
+        # resumed by the process that started it is not a second start.
         coordinator._store = store
         coordinator._metrics = metrics
+        if metrics is not None:
+            metrics.exchange_started(cls._kind, cycle_id, coordinator.state.value)
         coordinator._journal()
         return coordinator
 
@@ -560,7 +562,9 @@ class CycleCoordinator:
         previous, self.state = self.state, new_state
         self.result.state = new_state
         if self._metrics is not None:
-            self._metrics.state_entered(self._kind, new_state.value, previous.value)
+            self._metrics.state_entered(
+                self._kind, new_state.value, previous.value, self.cycle_id
+            )
         self._journal()
 
     def _require(self, *states: CycleState) -> None:

@@ -13,6 +13,8 @@ shared one. Both kinds report the ring's state names (``locking``,
 
 from __future__ import annotations
 
+import threading
+
 from repro.ops.metrics import MetricsRegistry
 
 #: Coordinator kinds reported in every sample's labels.
@@ -51,6 +53,10 @@ class ExchangeMetrics:
 
     def __init__(self) -> None:
         self.instruments = MetricsRegistry()
+        self._lock = threading.Lock()
+        #: ``(kind, exchange id)`` of every exchange counted as started
+        #: that has not settled yet.
+        self._unsettled: set[tuple[str, str]] = set()
         self._active = self.instruments.gauge(
             "repro_assets_active",
             "Exchanges/cycles started but not yet settled "
@@ -85,11 +91,35 @@ class ExchangeMetrics:
 
     # -- recording ---------------------------------------------------------------
 
-    def exchange_started(self, kind: str) -> None:
+    def exchange_started(
+        self, kind: str, exchange_id: str | None = None, state: str = "created"
+    ) -> None:
+        """An exchange is under way, in ``state``.
+
+        A coordinator reports this with its ``exchange_id`` when it is
+        built and again when it is resumed from its journal. An id counts
+        as started and active once until it settles: a ring resumed by
+        the process that started it is not a second start, one resumed
+        in a fresh process is counted there, and one resumed already
+        settled is not counted.
+        """
+        if state in _SETTLED_STATES:
+            return
+        if exchange_id is not None:
+            with self._lock:
+                if (kind, exchange_id) in self._unsettled:
+                    return
+                self._unsettled.add((kind, exchange_id))
         self._started.inc(kind=kind)
         self._active.inc(kind=kind)
 
-    def state_entered(self, kind: str, state: str, previous: str | None = None) -> None:
+    def state_entered(
+        self,
+        kind: str,
+        state: str,
+        previous: str | None = None,
+        exchange_id: str | None = None,
+    ) -> None:
         """One coordinator moved from ``previous`` into ``state``.
 
         It settles on its first settled state only: a ``failed`` ring
@@ -97,6 +127,8 @@ class ExchangeMetrics:
         """
         self._transitions.inc(kind=kind, state=state)
         if state in _SETTLED_STATES and previous not in _SETTLED_STATES:
+            with self._lock:
+                self._unsettled.discard((kind, exchange_id))
             self._active.dec(kind=kind)
 
     def refund_recorded(self, kind: str, legs: int = 1) -> None:

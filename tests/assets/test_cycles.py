@@ -370,3 +370,46 @@ class TestCycleMetrics:
         assert metrics.active("cycle") == 0
         [active] = parse_exposition(registry.render())["repro_assets_active"].samples
         assert active.value == 0
+
+    def test_a_ring_resumed_in_a_fresh_process_counts_as_started_once(self, cycle_scenario):
+        """The restarted process tracks the resumed ring, so settling it
+        leaves the active gauge at 0, not -1."""
+        scenario = cycle_scenario
+        store = MemoryStore()
+        cycle = make_cycle(scenario, store=store)
+        cycle.lock_next()  # leg 0, then the process dies
+        metrics = ExchangeMetrics()
+        resumed = CycleCoordinator.resume(
+            [scenario.alice_client, scenario.bob_client, scenario.carol_client],
+            store,
+            cycle.cycle_id,
+            policies=[OFFER_POLICY, ASK_POLICY, CORDA_POLICY],
+            metrics=metrics,
+        )
+        resumed.recover()
+        assert resumed.run().completed
+        snapshot = metrics.snapshot()
+        assert snapshot["active"] == {"cycle": 0}
+        assert snapshot["started"] == {"cycle": 1}
+
+    def test_a_ring_resumed_under_the_same_metrics_is_not_a_second_start(
+        self, cycle_scenario
+    ):
+        scenario = cycle_scenario
+        store = MemoryStore()
+        metrics = ExchangeMetrics()
+        cycle = make_cycle(scenario, store=store, metrics=metrics)
+        cycle.lock_next()
+        resumed = CycleCoordinator.resume(
+            [scenario.alice_client, scenario.bob_client, scenario.carol_client],
+            store,
+            cycle.cycle_id,
+            policies=[OFFER_POLICY, ASK_POLICY, CORDA_POLICY],
+            metrics=metrics,
+        )
+        resumed.recover()
+        assert resumed.run().completed
+        snapshot = metrics.snapshot()
+        assert snapshot["active"] == {"cycle": 0}
+        assert snapshot["started"] == {"cycle": 1}
+        assert snapshot["settled"] == {"cycle": 1}
