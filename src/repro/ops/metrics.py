@@ -39,12 +39,16 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 #: Default latency buckets (seconds): sub-millisecond in-process calls up
-#: through multi-second consensus round-trips.
+#: through multi-second consensus round-trips, finer between 10 and 25 ms,
+#: where one verified cross-network query falls.
 DEFAULT_BUCKETS = (
     0.001,
     0.0025,
     0.005,
     0.01,
+    0.0125,
+    0.015,
+    0.0175,
     0.025,
     0.05,
     0.1,

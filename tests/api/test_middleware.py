@@ -412,6 +412,22 @@ class TestMetricsKindBreakdown:
         assert query["seconds_p50"] == pytest.approx(0.010)
         assert query["seconds_p95"] == pytest.approx(0.025)
 
+    def test_p50_resolves_a_verified_query_latency(self):
+        """A verified cross-network query takes 10-25 ms; the default
+        grid is fine enough there for a p50 within 15% of the truth."""
+        clock = SimulatedClock()
+        metrics = MetricsInterceptor(clock=clock)
+
+        def verified_query(ctx, call_next):
+            clock.advance(0.0108)
+            return call_next(ctx)
+
+        relay, _ = make_relay(metrics, verified_query)
+        for index in range(20):
+            relay.handle_request(make_request(nonce=f"n-{index}"))
+        p50 = metrics.snapshot()["kinds"]["query"]["seconds_p50"]
+        assert p50 == pytest.approx(0.0108, rel=0.15)
+
     def test_latency_memory_does_not_grow_with_requests(self):
         clock = SimulatedClock()
         metrics = MetricsInterceptor(clock=clock)
@@ -420,7 +436,7 @@ class TestMetricsKindBreakdown:
             relay.handle_request(make_request(nonce=f"n-{index}"))
         families = {family.name: family for family in metrics.instruments.collect()}
         ((_, cumulative, _),) = families["repro_relay_request_seconds"].samples
-        assert len(cumulative) == 14  # 13 bounds and +Inf, whatever the traffic
+        assert len(cumulative) == 17  # 16 bounds and +Inf, whatever the traffic
         assert cumulative[-1] == 64
 
     def test_eviction_respects_max_entries(self):

@@ -43,7 +43,7 @@ RELAY = "relay-pinned"
 
 #: The request-latency grid (seconds) every relay histogram uses.
 LATENCY_GRID = (
-    "0.001", "0.0025", "0.005", "0.01", "0.025", "0.05", "0.1",
+    "0.001", "0.0025", "0.005", "0.01", "0.0125", "0.015", "0.0175", "0.025", "0.05", "0.1",
     "0.25", "0.5", "1", "2.5", "5", "10", "+Inf",
 )
 #: The lock→claim grid (seconds) of the asset histogram.
@@ -108,9 +108,9 @@ PINNED = {
         ("kind", "relay_id"),
         LATENCY_GRID,
         {
-            **bucket_counts(LATENCY_GRID, (2,) * 14, relay_id=RELAY, kind="query"),
+            **bucket_counts(LATENCY_GRID, (2,) * 17, relay_id=RELAY, kind="query"),
             **bucket_counts(
-                LATENCY_GRID, (1,) * 14, relay_id=RELAY, kind="undecodable"
+                LATENCY_GRID, (1,) * 17, relay_id=RELAY, kind="undecodable"
             ),
             ("_sum", series(relay_id=RELAY, kind="query")): 0,
             ("_sum", series(relay_id=RELAY, kind="undecodable")): 0,
