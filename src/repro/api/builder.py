@@ -253,7 +253,6 @@ class CycleBuilder:
         self._legs: list[tuple[str, str, InteropClient, str | None]] = []
         self._timeout = 900.0
         self._hop_gap = 150.0
-        self._verify_margin: float | None = None
         self._store = None
         self._cycle_id: str | None = None
         self._metrics = None
@@ -291,11 +290,6 @@ class CycleBuilder:
         self._hop_gap = float(hop_gap)
         return self
 
-    def with_margin(self, verify_margin: float) -> "CycleBuilder":
-        """Minimum remaining lock lifetime a party requires before acting."""
-        self._verify_margin = float(verify_margin)
-        return self
-
     def journal_to(self, store, cycle_id: str | None = None) -> "CycleBuilder":
         """Journal every transition to ``store`` (a
         :class:`repro.store.StateStore`) so the cycle survives a crash."""
@@ -330,7 +324,6 @@ class CycleBuilder:
             cycle_timeout=self._timeout,
             hop_gap=self._hop_gap,
             policies=[policy for _, _, _, policy in self._legs],
-            verify_margin=self._verify_margin,
             store=self._store,
             cycle_id=self._cycle_id,
             metrics=self._metrics,

@@ -34,7 +34,6 @@ from typing import Callable
 from repro.errors import DiscoveryError
 from repro.fabric.events import ChaincodeEvent
 from repro.fabric.network import FabricNetwork
-from repro.utils.encoding import canonical_json, from_canonical_json
 
 
 @dataclass(frozen=True)
@@ -47,30 +46,6 @@ class RemoteEventNotification:
     payload: bytes
     block_number: int
     tx_id: str
-
-    def to_bytes(self) -> bytes:
-        return canonical_json(
-            {
-                "source_network": self.source_network,
-                "chaincode": self.chaincode,
-                "name": self.name,
-                "payload": self.payload.hex(),
-                "block_number": self.block_number,
-                "tx_id": self.tx_id,
-            }
-        )
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "RemoteEventNotification":
-        decoded = from_canonical_json(data)
-        return cls(
-            source_network=decoded["source_network"],
-            chaincode=decoded["chaincode"],
-            name=decoded["name"],
-            payload=bytes.fromhex(decoded["payload"]),
-            block_number=int(decoded["block_number"]),
-            tx_id=decoded["tx_id"],
-        )
 
 
 EventCallback = Callable[[RemoteEventNotification], None]

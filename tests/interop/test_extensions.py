@@ -1,4 +1,8 @@
-"""Tests for the extension features: cross-network transactions and events."""
+"""Tests for the extension features: cross-network transactions.
+
+Cross-network events are covered by ``tests/api/test_session.py`` and
+``tests/conformance``.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +12,6 @@ from functools import partial
 import pytest
 
 from repro.errors import AccessDeniedError
-from repro.interop.events import RemoteEventNotification
 from repro.interop.transactions import enable_remote_transactions
 from repro.proto.messages import INVOCATION_TRANSACTION
 
@@ -97,20 +100,3 @@ class TestRemoteTransactions:
             confidential=False,
         )
         assert json.loads(result.result)["po_ref"] == "PO-REMOTE-3"
-
-
-class TestRemoteEvents:
-    """Subscriptions ride relay envelopes; their delivery, refusal and
-    notify-then-verify upgrade are covered by ``tests/api/test_session.py``
-    and ``tests/conformance``. The wire form of a notification is here."""
-
-    def test_notification_roundtrips_wire_form(self):
-        notification = RemoteEventNotification(
-            source_network="stl",
-            chaincode="TradeLensCC",
-            name="BillOfLadingIssued",
-            payload=b"PO-1",
-            block_number=7,
-            tx_id="tx-abc",
-        )
-        assert RemoteEventNotification.from_bytes(notification.to_bytes()) == notification
