@@ -30,7 +30,6 @@ Package map:
 - :mod:`repro.api` -- the unified application-facing gateway: fluent
   queries, batched pipelined execution, relay middleware chain
 - :mod:`repro.apps` -- the STL/SWT trade use case
-- :mod:`repro.sim` -- latency models, metrics, SLOC accounting
 """
 
 __version__ = "1.0.0"

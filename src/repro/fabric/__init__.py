@@ -23,7 +23,7 @@ from repro.fabric.state import KeyValue, ReadWriteSet, VersionedKV, Version
 from repro.fabric.chaincode import Chaincode, ChaincodeStub
 from repro.fabric.ledger import Block, Ledger, Transaction, TxValidationCode
 from repro.fabric.peer import Peer, ProposalResponse
-from repro.fabric.orderer import OrderingService, RaftOrderer, SoloOrderer
+from repro.fabric.orderer import OrderingService, SoloOrderer
 from repro.fabric.gateway import Gateway
 from repro.fabric.network import FabricNetwork, NetworkBuilder
 from repro.fabric.events import BlockEvent, ChaincodeEvent, EventHub
@@ -48,7 +48,6 @@ __all__ = [
     "ProposalResponse",
     "OrderingService",
     "SoloOrderer",
-    "RaftOrderer",
     "Gateway",
     "FabricNetwork",
     "NetworkBuilder",

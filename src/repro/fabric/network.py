@@ -16,7 +16,7 @@ from repro.fabric.channel import ChannelConfig
 from repro.fabric.events import EventHub
 from repro.fabric.gateway import Gateway
 from repro.fabric.identity import Identity, Organization
-from repro.fabric.orderer import OrderingService, RaftOrderer, SoloOrderer
+from repro.fabric.orderer import OrderingService, SoloOrderer
 from repro.fabric.peer import Peer
 from repro.fabric.policy import parse_endorsement_policy
 from repro.proto.messages import NetworkConfigMsg, OrganizationConfigMsg, PeerConfigMsg
@@ -149,8 +149,7 @@ class NetworkBuilder:
         self._organizations: dict[str, Organization] = {}
         self._peer_specs: list[tuple[str, str]] = []
         self._client_specs: list[tuple[str, str]] = []
-        self._orderer_kind = "solo"
-        self._orderer_options: dict = {}
+        self._batch_size = 1
 
     def add_org(self, org_id: str) -> "NetworkBuilder":
         if org_id in self._organizations:
@@ -171,19 +170,7 @@ class NetworkBuilder:
         return self
 
     def with_solo_orderer(self, batch_size: int = 1) -> "NetworkBuilder":
-        self._orderer_kind = "solo"
-        self._orderer_options = {"batch_size": batch_size}
-        return self
-
-    def with_raft_orderer(
-        self, cluster_size: int = 3, batch_size: int = 1, seed: int = 7
-    ) -> "NetworkBuilder":
-        self._orderer_kind = "raft"
-        self._orderer_options = {
-            "cluster_size": cluster_size,
-            "batch_size": batch_size,
-            "seed": seed,
-        }
+        self._batch_size = batch_size
         return self
 
     def build(self) -> FabricNetwork:
@@ -205,12 +192,7 @@ class NetworkBuilder:
             peers.append(Peer(identity, channel_config, event_hub=hub))
         for name, org_id in self._client_specs:
             self._organizations[org_id].enroll(name, role="client")
-        if self._orderer_kind == "raft":
-            orderer: OrderingService = RaftOrderer(
-                self._channel, **self._orderer_options
-            )
-        else:
-            orderer = SoloOrderer(self._channel, **self._orderer_options)
+        orderer = SoloOrderer(self._channel, batch_size=self._batch_size)
         for peer in peers:
             orderer.register_committer(peer.commit_block)
         return FabricNetwork(

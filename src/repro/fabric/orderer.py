@@ -1,22 +1,16 @@
-"""Ordering services: solo and Raft-like.
+"""The ordering service.
 
 Fabric separates ordering from execution: "a separate ordering service
-creates and disseminates blocks" (§4.1). Two implementations are provided:
-
-- :class:`SoloOrderer` — a single-node orderer that cuts a block per batch;
-  the default for protocol experiments where ordering is not under test.
-- :class:`RaftOrderer` — a simulated crash-fault-tolerant cluster with
-  leader election, log replication and majority commit, supporting crash
-  and recovery injection. Used by the fault-tolerance tests and benches.
-
-Both deliver blocks to registered committers (peers) in order.
+creates and disseminates blocks" (§4.1). :class:`OrderingService` holds
+the common machinery (batching, block cutting, in-order delivery to the
+registered committers) and :class:`SoloOrderer` is its one
+implementation, a single-node orderer that cuts a block per batch. The
+paper needs ordering, not crash-tolerant ordering.
 """
 
 from __future__ import annotations
 
-import random
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.crypto.hashing import sha256
@@ -82,375 +76,3 @@ class SoloOrderer(OrderingService):
             return
         batch, self._pending = self._pending, []
         self._deliver(batch)
-
-
-# ---------------------------------------------------------------------------
-# Raft-like ordering cluster
-# ---------------------------------------------------------------------------
-
-FOLLOWER = "follower"
-CANDIDATE = "candidate"
-LEADER = "leader"
-
-
-@dataclass
-class _LogEntry:
-    term: int
-    batch: list[Transaction]
-
-
-@dataclass
-class _Message:
-    kind: str  # request_vote | vote | append | append_reply
-    sender: int
-    term: int
-    payload: dict = field(default_factory=dict)
-
-
-class _RaftNode:
-    """One consenter in the Raft cluster (persistent state survives crashes)."""
-
-    def __init__(self, node_id: int, cluster_size: int, rng: random.Random) -> None:
-        self.node_id = node_id
-        self.cluster_size = cluster_size
-        self._rng = rng
-        self.state = FOLLOWER
-        self.current_term = 0
-        self.voted_for: int | None = None
-        self.log: list[_LogEntry] = []
-        self.commit_index = -1
-        self.crashed = False
-        self.inbox: list[_Message] = []
-        self._election_ticks = 0
-        self._election_timeout = self._new_timeout()
-        self._votes: set[int] = set()
-        self.next_index: dict[int, int] = {}
-        self.match_index: dict[int, int] = {}
-
-    def _new_timeout(self) -> int:
-        return self._rng.randint(4, 8)
-
-    @property
-    def last_log_index(self) -> int:
-        return len(self.log) - 1
-
-    @property
-    def last_log_term(self) -> int:
-        return self.log[-1].term if self.log else 0
-
-    def _log_up_to_date(self, last_index: int, last_term: int) -> bool:
-        if last_term != self.last_log_term:
-            return last_term > self.last_log_term
-        return last_index >= self.last_log_index
-
-    def _become_follower(self, term: int) -> None:
-        self.state = FOLLOWER
-        self.current_term = term
-        self.voted_for = None
-        self._election_ticks = 0
-        self._election_timeout = self._new_timeout()
-
-    def _become_leader(self) -> None:
-        self.state = LEADER
-        self.next_index = {
-            peer: len(self.log) for peer in range(self.cluster_size) if peer != self.node_id
-        }
-        self.match_index = {
-            peer: -1 for peer in range(self.cluster_size) if peer != self.node_id
-        }
-
-    # -- message handling ------------------------------------------------------
-
-    def step(self, message: _Message, outbox: list[tuple[int, _Message]]) -> None:
-        if message.term > self.current_term:
-            self._become_follower(message.term)
-        if message.kind == "request_vote":
-            grant = (
-                message.term >= self.current_term
-                and self.voted_for in (None, message.sender)
-                and self._log_up_to_date(
-                    message.payload["last_log_index"], message.payload["last_log_term"]
-                )
-            )
-            if grant:
-                self.voted_for = message.sender
-                self._election_ticks = 0
-            outbox.append(
-                (
-                    message.sender,
-                    _Message(
-                        kind="vote",
-                        sender=self.node_id,
-                        term=self.current_term,
-                        payload={"granted": grant},
-                    ),
-                )
-            )
-        elif message.kind == "vote":
-            if (
-                self.state == CANDIDATE
-                and message.term == self.current_term
-                and message.payload["granted"]
-            ):
-                self._votes.add(message.sender)
-                if len(self._votes) > self.cluster_size // 2:
-                    self._become_leader()
-        elif message.kind == "append":
-            success = False
-            match_index = -1
-            if message.term >= self.current_term:
-                self.state = FOLLOWER
-                self._election_ticks = 0
-                prev_index = message.payload["prev_index"]
-                prev_term = message.payload["prev_term"]
-                ok = prev_index == -1 or (
-                    prev_index < len(self.log) and self.log[prev_index].term == prev_term
-                )
-                if ok:
-                    success = True
-                    entries: list[_LogEntry] = message.payload["entries"]
-                    insert_at = prev_index + 1
-                    for offset, entry in enumerate(entries):
-                        index = insert_at + offset
-                        if index < len(self.log):
-                            if self.log[index].term != entry.term:
-                                del self.log[index:]
-                                self.log.append(entry)
-                        else:
-                            self.log.append(entry)
-                    match_index = prev_index + len(entries)
-                    leader_commit = message.payload["leader_commit"]
-                    if leader_commit > self.commit_index:
-                        self.commit_index = min(leader_commit, self.last_log_index)
-            outbox.append(
-                (
-                    message.sender,
-                    _Message(
-                        kind="append_reply",
-                        sender=self.node_id,
-                        term=self.current_term,
-                        payload={"success": success, "match_index": match_index},
-                    ),
-                )
-            )
-        elif message.kind == "append_reply":
-            if self.state != LEADER or message.term != self.current_term:
-                return
-            peer = message.sender
-            if message.payload["success"]:
-                self.match_index[peer] = max(
-                    self.match_index[peer], message.payload["match_index"]
-                )
-                self.next_index[peer] = self.match_index[peer] + 1
-                self._advance_commit()
-            else:
-                self.next_index[peer] = max(0, self.next_index[peer] - 1)
-
-    def _advance_commit(self) -> None:
-        for index in range(self.last_log_index, self.commit_index, -1):
-            if self.log[index].term != self.current_term:
-                continue
-            replicated = 1 + sum(
-                1 for match in self.match_index.values() if match >= index
-            )
-            if replicated > self.cluster_size // 2:
-                self.commit_index = index
-                break
-
-    # -- timers ------------------------------------------------------------------
-
-    def tick(self, outbox: list[tuple[int, _Message]]) -> None:
-        if self.state == LEADER:
-            if self.cluster_size == 1:
-                # No followers to acknowledge: a single-node cluster commits
-                # its own log immediately.
-                self.commit_index = self.last_log_index
-                return
-            for peer in range(self.cluster_size):
-                if peer == self.node_id:
-                    continue
-                next_idx = self.next_index[peer]
-                prev_index = next_idx - 1
-                prev_term = self.log[prev_index].term if prev_index >= 0 else 0
-                entries = self.log[next_idx:]
-                outbox.append(
-                    (
-                        peer,
-                        _Message(
-                            kind="append",
-                            sender=self.node_id,
-                            term=self.current_term,
-                            payload={
-                                "prev_index": prev_index,
-                                "prev_term": prev_term,
-                                "entries": entries,
-                                "leader_commit": self.commit_index,
-                            },
-                        ),
-                    )
-                )
-            return
-        self._election_ticks += 1
-        if self._election_ticks >= self._election_timeout:
-            self.state = CANDIDATE
-            self.current_term += 1
-            self.voted_for = self.node_id
-            self._votes = {self.node_id}
-            self._election_ticks = 0
-            self._election_timeout = self._new_timeout()
-            if self.cluster_size == 1:
-                self._become_leader()
-                return
-            for peer in range(self.cluster_size):
-                if peer == self.node_id:
-                    continue
-                outbox.append(
-                    (
-                        peer,
-                        _Message(
-                            kind="request_vote",
-                            sender=self.node_id,
-                            term=self.current_term,
-                            payload={
-                                "last_log_index": self.last_log_index,
-                                "last_log_term": self.last_log_term,
-                            },
-                        ),
-                    )
-                )
-
-
-class RaftOrderer(OrderingService):
-    """A crash-fault-tolerant ordering cluster.
-
-    The cluster advances via :meth:`tick`; callers (tests, benches, the
-    network helper) drive ticks until submitted batches commit. Crash and
-    recovery of individual consenters is injectable.
-    """
-
-    def __init__(
-        self,
-        channel: str,
-        cluster_size: int = 3,
-        batch_size: int = 1,
-        seed: int = 7,
-    ) -> None:
-        super().__init__(channel, batch_size)
-        if cluster_size < 1:
-            raise OrderingError("raft cluster needs at least one node")
-        rng = random.Random(seed)
-        self.nodes = [
-            _RaftNode(node_id, cluster_size, random.Random(rng.random()))
-            for node_id in range(cluster_size)
-        ]
-        self._pending: list[Transaction] = []
-        self._delivered_through = -1
-
-    # -- cluster introspection ---------------------------------------------------
-
-    def leader(self) -> _RaftNode | None:
-        leaders = [
-            node for node in self.nodes if node.state == LEADER and not node.crashed
-        ]
-        if not leaders:
-            return None
-        return max(leaders, key=lambda node: node.current_term)
-
-    def crash(self, node_id: int) -> None:
-        """Crash a consenter: it stops ticking and drops its inbox."""
-        node = self.nodes[node_id]
-        node.crashed = True
-        node.inbox.clear()
-
-    def recover(self, node_id: int) -> None:
-        """Recover a crashed consenter with persistent state intact."""
-        self.nodes[node_id].crashed = False
-
-    # -- ordering API --------------------------------------------------------------
-
-    def submit(self, transaction: Transaction) -> None:
-        self._pending.append(transaction)
-        if len(self._pending) >= self.batch_size:
-            self._propose()
-        self.run_until_idle()
-
-    def flush(self) -> None:
-        self._propose()
-        self.run_until_idle()
-
-    def _propose(self) -> None:
-        if not self._pending:
-            return
-        leader = self.leader()
-        if leader is None:
-            self.run_until_leader()
-            leader = self.leader()
-            if leader is None:
-                raise OrderingError("no raft leader available (quorum lost?)")
-        batch, self._pending = self._pending, []
-        leader.log.append(_LogEntry(term=leader.current_term, batch=batch))
-
-    # -- simulation loop -------------------------------------------------------------
-
-    def tick(self) -> None:
-        """Advance the cluster by one time step (timers + message exchange)."""
-        outbox: list[tuple[int, _Message]] = []
-        for node in self.nodes:
-            if node.crashed:
-                continue
-            for message in node.inbox:
-                node.step(message, outbox)
-            node.inbox.clear()
-            node.tick(outbox)
-        for target, message in outbox:
-            node = self.nodes[target]
-            if not node.crashed:
-                node.inbox.append(message)
-        self._deliver_committed()
-
-    def _quorum_commit_index(self) -> int:
-        live = [node for node in self.nodes if not node.crashed]
-        if not live:
-            return self._delivered_through
-        return max(node.commit_index for node in live)
-
-    def _deliver_committed(self) -> None:
-        commit = self._quorum_commit_index()
-        if commit <= self._delivered_through:
-            return
-        source = max(
-            (node for node in self.nodes if not node.crashed),
-            key=lambda node: node.commit_index,
-        )
-        for index in range(self._delivered_through + 1, commit + 1):
-            self._deliver(source.log[index].batch)
-        self._delivered_through = commit
-
-    def run_until_leader(self, max_ticks: int = 200) -> None:
-        for _ in range(max_ticks):
-            if self.leader() is not None:
-                return
-            self.tick()
-        raise OrderingError(f"no leader elected within {max_ticks} ticks")
-
-    def run_until_idle(self, max_ticks: int = 400) -> None:
-        """Tick until all proposed entries are committed and delivered."""
-        for _ in range(max_ticks):
-            leader = self.leader()
-            outstanding = any(
-                not node.crashed and node.last_log_index > self._delivered_through
-                for node in self.nodes
-            )
-            if leader is not None and not outstanding and not self._pending:
-                return
-            self.tick()
-        live = sum(1 for node in self.nodes if not node.crashed)
-        if live <= self.cluster_size // 2:
-            raise OrderingError(
-                f"raft quorum lost: only {live}/{self.cluster_size} consenters live"
-            )
-        raise OrderingError("raft cluster failed to converge")
-
-    @property
-    def cluster_size(self) -> int:
-        return len(self.nodes)

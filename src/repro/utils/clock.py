@@ -1,8 +1,8 @@
 """Clock abstraction so protocol components are testable without sleeping.
 
 Production-style code paths take a :class:`Clock`; tests and benchmarks
-inject a :class:`SimulatedClock` that advances instantly, which also powers
-the latency model in :mod:`repro.sim`.
+inject a :class:`SimulatedClock` that advances only when told to, so HTLC
+timeouts, rate limits and lock lifetimes are reached without sleeping.
 """
 
 from __future__ import annotations

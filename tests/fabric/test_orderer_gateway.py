@@ -1,13 +1,12 @@
-"""Tests for ordering services (solo + Raft) and the gateway SDK."""
+"""Tests for the solo ordering service and the gateway SDK."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import EndorsementError, OrderingError
-from repro.fabric import Chaincode, NetworkBuilder, RaftOrderer, SoloOrderer
+from repro.fabric import Chaincode, NetworkBuilder, SoloOrderer
 from repro.fabric.chaincode import require_args
-from repro.fabric.orderer import LEADER
 
 
 class EchoChaincode(Chaincode):
@@ -26,19 +25,16 @@ class EchoChaincode(Chaincode):
         raise Exception("unknown")
 
 
-def build_network(orderer_kind: str = "solo", **kwargs):
-    builder = (
+def build_network(**kwargs):
+    net = (
         NetworkBuilder("order-test")
         .add_org("org1")
         .add_peer("peer0", "org1")
         .add_peer("peer1", "org1")
         .add_client("app", "org1")
+        .with_solo_orderer(**kwargs)
+        .build()
     )
-    if orderer_kind == "raft":
-        builder.with_raft_orderer(**kwargs)
-    else:
-        builder.with_solo_orderer(**kwargs)
-    net = builder.build()
     app = net.org("org1").member("app")
     net.deploy_chaincode(EchoChaincode(), "'org1.peer'", initializer=app)
     return net, app
@@ -73,71 +69,6 @@ class TestSoloOrderer:
     def test_invalid_batch_size(self):
         with pytest.raises(OrderingError):
             SoloOrderer("ch", batch_size=0)
-
-
-class TestRaftOrderer:
-    def test_basic_ordering(self):
-        net, app = build_network("raft", cluster_size=3)
-        result = net.gateway.submit(app, "echo", "put", ["k", "v1"])
-        assert result.committed
-        assert net.gateway.evaluate(app, "echo", "get", ["k"]) == b"v1"
-
-    def test_leader_election_happens(self):
-        orderer = RaftOrderer("ch", cluster_size=5)
-        orderer.run_until_leader()
-        leaders = [n for n in orderer.nodes if n.state == LEADER]
-        assert len(leaders) == 1
-
-    def test_leader_crash_failover(self):
-        net, app = build_network("raft", cluster_size=3)
-        net.gateway.submit(app, "echo", "put", ["k", "v1"])
-        old_leader = net.orderer.leader()
-        net.orderer.crash(old_leader.node_id)
-        result = net.gateway.submit(app, "echo", "put", ["k2", "v2"])
-        assert result.committed
-        new_leader = net.orderer.leader()
-        assert new_leader.node_id != old_leader.node_id
-
-    def test_crashed_follower_does_not_block(self):
-        net, app = build_network("raft", cluster_size=3)
-        net.gateway.submit(app, "echo", "put", ["a", "1"])
-        leader = net.orderer.leader()
-        follower = next(n for n in net.orderer.nodes if n.node_id != leader.node_id)
-        net.orderer.crash(follower.node_id)
-        assert net.gateway.submit(app, "echo", "put", ["b", "2"]).committed
-
-    def test_recovered_node_catches_up(self):
-        net, app = build_network("raft", cluster_size=3)
-        net.gateway.submit(app, "echo", "put", ["a", "1"])
-        leader = net.orderer.leader()
-        follower_id = next(
-            n.node_id for n in net.orderer.nodes if n.node_id != leader.node_id
-        )
-        net.orderer.crash(follower_id)
-        net.gateway.submit(app, "echo", "put", ["b", "2"])
-        net.orderer.recover(follower_id)
-        net.gateway.submit(app, "echo", "put", ["c", "3"])
-        recovered = net.orderer.nodes[follower_id]
-        lead = net.orderer.leader()
-        assert recovered.last_log_index == lead.last_log_index
-
-    def test_quorum_loss_detected(self):
-        net, app = build_network("raft", cluster_size=3)
-        net.gateway.submit(app, "echo", "put", ["a", "1"])
-        net.orderer.crash(0)
-        net.orderer.crash(1)
-        with pytest.raises(OrderingError, match="quorum|leader|converge"):
-            net.gateway.submit(app, "echo", "put", ["b", "2"])
-
-    def test_logs_identical_across_live_nodes(self):
-        net, app = build_network("raft", cluster_size=5)
-        for index in range(4):
-            net.gateway.submit(app, "echo", "put", [f"k{index}", "v"])
-        live = [n for n in net.orderer.nodes if not n.crashed]
-        reference = [(e.term, [t.tx_id for t in e.batch]) for e in live[0].log]
-        for node in live[1:]:
-            log = [(e.term, [t.tx_id for t in e.batch]) for e in node.log]
-            assert log[: len(reference)] == reference[: len(log)]
 
 
 class TestGateway:
